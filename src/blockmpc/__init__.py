@@ -8,6 +8,8 @@ condensed to a small dense QP in O(N*M) block operations and solved by a
 warm-started primal active-set method.
 """
 
+__version__ = "0.1.0"
+
 from .blocking import BlockStructure, InvalidBlockStructureError, build_T, from_block_lengths
 from .condensing import (
     CondensedQp,

@@ -72,17 +72,6 @@ def unit_blocks(N: int) -> BlockStructure:
     return from_block_lengths([1] * N)
 
 
-def block_of(bs: BlockStructure, k: int) -> int:
-    """Return the block index j with I[j] <= k < I[j+1]."""
-    if not 0 <= k < bs.N:
-        raise IndexError(f"interval index {k} outside [0, {bs.N})")
-    # I is short (M+1 entries); linear scan is fine and obviously correct.
-    for j in range(bs.M):
-        if k < bs.I[j + 1]:
-            return j
-    raise AssertionError("unreachable: valid k must fall in some block")
-
-
 def interval_blocks(bs: BlockStructure) -> np.ndarray:
     """Block index of every interval k = 0..N-1 as an int array."""
     out = np.empty(bs.N, dtype=int)

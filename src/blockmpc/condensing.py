@@ -14,8 +14,7 @@ steps:
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +27,6 @@ class FlopCounter:
     """Accumulates the multiply count of instrumented block operations."""
 
     def __init__(self):
-        self.mults = 0
-
-    def reset(self):
         self.mults = 0
 
 
@@ -63,11 +59,7 @@ class CondensedQp:
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    row_node: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.row_node is None:
-            self.row_node = np.zeros(len(self.c), dtype=int)
+    row_node: np.ndarray
 
 
 def compute_Ghat(sd: StageData, bs: BlockStructure,
@@ -167,7 +159,7 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     """Condense affine rows and fold input boxes into simple bounds.
 
     A row at node k >= 1 becomes Cx_k Ghat[k-1, :] plus its direct input part
-    in column block_of(k), with constant shifted by Cx_k L[k-1]; node-0 rows
+    in column blocks[k], with constant shifted by Cx_k L[k-1]; node-0 rows
     see only dx0 and the direct input part.  Returns (C, c, lb, ub, row_node).
     """
     N, M = bs.N, bs.M
@@ -338,28 +330,3 @@ def naive_condense(sd: StageData, bs: BlockStructure,
     ub = sd.du_hi.reshape(bs.M * sd.nu).copy()
     return CondensedQp(H=Hh, g=gh, C=Ch, c=cc.copy(), lb=lb, ub=ub, row_node=row_node)
 
-
-# --- text dump of a condensed QP (offline oracle comparison) ----------------
-
-def write_matrix(path: str, mat: np.ndarray) -> None:
-    """One matrix per file: 'rows cols' header, then whitespace-separated rows."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        rows, cols = map(int, fh.readline().split())
-        mat = np.array([[float(v) for v in fh.readline().split()] for _ in range(rows)])
-    return mat.reshape(rows, cols)
-
-
-def dump_condensed_qp(qp: CondensedQp, out_dir: str) -> None:
-    """Write H, g, C, c, lb, ub of a condensed QP as text matrices in out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, mat in (("H", qp.H), ("g", qp.g), ("C", qp.C), ("c", qp.c),
-                      ("lb", qp.lb), ("ub", qp.ub)):
-        write_matrix(os.path.join(out_dir, f"{name}.txt"), mat)

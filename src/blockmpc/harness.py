@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import __version__
 from .blocking import from_block_lengths, unit_blocks
 from .condensing import FlopCounter, compute_Ghat, compute_Hhat, condense, naive_condense
 from .integrator import IntegrationDivergedError
@@ -34,7 +35,6 @@ from .rti import KktReport, RtiController
 from .shooting import StageData
 
 _PKG_NAME = "blockmpc"
-_VERSION = "0.1.0"
 
 
 # --- configuration ----------------------------------------------------------
@@ -178,7 +178,7 @@ def config_echo(cfg: SchemeConfig) -> list[str]:
         for n in lengths:
             idx.append(idx[-1] + n)
         lines.append(f"{name} = {','.join(str(i) for i in idx)}")
-    lines.append(f"version = {_PKG_NAME} {_VERSION}")
+    lines.append(f"version = {_PKG_NAME} {__version__}")
     return lines
 
 

@@ -22,18 +22,13 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """n_sub RK4 sub-steps of length h; the interval spans h * n_sub seconds."""
+    """One RK4 step of length h spans the shooting interval."""
 
     h: float
-    n_sub: int = 1
 
     def __post_init__(self):
-        if self.h <= 0.0 or self.n_sub < 1:
+        if self.h <= 0.0:
             raise ValueError(f"invalid integrator config {self}")
-
-    @property
-    def length(self) -> float:
-        return self.h * self.n_sub
 
 
 def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h: float):
@@ -79,18 +74,5 @@ def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h: float):
 
 
 def integrate_interval(cfg: IntegratorConfig, rhs, jac, x: np.ndarray, u: np.ndarray):
-    """Integrate one shooting interval: n_sub RK4 steps with the same held input.
-
-    Sensitivities accumulate by the chain rule: A = A_step @ A,
-    B = A_step @ B + B_step.
-    """
-    x_end = np.asarray(x, dtype=float)
-    nx = len(x_end)
-    nu = len(np.atleast_1d(u))
-    A = np.eye(nx)
-    B = np.zeros((nx, nu))
-    for _ in range(cfg.n_sub):
-        x_end, A_step, B_step = rk4_step(rhs, jac, x_end, u, cfg.h)
-        A = A_step @ A
-        B = A_step @ B + B_step
-    return x_end, A, B
+    """Integrate one shooting interval: a single RK4 step with the held input."""
+    return rk4_step(rhs, jac, x, u, cfg.h)

@@ -22,11 +22,9 @@ class ProblemDims:
 
     nx: int
     nu: int
-    nc: int = 0
-    ncN: int = 0
 
     def __post_init__(self):
-        if self.nx < 1 or self.nu < 1 or self.nc < 0 or self.ncN < 0:
+        if self.nx < 1 or self.nu < 1:
             raise ValueError(f"invalid dimensions {self}")
 
 
@@ -49,8 +47,8 @@ class QuadraticCost:
     """Tracking cost 0.5*||x - x_ref||_Q^2 + 0.5*||u - u_ref||_R^2 per stage.
 
     Q and QN must be symmetric positive semidefinite, R symmetric positive
-    definite.  References may be a single vector (held constant) or one row
-    per stage.
+    definite.  The references are single vectors, held constant over the
+    horizon.
     """
 
     Q: np.ndarray
@@ -68,14 +66,12 @@ class QuadraticCost:
         for name, W in (("Q", self.Q), ("R", self.R), ("QN", self.QN)):
             if not np.allclose(W, W.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
+        for name, ref, W in (("x_ref", self.x_ref, self.Q), ("u_ref", self.u_ref, self.R)):
+            if ref.shape != (W.shape[0],):
+                raise ValueError(f"{name} must be a vector of length {W.shape[0]}, "
+                                 f"got shape {ref.shape}")
         # R must be PD for the condensed Hessian to be PD.
         np.linalg.cholesky(self.R)
-
-    def x_ref_at(self, k: int) -> np.ndarray:
-        return self.x_ref if self.x_ref.ndim == 1 else self.x_ref[k]
-
-    def u_ref_at(self, k: int) -> np.ndarray:
-        return self.u_ref if self.u_ref.ndim == 1 else self.u_ref[k]
 
 
 @dataclass
@@ -142,14 +138,14 @@ def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
     return A, B
 
 
-def stage_cost_terms(x_k: np.ndarray, u_k: np.ndarray, cost: QuadraticCost, k: int):
+def stage_cost_terms(x_k: np.ndarray, u_k: np.ndarray, cost: QuadraticCost):
     """Gradient/Hessian blocks of the stage cost at (x_k, u_k).
 
     Returns (q, r, Q_k, S_k, R_k).  The Hessian is the Gauss-Newton one of
     the quadratic tracking cost, so Q_k = Q, R_k = R, S_k = 0 exactly.
     """
-    q = cost.Q @ (x_k - cost.x_ref_at(k))
-    r = cost.R @ (u_k - cost.u_ref_at(k))
+    q = cost.Q @ (x_k - cost.x_ref)
+    r = cost.R @ (u_k - cost.u_ref)
     S = np.zeros((cost.Q.shape[0], cost.R.shape[0]))
     return q, r, cost.Q.copy(), S, cost.R.copy()
 
@@ -231,15 +227,14 @@ def make_pendulum_problem(
     """
     rhs = lambda x, u: pendulum_rhs(x, u, params)
     jac = lambda x, u: pendulum_jacobians(x, u, params)
-    nc = int(np.isfinite(bounds.x_lo).sum() + np.isfinite(bounds.x_hi).sum())
-    dims = ProblemDims(nx=4, nu=1, nc=nc, ncN=nc)
+    dims = ProblemDims(nx=4, nu=1)
     if interval_lengths is None:
-        intervals = [IntegratorConfig(h=Ts, n_sub=1) for _ in range(N)]
+        intervals = [IntegratorConfig(h=Ts) for _ in range(N)]
         scales = np.ones(N)
     else:
         if sum(interval_lengths) != N:
             raise ValueError("interval lengths must sum to the uniform-grid interval count")
-        intervals = [IntegratorConfig(h=float(n) * Ts, n_sub=1) for n in interval_lengths]
+        intervals = [IntegratorConfig(h=float(n) * Ts) for n in interval_lengths]
         scales = np.asarray(interval_lengths, dtype=float)
     return OcpProblem(dims=dims, rhs=rhs, jac=jac, cost=cost, bounds=bounds,
                       intervals=intervals, weight_scales=scales)

@@ -139,7 +139,8 @@ def _restore_feasibility(z, A, b, usable, feas_tol):
     """Iteratively project onto the accumulated set of most-violated rows.
 
     Bound rows take part like any other row.  Stalls (a projected row gets
-    re-violated by a later projection) fall back to the big-M phase 1.
+    re-violated by a later projection, or the forced rows' Gram matrix, which
+    squares their conditioning, is singular) fall back to the big-M phase 1.
     """
     forced: list[int] = []
     for _ in range(len(b) + 1):
@@ -155,7 +156,10 @@ def _restore_feasibility(z, A, b, usable, feas_tol):
             return z, False  # violated row dependent on already-forced rows
         forced = kept
         Af = A[forced]
-        z = z + Af.T @ np.linalg.solve(Af @ Af.T, b[forced] - Af @ z)
+        try:
+            z = z + Af.T @ np.linalg.solve(Af @ Af.T, b[forced] - Af @ z)
+        except np.linalg.LinAlgError:
+            return z, False
     return z, False
 
 

@@ -11,7 +11,7 @@ post-step stationarity with the shooting gaps seen at this linearization.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class PrepareOutput:
     qp: CondensedQp
     chain: SensitivityChain
     sd: StageData
-    traj: Trajectory
     timings: dict
 
 
@@ -164,7 +163,7 @@ class RtiController:
         qp, chain = condense(sd, self.bs)
         t2 = time.perf_counter()
         timings = {"shooting": t1 - t0, "condensing": t2 - t1, "prepare_total": t2 - t0}
-        return PrepareOutput(qp=qp, chain=chain, sd=sd, traj=state.traj, timings=timings)
+        return PrepareOutput(qp=qp, chain=chain, sd=sd, timings=timings)
 
     def feedback(self, state: RtiState, prep: PrepareOutput,
                  x0_measured: np.ndarray):
@@ -175,7 +174,7 @@ class RtiController:
         of the QP solve, its equality part the shooting gaps the step had
         to close (the nonlinearity error of the previous iterate; the
         measurement innovation itself is absorbed exactly and contributes
-        nothing).
+        nothing).  ``state`` is the state ``prep`` was prepared from.
         """
         t0 = time.perf_counter()
         dense = DenseQp(H=prep.qp.H, g=prep.qp.g, Crows=prep.qp.C, cvec=prep.qp.c,
@@ -186,8 +185,8 @@ class RtiController:
         dxs = expand(prep.chain.Ghat, prep.chain.L, prep.sd.dx0, du)
         if not (np.all(np.isfinite(dxs)) and np.all(np.isfinite(du))):
             raise IntegrationDivergedError("trajectory update diverged")
-        traj = Trajectory(xs=prep.traj.xs + dxs,
-                          us=prep.traj.us + du.reshape(self.bs.M, self.problem.dims.nu))
+        traj = Trajectory(xs=state.traj.xs + dxs,
+                          us=state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu))
         kkt = kkt_residual(prep.sd, self.bs, dxs, du, sol, prep.qp.row_node)
         t_total = prep.timings["prepare_total"] + (time.perf_counter() - t0)
         timings = {"shooting": prep.timings["shooting"],
@@ -206,17 +205,11 @@ class RtiController:
         blocked representation) and the working set is kept.  Unit-block
         controllers may opt into the classical shift-by-one.
         """
-        if not self.shift_inputs:
-            return RtiState(traj=state.traj.copy(), ws=state.ws, last_kkt=state.last_kkt,
-                            timings=dict(state.timings), qp_iterations=state.qp_iterations,
-                            qp_status=state.qp_status)
-        xs = state.traj.xs.copy()
-        us = state.traj.us.copy()
-        xs[:-1] = xs[1:]
-        us[:-1] = us[1:]
-        return RtiState(traj=Trajectory(xs=xs, us=us), ws=state.ws,
-                        last_kkt=state.last_kkt, timings=dict(state.timings),
-                        qp_iterations=state.qp_iterations, qp_status=state.qp_status)
+        traj = state.traj.copy()
+        if self.shift_inputs:
+            traj.xs[:-1] = traj.xs[1:]
+            traj.us[:-1] = traj.us[1:]
+        return replace(state, traj=traj, timings=dict(state.timings))
 
     def step(self, state: RtiState, x0_measured: np.ndarray):
         """Full RTI cycle: prepare, feedback, advance.  Returns (u_applied, state)."""

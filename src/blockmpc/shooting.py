@@ -9,7 +9,7 @@ coarsening the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,13 +97,11 @@ def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
 
 
 def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
-             x0_measured: np.ndarray, _resim: bool = False) -> StageData:
+             x0_measured: np.ndarray) -> StageData:
     """Linearize the blocked problem at ``traj`` with measured initial state.
 
     Every interval in block j is integrated with u_hat_j; the residuals
-    d_k close the shooting gaps, and dx0 embeds the new measurement.  With
-    ``_resim`` the node states are overwritten by the forward simulation as
-    it proceeds (used by :func:`simulate_and_evaluate`).
+    d_k close the shooting gaps, and dx0 embeds the new measurement.
     """
     N, M = bs.N, bs.M
     nx, nu = problem.dims.nx, problem.dims.nu
@@ -128,10 +126,8 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
                 problem.intervals[k], problem.rhs, problem.jac, traj.xs[k], u_k)
         except IntegrationDivergedError as err:
             raise IntegrationDivergedError(node=k) from err
-        if _resim:
-            traj.xs[k + 1] = x_end
         ds[k] = x_end - traj.xs[k + 1]
-        q, r, Qk, Sk, Rk = stage_cost_terms(traj.xs[k], u_k, problem.cost, k)
+        q, r, Qk, Sk, Rk = stage_cost_terms(traj.xs[k], u_k, problem.cost)
         w = problem.weight_scales[k]
         Qs[k], Ss[k], Rs[k] = w * Qk, w * Sk, w * Rk
         qs[k], rs[k] = w * q, w * r
@@ -148,7 +144,7 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
             Cus.append(Cu)
             cs.append(c)
 
-    qN = problem.cost.QN @ (traj.xs[N] - problem.cost.x_ref_at(N))
+    qN = problem.cost.QN @ (traj.xs[N] - problem.cost.x_ref)
     CN, _, cN = box_constraint_rows(problem.bounds.x_lo, problem.bounds.x_hi,
                                     traj.xs[N], nu)
 
@@ -161,19 +157,3 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
                      dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
                      du_lo=du_lo, du_hi=du_hi)
 
-
-def simulate_and_evaluate(problem: OcpProblem, bs: BlockStructure, us: np.ndarray,
-                          x0_measured: np.ndarray):
-    """Initialize the problem with the blocked inputs and linearize in one pass.
-
-    The node states are the forward simulation from the measured state under
-    ``us``, so the returned stage data has d_k = 0 and dx0 = 0 (a feasible
-    linearization point) at the cost of a single integration sweep.
-    Returns (Trajectory, StageData).
-    """
-    us = np.atleast_2d(np.asarray(us, dtype=float))
-    x0 = np.asarray(x0_measured, dtype=float)
-    xs = np.tile(x0, (bs.N + 1, 1))
-    traj = Trajectory(xs=xs, us=us.copy())
-    sd = evaluate(problem, bs, traj, x0, _resim=True)
-    return traj, sd

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from blockmpc.blocking import (
     InvalidBlockStructureError,
-    block_of,
     build_T,
     from_block_indices,
     from_block_lengths,
@@ -53,14 +52,11 @@ def test_from_indices_round_trip():
 
 
 def test_block_of_examples():
-    bs = from_block_lengths(BENCH_LENGTHS)
-    assert block_of(bs, 0) == 0
-    assert block_of(bs, 34) == 6
-    assert block_of(bs, 79) == 9
-    with pytest.raises(IndexError):
-        block_of(bs, 80)
-    with pytest.raises(IndexError):
-        block_of(bs, -1)
+    blocks = interval_blocks(from_block_lengths(BENCH_LENGTHS))
+    assert len(blocks) == 80
+    assert blocks[0] == 0
+    assert blocks[34] == 6
+    assert blocks[79] == 9
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,7 +64,7 @@ def test_block_of_examples():
 def test_block_of_matches_binary_search(lengths, data):
     bs = from_block_lengths(lengths)
     k = data.draw(st.integers(0, bs.N - 1))
-    assert block_of(bs, k) == find_block(bs.I, k)
+    assert interval_blocks(bs)[k] == find_block(bs.I, k)
 
 
 def test_build_T_unit_blocks_identity():
@@ -108,8 +104,7 @@ def test_T_rows_select_owning_block(lengths, nu):
     blocks = interval_blocks(bs)
     for k in range(bs.N):
         row_block = T[k * nu:(k + 1) * nu]
-        j = block_of(bs, k)
-        assert j == blocks[k]
+        j = blocks[k]
         assert np.array_equal(row_block[:, j * nu:(j + 1) * nu], np.eye(nu))
         mask = np.ones(bs.M * nu, dtype=bool)
         mask[j * nu:(j + 1) * nu] = False

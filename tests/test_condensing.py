@@ -10,11 +10,9 @@ from blockmpc.condensing import (
     compute_ghat,
     condense,
     condense_constraints,
-    dump_condensed_qp,
     expand,
     flop_count,
     naive_condense,
-    read_matrix,
 )
 from blockmpc.harness import synthetic_stage_data
 from blockmpc.model import ProblemDims
@@ -361,19 +359,3 @@ def test_hhat_count_growth_ratios():
     assert 3.5 <= unit[1] / unit[0] <= 4.5
     assert 3.5 <= unit[2] / unit[1] <= 4.5
 
-
-# --- text dump ----------------------------------------------------------------
-
-def test_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(20)
-    bs = from_block_lengths([2, 2])
-    sd = rand_sd(rng, 4, 2, 1, M=2, nc=1, ncN=1)
-    qp, _ = condense(sd, bs)
-    out = tmp_path / "qp"
-    dump_condensed_qp(qp, str(out))
-    H = read_matrix(str(out / "H.txt"))
-    assert np.array_equal(H, qp.H)
-    g = read_matrix(str(out / "g.txt"))
-    assert np.array_equal(g.ravel(), qp.g)
-    C = read_matrix(str(out / "C.txt"))
-    assert np.array_equal(C, qp.C)

@@ -40,6 +40,19 @@ def test_load_default_config_file():
     assert any(line == "block_indices = 0,1,3,6,10,15,20,35,50,65,80" for line in echo)
 
 
+def test_meta_version_comes_from_package():
+    tomllib = pytest.importorskip("tomllib")
+    import blockmpc
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "blockmpc.__version__"}
+    line = config_echo(SchemeConfig())[-1]
+    assert line == f"version = {pyproject['project']['name']} {blockmpc.__version__}"
+    assert line == "version = blockmpc 0.1.0"
+
+
 def test_block_indices_key(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("scheme = C\nN = 80\nblock_indices = 0,1,3,6,10,15,20,35,50,65,80\n")
@@ -197,6 +210,19 @@ def test_constraints_honored_in_short_run():
         assert abs(x[0]) <= 2.0 + 1e-6
         assert abs(u[0]) <= 20.0 + 1e-6
     assert not any(log.flags)
+
+
+@pytest.mark.parametrize("x0", [(-0.10503637338540753, 3.211915522797722, 0.0, 0.0),
+                                (-0.14857191889232016, 3.1411593710538623, 0.0, 0.0)])
+def test_short_track_cold_start_reaches_phase1(x0):
+    # On a +-0.5 m track these starts make the QP's restoration force rows
+    # whose Gram matrix is numerically singular; the solve must hand over to
+    # the big-M phase 1 instead of raising out of the closed loop.
+    cfg = short_cfg("C", sim_time=0.1, x0=x0, x_lo=(-0.5, -np.inf, -np.inf, -np.inf),
+                    x_hi=(0.5, np.inf, np.inf, np.inf))
+    log = run_closed_loop(cfg)
+    assert log.aborted is None and len(log) == 4
+    assert log.qp_status == ["solved"] * 4
 
 
 # --- bench ---------------------------------------------------------------------

@@ -59,25 +59,15 @@ def test_linear_system_sensitivities_closed_form():
 
 
 def test_interval_single_substep_equals_step():
-    cfg = IntegratorConfig(h=0.05, n_sub=1)
+    cfg = IntegratorConfig(h=0.05)
     x = np.array([0.1, 3.0, -0.2, 0.4])
     u = np.array([1.5])
-    assert all(np.allclose(a, b) for a, b in
+    assert all(np.array_equal(a, b) for a, b in
                zip(integrate_interval(cfg, RHS, JAC, x, u), rk4_step(RHS, JAC, x, u, 0.05)))
 
 
-def test_linear_semigroup_property():
-    a, b = -0.8, 0.5
-    rhs = lambda x, u: a * x + b * u
-    jac = lambda x, u: (np.array([[a]]), np.array([[b]]))
-    cfg = IntegratorConfig(h=0.1, n_sub=4)
-    _, A, _ = integrate_interval(cfg, rhs, jac, np.array([1.0]), np.array([0.0]))
-    _, A1, _ = rk4_step(rhs, jac, np.array([1.0]), np.array([0.0]), 0.1)
-    assert A[0, 0] == pytest.approx(A1[0, 0] ** 4, abs=1e-12)
-
-
 def test_interval_sensitivities_match_finite_differences():
-    cfg = IntegratorConfig(h=0.025, n_sub=4)
+    cfg = IntegratorConfig(h=0.025)
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=4)
@@ -99,33 +89,20 @@ def test_interval_sensitivities_match_finite_differences():
 
 
 def test_step_halving_consistency():
-    # one nonlinear interval of 2h vs two of h: O(h^4) agreement, and halving
-    # h again shrinks the disagreement by >= 15x
+    # one nonlinear step of 2h vs two chained steps of h: O(h^4) agreement,
+    # and halving h again shrinks the disagreement by >= 15x
     x = np.array([0.2, 2.5, 0.1, -0.3])
     u = np.array([3.0])
 
     def gap(h):
-        x1, A1, B1 = integrate_interval(IntegratorConfig(h=2 * h, n_sub=1), RHS, JAC, x, u)
-        x2, A2, B2 = integrate_interval(IntegratorConfig(h=h, n_sub=2), RHS, JAC, x, u)
+        x1, A1, B1 = rk4_step(RHS, JAC, x, u, 2 * h)
+        xm, Am, Bm = rk4_step(RHS, JAC, x, u, h)
+        x2, As, Bs = rk4_step(RHS, JAC, xm, u, h)
+        A2, B2 = As @ Am, As @ Bm + Bs
         return max(np.abs(x1 - x2).max(), np.abs(A1 - A2).max(), np.abs(B1 - B2).max())
 
     g1, g2 = gap(0.04), gap(0.02)
     assert g2 < g1 / 15.0
-
-
-def test_linear_two_substeps_exact_match():
-    a, b = 0.4, -0.3
-    rhs = lambda x, u: a * x + b * u
-    jac = lambda x, u: (np.array([[a]]), np.array([[b]]))
-    x = np.array([0.7])
-    u = np.array([0.2])
-    x1, A1, B1 = integrate_interval(IntegratorConfig(h=0.1, n_sub=2), rhs, jac, x, u)
-    Ad, Bd = rk4_linear_closed_form(np.array([[a]]), np.array([[b]]), 0.1)
-    A2 = Ad @ Ad
-    B2 = Ad @ Bd + Bd
-    assert abs(A1[0, 0] - A2[0, 0]) < 1e-12
-    assert abs(B1[0, 0] - B2[0, 0]) < 1e-12
-    assert abs(x1[0] - (A2 @ x + B2 @ u)[0]) < 1e-12
 
 
 def test_divergence_raises():
@@ -140,5 +117,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(h=0.1, n_sub=0)
-    assert IntegratorConfig(h=0.025, n_sub=4).length == pytest.approx(0.1)
+        IntegratorConfig(h=-0.1)

@@ -81,7 +81,7 @@ def test_params_must_be_positive():
 def test_dims_validation():
     with pytest.raises(ValueError):
         ProblemDims(nx=0, nu=1)
-    d = ProblemDims(nx=4, nu=1, nc=2, ncN=2)
+    d = ProblemDims(nx=4, nu=1)
     assert d.nx == 4
 
 
@@ -93,7 +93,7 @@ def _cost():
 
 def test_stage_cost_zero_at_reference():
     cost = _cost()
-    q, r, Qk, Sk, Rk = stage_cost_terms(np.zeros(4), np.zeros(1), cost, 0)
+    q, r, Qk, Sk, Rk = stage_cost_terms(np.zeros(4), np.zeros(1), cost)
     assert np.allclose(q, 0) and np.allclose(r, 0)
     assert np.allclose(Sk, 0)
 
@@ -101,7 +101,7 @@ def test_stage_cost_zero_at_reference():
 def test_stage_cost_identity_weight():
     cost = QuadraticCost(Q=np.eye(4), R=np.eye(1), QN=np.eye(4),
                          x_ref=np.zeros(4), u_ref=np.zeros(1))
-    q, _, _, _, _ = stage_cost_terms(np.array([1.0, 0, 0, 0]), np.zeros(1), cost, 0)
+    q, _, _, _, _ = stage_cost_terms(np.array([1.0, 0, 0, 0]), np.zeros(1), cost)
     assert np.allclose(q, [1, 0, 0, 0])
 
 
@@ -110,7 +110,7 @@ def test_stage_cost_gradient_matches_numeric():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(4)
     u = rng.standard_normal(1)
-    q, r, Qk, Sk, Rk = stage_cost_terms(x, u, cost, 0)
+    q, r, Qk, Sk, Rk = stage_cost_terms(x, u, cost)
     # numeric gradient of 0.5||x - xref||_Q^2 + 0.5||u - uref||_R^2
     eps = 1e-7
 
@@ -130,6 +130,16 @@ def test_cost_requires_spd_R():
     with pytest.raises(np.linalg.LinAlgError):
         QuadraticCost(Q=np.eye(2), R=np.array([[0.0]]), QN=np.eye(2),
                       x_ref=np.zeros(2), u_ref=np.zeros(1))
+
+
+def test_cost_rejects_per_stage_references():
+    Q, R = np.eye(4), np.eye(1)
+    with pytest.raises(ValueError):
+        QuadraticCost(Q=Q, R=R, QN=Q, x_ref=np.zeros((3, 4)), u_ref=np.zeros(1))
+    with pytest.raises(ValueError):
+        QuadraticCost(Q=Q, R=R, QN=Q, x_ref=np.zeros(4), u_ref=np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        QuadraticCost(Q=Q, R=R, QN=Q, x_ref=np.zeros(3), u_ref=np.zeros(1))
 
 
 def test_box_rows_encode_current_point():

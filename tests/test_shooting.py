@@ -11,7 +11,7 @@ from blockmpc.model import (
     StageBounds,
     make_pendulum_problem,
 )
-from blockmpc.shooting import Trajectory, evaluate, forward_simulate, simulate_and_evaluate
+from blockmpc.shooting import Trajectory, evaluate, forward_simulate
 
 
 def integrator_problem(Ts=1.0, N=3):
@@ -144,20 +144,7 @@ def test_weight_scales_applied():
     assert np.allclose(sd.Qs[1], 3.0 * np.eye(4))
     assert np.allclose(sd.QN, np.eye(4))  # terminal weight unscaled
     # nonuniform interval spans its full length in one step
-    assert prob.intervals[1].length == pytest.approx(3 * 0.025)
-
-
-def test_simulate_and_evaluate_matches_two_pass():
-    prob = pendulum_problem(N=6)
-    bs = from_block_lengths([2, 4])
-    x0 = np.array([0.2, 2.8, 0.1, -0.1])
-    us = np.array([[2.0], [-1.0]])
-    traj1, sd1 = simulate_and_evaluate(prob, bs, us, x0)
-    traj2 = forward_simulate(prob, bs, x0, us)
-    sd2 = evaluate(prob, bs, traj2, x0)
-    assert np.allclose(traj1.xs, traj2.xs, atol=1e-14)
-    assert np.allclose(sd1.As, sd2.As) and np.allclose(sd1.Bs, sd2.Bs)
-    assert np.abs(sd1.ds).max() < 1e-14 and np.abs(sd1.dx0).max() == 0.0
+    assert prob.intervals[1].h == pytest.approx(3 * 0.025)
 
 
 def test_dimension_mismatch_rejected():

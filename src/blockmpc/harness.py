@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .blocking import from_block_lengths, unit_blocks
 from .condensing import FlopCounter, compute_Ghat, compute_Hhat, condense, naive_condense
-from .integrator import IntegrationDivergedError
+from .integrator import IntegrationDivergedError, rk4_state_step
 from .model import (
     PendulumParams,
     QuadraticCost,
@@ -233,11 +233,7 @@ def _plant_step(rhs, x, u, Ts, substeps):
     """Plant propagation over one sample: plain RK4 sub-steps, no sensitivities."""
     h = Ts / substeps
     for _ in range(substeps):
-        k1 = rhs(x, u)
-        k2 = rhs(x + 0.5 * h * k1, u)
-        k3 = rhs(x + 0.5 * h * k2, u)
-        k4 = rhs(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_state_step(rhs, x, u, h)
     if not np.all(np.isfinite(x)):
         raise IntegrationDivergedError("plant state diverged")
     return x

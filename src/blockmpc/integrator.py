@@ -13,7 +13,8 @@ import numpy as np
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Integration produced a non-finite state; ``node`` is the shooting node if known."""
+    """Integration produced a non-finite state; ``node`` is the shooting node
+    (a batch's first failing column) if known."""
 
     def __init__(self, message: str = "integration diverged", node: int | None = None):
         super().__init__(message if node is None else f"{message} at shooting node {node}")
@@ -31,48 +32,59 @@ class IntegratorConfig:
             raise ValueError(f"invalid integrator config {self}")
 
 
-def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h: float):
-    """One classical RK4 step with input held constant.
+def rk4_state_step(rhs, x: np.ndarray, u, h):
+    """One classical RK4 step of the states alone, input held constant."""
+    k1 = rhs(x, u)
+    k2 = rhs(x + 0.5 * h * k1, u)
+    k3 = rhs(x + 0.5 * h * k2, u)
+    k4 = rhs(x + h * k3, u)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    Returns (x_next, A_step, B_step) where A_step = d x_next/d x and
-    B_step = d x_next/d u are obtained by differentiating all four stages.
+
+def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h):
+    """Classical RK4 steps with input held constant, with exact sensitivities.
+
+    One step takes x (nx,), u (nu,) and a scalar h; n independent steps take
+    columns x (nx, n), u (nu, n) and lengths h (n,).  Returns (x_next,
+    A_step, B_step) where A_step = d x_next/d x and B_step = d x_next/d u
+    are obtained by differentiating all four stages; a batch returns them
+    as (n, nx, nx) and (n, nx, nu) stacks.
     """
-    nx = len(x)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    nu = len(u)
-    I = np.eye(nx)
+    hm = np.asarray(h)[..., None, None]  # step lengths against matrix stacks
+    I = np.eye(x.shape[0])
 
     k1 = rhs(x, u)
     J1x, J1u = jac(x, u)
     x2 = x + 0.5 * h * k1
     k2 = rhs(x2, u)
     J2x_loc, J2u_loc = jac(x2, u)
-    k2x = J2x_loc @ (I + 0.5 * h * J1x)
-    k2u = J2x_loc @ (0.5 * h * J1u) + J2u_loc
+    k2x = J2x_loc @ (I + 0.5 * hm * J1x)
+    k2u = J2x_loc @ (0.5 * hm * J1u) + J2u_loc
 
     x3 = x + 0.5 * h * k2
     k3 = rhs(x3, u)
     J3x_loc, J3u_loc = jac(x3, u)
-    k3x = J3x_loc @ (I + 0.5 * h * k2x)
-    k3u = J3x_loc @ (0.5 * h * k2u) + J3u_loc
+    k3x = J3x_loc @ (I + 0.5 * hm * k2x)
+    k3u = J3x_loc @ (0.5 * hm * k2u) + J3u_loc
 
     x4 = x + h * k3
     k4 = rhs(x4, u)
     J4x_loc, J4u_loc = jac(x4, u)
-    k4x = J4x_loc @ (I + h * k3x)
-    k4u = J4x_loc @ (h * k3u) + J4u_loc
+    k4x = J4x_loc @ (I + hm * k3x)
+    k4u = J4x_loc @ (hm * k3u) + J4u_loc
 
     x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    A_step = I + (h / 6.0) * (J1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    B_step = (h / 6.0) * (J1u.reshape(nx, nu) + 2.0 * k2u.reshape(nx, nu)
-                          + 2.0 * k3u.reshape(nx, nu) + k4u.reshape(nx, nu))
+    A_step = I + (hm / 6.0) * (J1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    B_step = (hm / 6.0) * (J1u + 2.0 * k2u + 2.0 * k3u + k4u)
 
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(A_step))
-            and np.all(np.isfinite(B_step))):
-        raise IntegrationDivergedError()
+    finite = (np.isfinite(x_next).all(axis=0) & np.isfinite(A_step).all(axis=(-2, -1))
+              & np.isfinite(B_step).all(axis=(-2, -1)))
+    if not finite.all():
+        raise IntegrationDivergedError(node=int(np.argmin(finite)) if x.ndim == 2 else None)
     return x_next, A_step, B_step
 
 
-def integrate_interval(cfg: IntegratorConfig, rhs, jac, x: np.ndarray, u: np.ndarray):
-    """Integrate one shooting interval: a single RK4 step with the held input."""
-    return rk4_step(rhs, jac, x, u, cfg.h)
+def integrate_interval(h, rhs, jac, x: np.ndarray, u: np.ndarray):
+    """Integrate shooting intervals, one RK4 step of length h each (column stacks batch)."""
+    return rk4_step(rhs, jac, x, u, h)

@@ -99,9 +99,9 @@ class StageBounds:
 
 
 def pendulum_rhs(x: np.ndarray, u, params: PendulumParams) -> np.ndarray:
-    """Cart-pole state derivative [p_dot, theta_dot, p_ddot, theta_ddot]."""
+    """Cart-pole state derivative [p_dot, theta_dot, p_ddot, theta_ddot] at x (4,) or columns (4, n)."""
     _, theta, p_dot, theta_dot = x
-    f = float(np.asarray(u).reshape(-1)[0])
+    f = u[0] if np.ndim(u) else u
     s, c = np.sin(theta), np.cos(theta)
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     den = m2 + m1 - m1 * c * c
@@ -111,9 +111,9 @@ def pendulum_rhs(x: np.ndarray, u, params: PendulumParams) -> np.ndarray:
 
 
 def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
-    """Analytic (d f/d x, d f/d u) of the cart-pole dynamics."""
+    """Analytic (d f/d x, d f/d u) of the cart-pole dynamics; (n, 4, 4)/(n, 4, 1) stacks for columns."""
     _, theta, _, theta_dot = x
-    f = float(np.asarray(u).reshape(-1)[0])
+    f = u[0] if np.ndim(u) else u
     s, c = np.sin(theta), np.cos(theta)
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     den = m2 + m1 - m1 * c * c
@@ -124,68 +124,65 @@ def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
     n3 = f * c - m1 * l * c * s * theta_dot ** 2 + (m2 + m1) * g * s
     dn3_dth = -f * s - m1 * l * (c * c - s * s) * theta_dot ** 2 + (m2 + m1) * g * c
 
-    A = np.zeros((4, 4))
-    A[0, 2] = 1.0
-    A[1, 3] = 1.0
-    A[2, 1] = (dn2_dth * den - n2 * dden) / den ** 2
-    A[2, 3] = -2.0 * m1 * l * s * theta_dot / den
-    A[3, 1] = (dn3_dth * den - n3 * dden) / (l * den ** 2)
-    A[3, 3] = -2.0 * m1 * c * s * theta_dot / den
+    stack = np.shape(theta)
+    A = np.zeros(stack + (4, 4))
+    A[..., 0, 2] = 1.0
+    A[..., 1, 3] = 1.0
+    A[..., 2, 1] = (dn2_dth * den - n2 * dden) / den ** 2
+    A[..., 2, 3] = -2.0 * m1 * l * s * theta_dot / den
+    A[..., 3, 1] = (dn3_dth * den - n3 * dden) / (l * den ** 2)
+    A[..., 3, 3] = -2.0 * m1 * c * s * theta_dot / den
 
-    B = np.zeros((4, 1))
-    B[2, 0] = 1.0 / den
-    B[3, 0] = c / (l * den)
+    B = np.zeros(stack + (4, 1))
+    B[..., 2, 0] = 1.0 / den
+    B[..., 3, 0] = c / (l * den)
     return A, B
 
 
-def stage_cost_terms(x_k: np.ndarray, u_k: np.ndarray, cost: QuadraticCost):
-    """Gradient/Hessian blocks of the stage cost at (x_k, u_k).
+def stage_cost_terms(xs: np.ndarray, us: np.ndarray, cost: QuadraticCost):
+    """Gradient/Hessian blocks of the stage cost at node stacks xs (n, nx), us (n, nu).
 
-    Returns (q, r, Q_k, S_k, R_k).  The Hessian is the Gauss-Newton one of
-    the quadratic tracking cost, so Q_k = Q, R_k = R, S_k = 0 exactly.
+    Returns (q, r, Q, S, R), each stacked over the nodes (Q and R as read-only
+    views).  The Hessian is the Gauss-Newton one of the quadratic tracking
+    cost, so Q, R and S = 0 exactly.
     """
-    q = cost.Q @ (x_k - cost.x_ref)
-    r = cost.R @ (u_k - cost.u_ref)
-    S = np.zeros((cost.Q.shape[0], cost.R.shape[0]))
-    return q, r, cost.Q.copy(), S, cost.R.copy()
+    stack = xs.shape[:-1]
+    nx, nu = cost.Q.shape[0], cost.R.shape[0]
+    q = (xs - cost.x_ref) @ cost.Q.T
+    r = (us - cost.u_ref) @ cost.R.T
+    Q = np.broadcast_to(cost.Q, stack + (nx, nx))
+    R = np.broadcast_to(cost.R, stack + (nu, nu))
+    return q, r, Q, np.zeros(stack + (nx, nu)), R
 
 
-def box_constraint_rows(x_lo, x_hi, x_k, nu: int):
-    """Affine rows Cx*dx + Cu*du + c <= 0 encoding finite state box bounds at x_k.
+def box_constraint_rows(x_lo, x_hi, xs: np.ndarray, nu: int):
+    """Affine rows Cx*dx + Cu*du + c <= 0 encoding finite state box bounds at nodes xs (n, nx).
 
     Upper bound i gives row  e_i*dx + (x_k[i] - hi) <= 0, lower bound i gives
-    -e_i*dx + (lo - x_k[i]) <= 0.  Input parts are zero (input boxes are kept
-    as simple bounds on the blocked inputs, never as rows).
+    -e_i*dx + (lo - x_k[i]) <= 0.  Cx and Cu are the same at every node;
+    c is (n, rows).  Input parts are zero (input boxes are kept as simple
+    bounds on the blocked inputs, never as rows).
     """
-    nx = len(x_k)
-    rows_Cx, rows_Cu, rows_c = [], [], []
-    for i in range(nx):
-        if np.isfinite(x_hi[i]):
-            e = np.zeros(nx)
-            e[i] = 1.0
-            rows_Cx.append(e)
-            rows_Cu.append(np.zeros(nu))
-            rows_c.append(x_k[i] - x_hi[i])
-        if np.isfinite(x_lo[i]):
-            e = np.zeros(nx)
-            e[i] = -1.0
-            rows_Cx.append(e)
-            rows_Cu.append(np.zeros(nu))
-            rows_c.append(x_lo[i] - x_k[i])
-    if not rows_Cx:
-        return np.zeros((0, nx)), np.zeros((0, nu)), np.zeros(0)
-    return np.array(rows_Cx), np.array(rows_Cu), np.array(rows_c)
+    nx = xs.shape[-1]
+    eye = np.eye(nx)
+    keep = np.stack([np.isfinite(x_hi), np.isfinite(x_lo)], axis=1).reshape(2 * nx)
+    Cx = np.stack([eye, -eye], axis=1).reshape(2 * nx, nx)[keep]
+    c = np.stack([xs - x_hi, x_lo - xs], axis=-1).reshape(xs.shape[:-1] + (2 * nx,))[..., keep]
+    return Cx, np.zeros((Cx.shape[0], nu)), c
 
 
 @dataclass
 class OcpProblem:
     """Discretized optimal-control problem over N shooting intervals.
 
-    rhs/jac are callables (x, u) -> xdot and (x, u) -> (dfdx, dfdu).
+    rhs/jac are callables (x, u) -> xdot and (x, u) -> (dfdx, dfdu), called
+    with one point x (nx,), u (nu,) and with column stacks x (nx, n),
+    u (nu, n); for a stack rhs returns (nx, n) and jac (n, nx, nx)/(n, nx, nu)
+    stacks.  Constant Jacobians may be returned as 2-D blocks for either call.
     ``intervals`` carries one integrator configuration per shooting interval
-    (nonuniform grids use unequal interval lengths); ``weight_scales``
-    multiplies the stage cost of each interval, which is how nonuniform
-    grids scale their weights by interval length.
+    (nonuniform grids use unequal interval lengths; ``hs`` holds them as an
+    array); ``weight_scales`` multiplies the stage cost of each interval,
+    which is how nonuniform grids scale their weights by interval length.
     """
 
     dims: ProblemDims
@@ -195,8 +192,10 @@ class OcpProblem:
     bounds: StageBounds
     intervals: Sequence[IntegratorConfig]
     weight_scales: np.ndarray = field(default=None)
+    hs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.hs = np.array([cfg.h for cfg in self.intervals], dtype=float)
         if self.weight_scales is None:
             self.weight_scales = np.ones(self.N)
         self.weight_scales = np.asarray(self.weight_scales, dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import BlockStructure, interval_blocks
-from .integrator import IntegrationDivergedError, integrate_interval
+from .integrator import IntegrationDivergedError, integrate_interval, rk4_state_step
 from .model import OcpProblem, box_constraint_rows, stage_cost_terms
 
 
@@ -80,7 +80,7 @@ class StageData:
 
 def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
                      us: np.ndarray) -> Trajectory:
-    """Simulate the shooting nodes forward from x0 under blocked inputs us."""
+    """Simulate the shooting nodes forward from x0 under blocked inputs us, in order."""
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if us.shape[0] != bs.M:
         raise ValueError(f"expected {bs.M} blocked inputs, got {us.shape[0]}")
@@ -88,11 +88,9 @@ def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
     xs = np.zeros((bs.N + 1, len(x0)))
     xs[0] = x0
     for k in range(bs.N):
-        try:
-            xs[k + 1], _, _ = integrate_interval(
-                problem.intervals[k], problem.rhs, problem.jac, xs[k], us[blocks[k]])
-        except IntegrationDivergedError as err:
-            raise IntegrationDivergedError(node=k) from err
+        xs[k + 1] = rk4_state_step(problem.rhs, xs[k], us[blocks[k]], problem.hs[k])
+        if not np.isfinite(xs[k + 1]).all():
+            raise IntegrationDivergedError(node=k)
     return Trajectory(xs=xs, us=us)
 
 
@@ -101,59 +99,36 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     """Linearize the blocked problem at ``traj`` with measured initial state.
 
     Every interval in block j is integrated with u_hat_j; the residuals
-    d_k close the shooting gaps, and dx0 embeds the new measurement.
+    d_k close the shooting gaps, and dx0 embeds the new measurement.  The
+    intervals are independent at a fixed trajectory: one batched RK4 step.
     """
     N, M = bs.N, bs.M
     nx, nu = problem.dims.nx, problem.dims.nu
     if traj.xs.shape != (N + 1, nx) or traj.us.shape != (M, nu):
         raise ValueError("trajectory shape inconsistent with problem/blocking")
-    blocks = interval_blocks(bs)
+    us = traj.us[interval_blocks(bs)]  # (N, nu): the input of each interval
 
-    As = np.zeros((N, nx, nx))
-    Bs = np.zeros((N, nx, nu))
-    ds = np.zeros((N, nx))
-    Qs = np.zeros((N, nx, nx))
-    Ss = np.zeros((N, nx, nu))
-    Rs = np.zeros((N, nu, nu))
-    qs = np.zeros((N, nx))
-    rs = np.zeros((N, nu))
-    Cxs, Cus, cs = [], [], []
+    x_end, As, Bs = integrate_interval(problem.hs, problem.rhs, problem.jac,
+                                       traj.xs[:N].T, us.T)
+    ds = x_end.T - traj.xs[1:]
+    q, r, Q, S, R = stage_cost_terms(traj.xs[:N], us, problem.cost)
+    w = problem.weight_scales[:, None]
+    w3 = w[:, :, None]
 
-    for k in range(N):
-        u_k = traj.us[blocks[k]]
-        try:
-            x_end, As[k], Bs[k] = integrate_interval(
-                problem.intervals[k], problem.rhs, problem.jac, traj.xs[k], u_k)
-        except IntegrationDivergedError as err:
-            raise IntegrationDivergedError(node=k) from err
-        ds[k] = x_end - traj.xs[k + 1]
-        q, r, Qk, Sk, Rk = stage_cost_terms(traj.xs[k], u_k, problem.cost)
-        w = problem.weight_scales[k]
-        Qs[k], Ss[k], Rs[k] = w * Qk, w * Sk, w * Rk
-        qs[k], rs[k] = w * q, w * r
-        if k == 0:
-            # dx0 is fixed by the initial-value embedding, so state rows at
-            # node 0 would be constant; they are not emitted.
-            Cxs.append(np.zeros((0, nx)))
-            Cus.append(np.zeros((0, nu)))
-            cs.append(np.zeros(0))
-        else:
-            Cx, Cu, c = box_constraint_rows(problem.bounds.x_lo, problem.bounds.x_hi,
-                                            traj.xs[k], nu)
-            Cxs.append(Cx)
-            Cus.append(Cu)
-            cs.append(c)
+    # dx0 is fixed by the initial-value embedding, so state rows at node 0
+    # would be constant; they are not emitted.
+    Cx, Cu, c = box_constraint_rows(problem.bounds.x_lo, problem.bounds.x_hi,
+                                    traj.xs[1:], nu)
+    Cxs = [np.zeros((0, nx))] + [Cx] * (N - 1)
+    Cus = [np.zeros((0, nu))] + [Cu] * (N - 1)
+    cs = [np.zeros(0)] + list(c[:N - 1])
 
     qN = problem.cost.QN @ (traj.xs[N] - problem.cost.x_ref)
-    CN, _, cN = box_constraint_rows(problem.bounds.x_lo, problem.bounds.x_hi,
-                                    traj.xs[N], nu)
+    du_lo = problem.bounds.u_lo - traj.us
+    du_hi = problem.bounds.u_hi - traj.us
 
-    du_lo = np.tile(problem.bounds.u_lo, (M, 1)) - traj.us
-    du_hi = np.tile(problem.bounds.u_hi, (M, 1)) - traj.us
-
-    return StageData(As=As, Bs=Bs, ds=ds, Qs=Qs, Ss=Ss, Rs=Rs, qs=qs, rs=rs,
-                     Cxs=Cxs, Cus=Cus, cs=cs,
-                     QN=problem.cost.QN.copy(), qN=qN, CN=CN, cN=cN,
+    return StageData(As=As, Bs=Bs, ds=ds, Qs=w3 * Q, Ss=w3 * S, Rs=w3 * R,
+                     qs=w * q, rs=w * r, Cxs=Cxs, Cus=Cus, cs=cs,
+                     QN=problem.cost.QN.copy(), qN=qN, CN=Cx, cN=c[N - 1],
                      dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
                      du_lo=du_lo, du_hi=du_hi)
-

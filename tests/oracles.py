@@ -59,6 +59,54 @@ def rk4_linear_closed_form(Ac, Bc, h):
     return Ad, Bd
 
 
+def loop_evaluate(problem, bs, traj, x0_measured):
+    """Shooting linearization one interval at a time, with point-wise RK4 steps.
+
+    Cost terms and box rows are written out from their definitions per node,
+    so the batched ``shooting.evaluate`` is checked against an independent
+    per-interval construction of every ``StageData`` field.
+    """
+    from blockmpc.integrator import rk4_step
+    from blockmpc.shooting import StageData
+
+    N, M = bs.N, bs.M
+    nx, nu = problem.dims.nx, problem.dims.nu
+    cost, bounds = problem.cost, problem.bounds
+    block = [find_block(bs.I, k) for k in range(N)]
+
+    def box_rows(x):
+        Cx, c = [], []
+        for i in range(nx):
+            if np.isfinite(bounds.x_hi[i]):
+                Cx.append(np.eye(nx)[i])
+                c.append(x[i] - bounds.x_hi[i])
+            if np.isfinite(bounds.x_lo[i]):
+                Cx.append(-np.eye(nx)[i])
+                c.append(bounds.x_lo[i] - x[i])
+        return np.array(Cx).reshape(-1, nx), np.zeros((len(c), nu)), np.array(c)
+
+    As, Bs, ds = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nx))
+    Qs, Ss, Rs = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nu, nu))
+    qs, rs = np.zeros((N, nx)), np.zeros((N, nu))
+    Cxs, Cus, cs = [np.zeros((0, nx))], [np.zeros((0, nu))], [np.zeros(0)]
+    for k in range(N):
+        x, u, w = traj.xs[k], traj.us[block[k]], problem.weight_scales[k]
+        x_end, As[k], Bs[k] = rk4_step(problem.rhs, problem.jac, x, u, problem.intervals[k].h)
+        ds[k] = x_end - traj.xs[k + 1]
+        Qs[k], Rs[k] = w * cost.Q, w * cost.R
+        qs[k], rs[k] = w * (cost.Q @ (x - cost.x_ref)), w * (cost.R @ (u - cost.u_ref))
+        if k > 0:
+            for lst, item in zip((Cxs, Cus, cs), box_rows(x)):
+                lst.append(item)
+    CN, _, cN = box_rows(traj.xs[N])
+    return StageData(As=As, Bs=Bs, ds=ds, Qs=Qs, Ss=Ss, Rs=Rs, qs=qs, rs=rs,
+                     Cxs=Cxs, Cus=Cus, cs=cs,
+                     QN=cost.QN.copy(), qN=cost.QN @ (traj.xs[N] - cost.x_ref), CN=CN, cN=cN,
+                     dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
+                     du_lo=np.array([bounds.u_lo] * M) - traj.us,
+                     du_hi=np.array([bounds.u_hi] * M) - traj.us)
+
+
 def find_block(I, k):
     """Binary-search block lookup over the start-index vector."""
     return bisect_right(I, k) - 1

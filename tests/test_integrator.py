@@ -59,30 +59,65 @@ def test_linear_system_sensitivities_closed_form():
 
 
 def test_interval_single_substep_equals_step():
-    cfg = IntegratorConfig(h=0.05)
     x = np.array([0.1, 3.0, -0.2, 0.4])
     u = np.array([1.5])
     assert all(np.array_equal(a, b) for a, b in
-               zip(integrate_interval(cfg, RHS, JAC, x, u), rk4_step(RHS, JAC, x, u, 0.05)))
+               zip(integrate_interval(0.05, RHS, JAC, x, u), rk4_step(RHS, JAC, x, u, 0.05)))
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / max(1e-300, np.abs(b).max())
+
+
+def test_batched_step_columns_match_pointwise_steps():
+    rng = np.random.default_rng(12)
+    n = 9
+    xs = rng.uniform(-5, 5, size=(4, n))
+    us = rng.uniform(-20, 20, size=(1, n))
+    hs = rng.choice([0.025, 0.05, 0.1, 0.375], size=n)
+    x_next, A, B = rk4_step(RHS, JAC, xs, us, hs)
+    assert x_next.shape == (4, n) and A.shape == (n, 4, 4) and B.shape == (n, 4, 1)
+    for k in range(n):
+        xk, Ak, Bk = rk4_step(RHS, JAC, xs[:, k], us[:, k], hs[k])
+        assert _rel_err(x_next[:, k], xk) <= 1e-14
+        assert _rel_err(A[k], Ak) <= 1e-14
+        assert _rel_err(B[k], Bk) <= 1e-14
+
+
+def test_batched_step_accepts_constant_jacobians():
+    rng = np.random.default_rng(13)
+    nx, nu, n = 3, 2, 4
+    Ac = rng.standard_normal((nx, nx)) * 0.7
+    Bc = rng.standard_normal((nx, nu))
+    hs = np.array([0.05, 0.13, 0.2, 0.13])
+    xs = rng.standard_normal((nx, n))
+    us = rng.standard_normal((nu, n))
+    x_next, A, B = rk4_step(lambda x, u: Ac @ x + Bc @ u, lambda x, u: (Ac, Bc), xs, us, hs)
+    assert A.shape == (n, nx, nx) and B.shape == (n, nx, nu)
+    for k in range(n):
+        Ad, Bd = rk4_linear_closed_form(Ac, Bc, hs[k])
+        assert np.abs(A[k] - Ad).max() < 1e-12
+        assert np.abs(B[k] - Bd).max() < 1e-12
+        assert np.abs(x_next[:, k] - (Ad @ xs[:, k] + Bd @ us[:, k])).max() < 1e-12
 
 
 def test_interval_sensitivities_match_finite_differences():
-    cfg = IntegratorConfig(h=0.025)
+    h = 0.025
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=4)
         u = rng.uniform(-10, 10, size=1)
-        _, A, B = integrate_interval(cfg, RHS, JAC, x, u)
+        _, A, B = integrate_interval(h, RHS, JAC, x, u)
         eps = 1e-6
         A_fd = np.zeros((4, 4))
         for i in range(4):
             e = np.zeros(4)
             e[i] = eps
-            xp, _, _ = integrate_interval(cfg, RHS, JAC, x + e, u)
-            xm, _, _ = integrate_interval(cfg, RHS, JAC, x - e, u)
+            xp, _, _ = integrate_interval(h, RHS, JAC, x + e, u)
+            xm, _, _ = integrate_interval(h, RHS, JAC, x - e, u)
             A_fd[:, i] = (xp - xm) / (2 * eps)
-        xp, _, _ = integrate_interval(cfg, RHS, JAC, x, u + eps)
-        xm, _, _ = integrate_interval(cfg, RHS, JAC, x, u - eps)
+        xp, _, _ = integrate_interval(h, RHS, JAC, x, u + eps)
+        xm, _, _ = integrate_interval(h, RHS, JAC, x, u - eps)
         B_fd = ((xp - xm) / (2 * eps)).reshape(4, 1)
         assert np.abs(A - A_fd).max() / max(1.0, np.abs(A).max()) < 1e-6
         assert np.abs(B - B_fd).max() / max(1.0, np.abs(B).max()) < 1e-6
@@ -111,6 +146,16 @@ def test_divergence_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError):
             rk4_step(rhs, jac, np.array([1e200]), np.zeros(1), 1.0)
+
+
+def test_batched_divergence_reports_first_failing_column():
+    rhs = lambda x, u: x * x
+    jac = lambda x, u: (2.0 * x.T[:, :, None], np.zeros((x.shape[1], 1, 1)))
+    xs = np.array([[1.0, 2.0, 1e200, 3.0, 1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationDivergedError) as info:
+            rk4_step(rhs, jac, xs, np.zeros((1, 5)), np.full(5, 0.01))
+    assert info.value.node == 2
 
 
 def test_config_validation():

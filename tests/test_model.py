@@ -93,7 +93,9 @@ def _cost():
 
 def test_stage_cost_zero_at_reference():
     cost = _cost()
-    q, r, Qk, Sk, Rk = stage_cost_terms(np.zeros(4), np.zeros(1), cost)
+    q, r, Qk, Sk, Rk = stage_cost_terms(np.zeros((3, 4)), np.zeros((3, 1)), cost)
+    assert q.shape == (3, 4) and r.shape == (3, 1)
+    assert Qk.shape == (3, 4, 4) and Sk.shape == (3, 4, 1) and Rk.shape == (3, 1, 1)
     assert np.allclose(q, 0) and np.allclose(r, 0)
     assert np.allclose(Sk, 0)
 
@@ -101,29 +103,34 @@ def test_stage_cost_zero_at_reference():
 def test_stage_cost_identity_weight():
     cost = QuadraticCost(Q=np.eye(4), R=np.eye(1), QN=np.eye(4),
                          x_ref=np.zeros(4), u_ref=np.zeros(1))
-    q, _, _, _, _ = stage_cost_terms(np.array([1.0, 0, 0, 0]), np.zeros(1), cost)
-    assert np.allclose(q, [1, 0, 0, 0])
+    xs = np.array([[1.0, 0, 0, 0], [0, -2.0, 0, 0]])
+    q, _, _, _, _ = stage_cost_terms(xs, np.zeros((2, 1)), cost)
+    assert np.allclose(q, xs)
 
 
 def test_stage_cost_gradient_matches_numeric():
     cost = _cost()
     rng = np.random.default_rng(2)
-    x = rng.standard_normal(4)
-    u = rng.standard_normal(1)
-    q, r, Qk, Sk, Rk = stage_cost_terms(x, u, cost)
-    # numeric gradient of 0.5||x - xref||_Q^2 + 0.5||u - uref||_R^2
+    xs = rng.standard_normal((5, 4))
+    us = rng.standard_normal((5, 1))
+    q, r, Qk, Sk, Rk = stage_cost_terms(xs, us, cost)
+    # numeric gradient of 0.5||x - xref||_Q^2 + 0.5||u - uref||_R^2, node by node
     eps = 1e-7
 
     def J(xv, uv):
         return 0.5 * (xv @ cost.Q @ xv) + 0.5 * (uv @ cost.R @ uv)
 
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = eps
-        num = (J(x + e, u) - J(x - e, u)) / (2 * eps)
-        assert num == pytest.approx(q[i], rel=1e-6, abs=1e-8)
-    assert np.allclose(Qk, Qk.T) and np.allclose(Rk, Rk.T)
-    np.linalg.cholesky(Rk)
+    for k in range(5):
+        x, u = xs[k], us[k]
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = eps
+            num = (J(x + e, u) - J(x - e, u)) / (2 * eps)
+            assert num == pytest.approx(q[k, i], rel=1e-6, abs=1e-8)
+        num = (J(x, u + eps) - J(x, u - eps)) / (2 * eps)
+        assert num == pytest.approx(r[k, 0], rel=1e-6, abs=1e-8)
+        assert np.allclose(Qk[k], Qk[k].T) and np.allclose(Rk[k], Rk[k].T)
+        np.linalg.cholesky(Rk[k])
 
 
 def test_cost_requires_spd_R():
@@ -145,12 +152,39 @@ def test_cost_rejects_per_stage_references():
 def test_box_rows_encode_current_point():
     x_lo = np.array([-2.0, -np.inf])
     x_hi = np.array([2.0, np.inf])
-    Cx, Cu, c = box_constraint_rows(x_lo, x_hi, np.array([0.5, 3.0]), nu=1)
-    # one upper and one lower row for the bounded component only
-    assert Cx.shape == (2, 2) and Cu.shape == (2, 1)
-    val = Cx @ np.zeros(2) + c
-    assert val[0] == pytest.approx(0.5 - 2.0)
-    assert val[1] == pytest.approx(-2.0 - 0.5)
+    xs = np.array([[0.5, 3.0], [-1.5, 0.0]])
+    Cx, Cu, c = box_constraint_rows(x_lo, x_hi, xs, nu=1)
+    # one upper and one lower row for the bounded component only, per node
+    assert Cx.shape == (2, 2) and Cu.shape == (2, 1) and c.shape == (2, 2)
+    assert np.array_equal(Cx, [[1.0, 0.0], [-1.0, 0.0]])
+    assert c[0] == pytest.approx([0.5 - 2.0, -2.0 - 0.5])
+    assert c[1] == pytest.approx([-1.5 - 2.0, -2.0 + 1.5])
+
+
+def test_box_rows_order_upper_before_lower_per_component():
+    x_lo = np.array([-1.0, -np.inf, -3.0])
+    x_hi = np.array([1.0, 2.0, np.inf])
+    Cx, Cu, c = box_constraint_rows(x_lo, x_hi, np.zeros((1, 3)), nu=2)
+    assert np.array_equal(Cx, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    assert np.array_equal(Cu, np.zeros((4, 2)))
+    assert np.array_equal(c, [[-1.0, -1.0, -2.0, -3.0]])
+    Cx, _, c = box_constraint_rows(-np.inf * np.ones(3), np.inf * np.ones(3),
+                                   np.zeros((4, 3)), nu=1)
+    assert Cx.shape == (0, 3) and c.shape == (4, 0)
+
+
+def test_dynamics_broadcast_over_columns():
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-5, 5, size=(4, 7))
+    us = rng.uniform(-20, 20, size=(1, 7))
+    f = pendulum_rhs(xs, us, PARAMS)
+    A, B = pendulum_jacobians(xs, us, PARAMS)
+    assert f.shape == (4, 7) and A.shape == (7, 4, 4) and B.shape == (7, 4, 1)
+    close = lambda a, b: np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+    for k in range(7):
+        assert close(f[:, k], pendulum_rhs(xs[:, k], us[:, k], PARAMS))
+        Ak, Bk = pendulum_jacobians(xs[:, k], us[:, k], PARAMS)
+        assert close(A[k], Ak) and close(B[k], Bk)
 
 
 def test_bounds_validation():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blockmpc.blocking import from_block_lengths, unit_blocks
-from blockmpc.integrator import IntegratorConfig
+from blockmpc.harness import SchemeConfig, build_controller
+from blockmpc.integrator import IntegrationDivergedError, IntegratorConfig
 from blockmpc.model import (
     OcpProblem,
     PendulumParams,
@@ -12,6 +13,7 @@ from blockmpc.model import (
     make_pendulum_problem,
 )
 from blockmpc.shooting import Trajectory, evaluate, forward_simulate
+from oracles import loop_evaluate
 
 
 def integrator_problem(Ts=1.0, N=3):
@@ -103,16 +105,18 @@ def test_block_input_sharing_instrumented():
     prob = pendulum_problem(N=6)
     seen = []
     base_rhs = prob.rhs
-    prob.rhs = lambda x, u: (seen.append(float(np.atleast_1d(u)[0])), base_rhs(x, u))[1]
+    prob.rhs = lambda x, u: (seen.append(np.array(u, dtype=float)), base_rhs(x, u))[1]
     bs = from_block_lengths([2, 4])
     x0 = np.array([0.0, 3.0, 0.0, 0.0])
     traj = forward_simulate(prob, bs, x0, np.array([[1.5], [-0.5]]))
     seen.clear()
     evaluate(prob, bs, traj, x0)
-    # 4 rhs calls per RK4 step, one step per interval
-    per_interval = [set(seen[4 * k:4 * (k + 1)]) for k in range(6)]
-    assert per_interval[0] == per_interval[1] == {1.5}
-    assert per_interval[2] == per_interval[3] == per_interval[4] == per_interval[5] == {-0.5}
+    # one batched RK4 step: 4 rhs calls, each on the input columns of all 6 intervals
+    assert len(seen) == 4
+    for u_cols in seen:
+        assert u_cols.shape == (1, 6)
+        assert set(u_cols[0, :2]) == {1.5}
+        assert set(u_cols[0, 2:]) == {-0.5}
 
 
 def test_constraint_rows_at_interior_nodes_only():
@@ -155,3 +159,64 @@ def test_dimension_mismatch_rejected():
         evaluate(prob, bs, bad, np.zeros(4))
     with pytest.raises(ValueError):
         forward_simulate(prob, bs, np.zeros(4), np.zeros((3, 1)))
+
+
+def _assert_stage_data_match(sd, ref):
+    for name, got in vars(sd).items():
+        want = getattr(ref, name)
+        pairs = zip(got, want) if isinstance(want, list) else [(got, want)]
+        if isinstance(want, list):
+            assert len(got) == len(want), name
+        for a, b in pairs:
+            assert np.shape(a) == np.shape(b), name
+            fin = np.isfinite(b)  # du bounds of an unbounded input are infinite
+            assert np.array_equal(a[~fin], b[~fin]), name
+            if fin.any():
+                err = np.abs(a[fin] - b[fin]).max()
+                assert err <= 1e-14 * max(1e-300, np.abs(b[fin]).max()), name
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_batched_evaluate_matches_interval_loop(scheme):
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    x0 = np.array([0.1, 3.0, 0.2, -0.1])
+    traj = ctrl.initial_state(x0).traj
+    rng = np.random.default_rng(4)
+    traj = Trajectory(xs=traj.xs + 0.05 * rng.standard_normal(traj.xs.shape),
+                      us=traj.us + rng.standard_normal(traj.us.shape))
+    if scheme == "B":
+        assert len(set(ctrl.problem.hs)) > 1 and len(set(ctrl.problem.weight_scales)) > 1
+    x0_measured = x0 + 0.01
+    _assert_stage_data_match(evaluate(ctrl.problem, ctrl.bs, traj, x0_measured),
+                             loop_evaluate(ctrl.problem, ctrl.bs, traj, x0_measured))
+
+
+def test_batched_evaluate_matches_interval_loop_single_integrator():
+    prob = integrator_problem(Ts=0.5, N=5)
+    bs = from_block_lengths([2, 3])
+    traj = Trajectory(xs=np.array([[0.0], [0.3], [1.1], [0.7], [0.2], [-0.4]]),
+                      us=np.array([[1.0], [-2.0]]))
+    _assert_stage_data_match(evaluate(prob, bs, traj, np.array([0.1])),
+                             loop_evaluate(prob, bs, traj, np.array([0.1])))
+
+
+def test_divergence_reports_interval():
+    # xdot = u x^2 blows up in the one interval whose input is huge
+    rhs = lambda x, u: u * x * x
+    jac = lambda x, u: (np.reshape(2.0 * u * x, np.shape(x)[1:] + (1, 1)),
+                        np.reshape(x * x, np.shape(x)[1:] + (1, 1)))
+    cost = QuadraticCost(Q=np.eye(1), R=np.eye(1), QN=np.eye(1),
+                         x_ref=np.zeros(1), u_ref=np.zeros(1))
+    prob = OcpProblem(dims=ProblemDims(1, 1), rhs=rhs, jac=jac, cost=cost,
+                      bounds=StageBounds.unbounded(1, 1),
+                      intervals=[IntegratorConfig(h=0.1) for _ in range(5)])
+    bs = unit_blocks(5)
+    us = np.array([[0.0], [0.5], [0.0], [1e308], [0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationDivergedError) as info:
+            forward_simulate(prob, bs, np.ones(1), us)
+        assert info.value.node == 3
+        traj = Trajectory(xs=np.ones((6, 1)), us=us)
+        with pytest.raises(IntegrationDivergedError) as info:
+            evaluate(prob, bs, traj, np.ones(1))
+        assert info.value.node == 3

@@ -80,6 +80,20 @@ def interval_blocks(bs: BlockStructure) -> np.ndarray:
     return out
 
 
+def block_sums(x: np.ndarray, I) -> np.ndarray:
+    """Sum the rows of x (N, ...) over the blocks of start vector I: (M, ...).
+
+    Rows are added in index order, so the sums round like a loop accumulating
+    from zero (``np.add.reduceat`` adds a block's first row last).
+    """
+    I = np.asarray(I)
+    lengths = np.diff(I)
+    pos = np.arange(lengths.max())
+    rows = np.where(pos < lengths[:, None], I[:-1, None] + pos, len(x))
+    padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])[rows]
+    return np.add.accumulate(padded, axis=1)[:, -1]
+
+
 def build_T(bs: BlockStructure, nu: int) -> np.ndarray:
     """Explicit selection matrix T with u = T @ u_blocked.
 

@@ -4,7 +4,10 @@ Two routes produce the same dense reduced QP in the M*nu blocked input
 steps:
 
 * the tailored route works directly on the blocked stage data and costs
-  O(N*M) block operations (the fast path used by the controller);
+  O(N*M) block operations (the fast path used by the controller).  Python
+  loops remain only for the recurrences (the Ghat columns, the per-column
+  Hhat sweep, the gradient costate, L): one product and one add per step.
+  Every other term is one stacked product per column or per horizon;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
   and as the baseline for the complexity benchmark).
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import BlockStructure, build_T, interval_blocks
+from .blocking import BlockStructure, block_sums, build_T, interval_blocks
 from .model import ProblemDims
 from .shooting import StageData
 
@@ -31,10 +34,11 @@ class FlopCounter:
 
 
 def _mm(counter: FlopCounter | None, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product with optional multiply counting ((a x b) @ (b x c) = a*b*c mults)."""
+    """A @ B, stacked or not, counting its batch*a*b*c multiplies ((a x b) @ (b x c))."""
+    out = A @ B
     if counter is not None:
-        counter.mults += A.shape[0] * A.shape[1] * (B.shape[1] if B.ndim == 2 else 1)
-    return A @ B
+        counter.mults += out.size * A.shape[-1]
+    return out
 
 
 @dataclass
@@ -70,25 +74,30 @@ def compute_Ghat(sd: StageData, bs: BlockStructure,
     the direct B term, after the block it only propagates through A.
     """
     N, M, I = bs.N, bs.M, bs.I
-    nx, nu = sd.nx, sd.nu
-    Gh = np.zeros((N, M, nx, nu))
+    As = list(sd.As)
+    Gh = np.zeros((N, M, sd.nx, sd.nu))
     for i in range(M):
-        Gh[I[i], i] = sd.Bs[I[i]]
-        for j in range(I[i] + 1, N):
-            if j < I[i + 1]:
-                Gh[j, i] = _mm(counter, sd.As[j], Gh[j - 1, i]) + sd.Bs[j]
-            else:
-                Gh[j, i] = _mm(counter, sd.As[j], Gh[j - 1, i])
+        s, e = I[i], I[i + 1]
+        col = np.empty((N - s, sd.nx, sd.nu))  # rows s..N-1 of column i
+        col[:e - s] = sd.Bs[s:e]
+        g = list(col)
+        for k in range(s + 1, e):
+            g[k - s] += As[k].dot(g[k - s - 1])
+        for k in range(e, N):
+            np.dot(As[k], g[k - s - 1], out=g[k - s])
+        if counter is not None:  # the recurrence's products, made one at a time
+            counter.mults += (N - 1 - s) * sd.nx * sd.nx * sd.nu
+        Gh[s:, i] = col
     return Gh
 
 
 def compute_L(sd: StageData, bs: BlockStructure, dx0: np.ndarray) -> np.ndarray:
     """Residual chain: L[0] = A_0 dx0 + d_0, L[k] = A_k L[k-1] + d_k."""
-    N = bs.N
-    L = np.zeros((N, sd.nx))
-    L[0] = sd.As[0] @ dx0 + sd.ds[0]
-    for k in range(1, N):
-        L[k] = sd.As[k] @ L[k - 1] + sd.ds[k]
+    L = sd.ds[:bs.N].copy()
+    Lk = list(L)
+    Lk[0] += sd.As[0].dot(dx0)
+    for k in range(1, bs.N):
+        Lk[k] += sd.As[k].dot(Lk[k - 1])
     return L
 
 
@@ -97,38 +106,38 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     """Reduced Hessian in O(N*M) block products.
 
     Per column block i a backward sweep W_k = Q_k Ghat[k-1,i] + A_k' W_{k+1}
-    collects the curvature behind stage k; the row accumulation then sums
-    stage rows into their blocks and adds the summed R of each block to the
-    diagonal.  The sweep fills row blocks k >= I[i] only; the upper block
-    triangle is completed by symmetry (exact for the Gauss-Newton data this
-    package produces, where the cross-term S is zero).
+    collects the curvature behind stage k; stage k >= I[i] then contributes
+    S_k' Ghat[k-1,i] + B_k' W_{k+1} to its row block, and the summed R of
+    each block joins the diagonal.  The upper block triangle is completed by
+    symmetry, which drops the G' S terms of the diagonal blocks: exact only
+    for S = 0 (Gauss-Newton data), so nonzero S raises ValueError.
     """
+    if np.any(sd.Ss):
+        raise ValueError("compute_Hhat requires a zero cross-term S")
     N, M, I = bs.N, bs.M, bs.I
     nx, nu = sd.nx, sd.nu
+    BT, ST = np.swapaxes(sd.Bs, 1, 2), np.swapaxes(sd.Ss, 1, 2)
+    AT = [A.T for A in sd.As]
     Htmp = np.zeros((N, M, nu, nu))
     for i in range(M):
-        W = _mm(counter, sd.QN, Ghat[N - 1, i])
-        for k in range(N - 1, I[i], -1):
-            Htmp[k, i] = _mm(counter, sd.Ss[k].T, Ghat[k - 1, i]) + _mm(counter, sd.Bs[k].T, W)
-            W = _mm(counter, sd.Qs[k], Ghat[k - 1, i]) + _mm(counter, sd.As[k].T, W)
-        Htmp[I[i], i] = _mm(counter, sd.Bs[I[i]].T, W)
+        s = I[i]
+        Ws = np.empty((N - s, nx, nu))  # W_{s+1}, ..., W_N
+        Ws[:-1] = _mm(counter, sd.Qs[s + 1:], Ghat[s:N - 1, i])
+        Ws[-1] = _mm(counter, sd.QN, Ghat[N - 1, i])
+        W = list(Ws)
+        for k in range(N - 1, s, -1):
+            W[k - s - 1] += AT[k].dot(W[k - s])
+        if counter is not None:
+            counter.mults += (N - 1 - s) * nx * nx * nu
+        BW = _mm(counter, BT[s:], Ws)
+        BW[1:] += _mm(counter, ST[s + 1:], Ghat[s:N - 1, i])
+        Htmp[s:, i] = BW
 
-    Hh = np.zeros((M * nu, M * nu))
-    kblk = 0
-    Rtmp = np.zeros((nu, nu))
-    for i in range(N):
-        Hh[kblk * nu:(kblk + 1) * nu, :] += np.transpose(Htmp[i], (1, 0, 2)).reshape(nu, M * nu)
-        Rtmp = Rtmp + sd.Rs[i]
-        if i + 1 == I[kblk + 1]:
-            Hh[kblk * nu:(kblk + 1) * nu, kblk * nu:(kblk + 1) * nu] += Rtmp
-            kblk += 1
-            Rtmp = np.zeros((nu, nu))
-
-    for b in range(M):
-        for j in range(b + 1, M):
-            Hh[b * nu:(b + 1) * nu, j * nu:(j + 1) * nu] = \
-                Hh[j * nu:(j + 1) * nu, b * nu:(b + 1) * nu].T
-    return Hh
+    H4 = block_sums(Htmp, I)  # (row block, column block, nu, nu)
+    H4[np.diag_indices(M)] += block_sums(sd.Rs, I)
+    upper = np.triu(np.ones((M, M), dtype=bool), 1)
+    H4[upper] = np.swapaxes(H4, 0, 1)[upper].swapaxes(1, 2)
+    return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)
 
 
 def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
@@ -136,21 +145,40 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     """Reduced gradient by one backward sweep, mirroring the Hessian recursion.
 
     w_k = q_k + Q_k L[k-1] + A_k' w_{k+1} carries the state gradient behind
-    stage k evaluated at the zero input step; stage k then contributes
-    r_k + S_k' L[k-1] + B_k' w_{k+1} to its block.
+    stage k evaluated at the zero input step (L[-1] = dx0); stage k then
+    contributes r_k + S_k' L[k-1] + B_k' w_{k+1} to its block, summed from
+    the last stage of the block down to the first.
     """
-    N, M = bs.N, bs.M
-    nu = sd.nu
+    N, M, I = bs.N, bs.M, bs.I
     if Ghat.shape[:2] != (N, M):
         raise ValueError("Ghat inconsistent with block structure")
-    blocks = interval_blocks(bs)
-    g = np.zeros((M, nu))
-    w = sd.qN + _mm(counter, sd.QN, L[N - 1])
+    BT, ST = np.swapaxes(sd.Bs, 1, 2), np.swapaxes(sd.Ss, 1, 2)
+    Lprev = np.concatenate([sd.dx0[None], L[:-1]])[:, :, None]  # L[k-1], (N, nx, 1)
+    ws = np.empty((N, sd.nx))  # w_1, ..., w_N
+    ws[:-1] = sd.qs[1:] + _mm(counter, sd.Qs[1:], Lprev[1:])[:, :, 0]
+    ws[-1] = sd.qN + _mm(counter, sd.QN, L[N - 1])
+    w = list(ws)
     for k in range(N - 1, 0, -1):
-        g[blocks[k]] += sd.rs[k] + _mm(counter, sd.Ss[k].T, L[k - 1]) + _mm(counter, sd.Bs[k].T, w)
-        w = sd.qs[k] + _mm(counter, sd.Qs[k], L[k - 1]) + _mm(counter, sd.As[k].T, w)
-    g[0] += sd.rs[0] + sd.Ss[0].T @ sd.dx0 + _mm(counter, sd.Bs[0].T, w)
-    return g.reshape(M * nu)
+        w[k - 1] += sd.As[k].T.dot(w[k])
+    if counter is not None:
+        counter.mults += (N - 1) * sd.nx * sd.nx
+    stage = sd.rs + _mm(counter, ST, Lprev)[:, :, 0] \
+        + _mm(counter, BT, ws[:, :, None])[:, :, 0]
+    return block_sums(stage[::-1], N - np.asarray(I[::-1]))[::-1].reshape(M * sd.nu)
+
+
+def constraint_rows(sd: StageData):
+    """Every affine row of the stage data in QP row order: (Cx, Cu, c, row_node).
+
+    Rows come node by node (0..N-1), then the terminal rows, which carry
+    node N and a zero input part.
+    """
+    ncN = sd.CN.shape[0]
+    row_node = np.repeat(np.arange(sd.N + 1), [Cx.shape[0] for Cx in sd.Cxs] + [ncN])
+    Cx = np.concatenate(list(sd.Cxs) + [sd.CN])
+    Cu = np.concatenate(list(sd.Cus) + [np.zeros((ncN, sd.nu))])
+    c = np.concatenate(list(sd.cs) + [sd.cN])
+    return Cx, Cu, c, row_node
 
 
 def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
@@ -160,47 +188,20 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
 
     A row at node k >= 1 becomes Cx_k Ghat[k-1, :] plus its direct input part
     in column blocks[k], with constant shifted by Cx_k L[k-1]; node-0 rows
-    see only dx0 and the direct input part.  Returns (C, c, lb, ub, row_node).
+    see only dx0 and the direct input part.  All rows are condensed in one
+    gathered product; Ghat[k-1, j] = 0 for I[j] >= k makes the blocks right
+    of a row's node exact zeros.  Returns (C, c, lb, ub, row_node).
     """
-    N, M = bs.N, bs.M
-    nu = sd.nu
-    blocks = interval_blocks(bs)
-    rows, consts, row_node = [], [], []
-    for k in range(N):
-        Cx, Cu, c = sd.Cxs[k], sd.Cus[k], sd.cs[k]
-        nr = Cx.shape[0]
-        if nr == 0:
-            continue
-        row = np.zeros((nr, M * nu))
-        if k == 0:
-            const = c + Cx @ dx0
-        else:
-            for j in range(M):
-                if bs.I[j] < k:
-                    row[:, j * nu:(j + 1) * nu] = _mm(counter, Cx, Ghat[k - 1, j])
-            const = c + _mm(counter, Cx, L[k - 1])
-        jk = blocks[k]
-        row[:, jk * nu:(jk + 1) * nu] += Cu
-        rows.append(row)
-        consts.append(const)
-        row_node.extend([k] * nr)
-    if sd.CN.shape[0] > 0:
-        row = np.zeros((sd.CN.shape[0], M * nu))
-        for j in range(M):
-            row[:, j * nu:(j + 1) * nu] = _mm(counter, sd.CN, Ghat[N - 1, j])
-        rows.append(row)
-        consts.append(sd.cN + _mm(counter, sd.CN, L[N - 1]))
-        row_node.extend([N] * sd.CN.shape[0])
-
-    if rows:
-        C = np.vstack(rows)
-        c = np.concatenate(consts)
-    else:
-        C = np.zeros((0, M * nu))
-        c = np.zeros(0)
+    M, nu = bs.M, sd.nu
+    Cx, Cu, c, row_node = constraint_rows(sd)
+    G = np.concatenate([np.zeros((1,) + Ghat.shape[1:]), Ghat])[row_node]  # Ghat[k-1]
+    Lk = np.concatenate([dx0[None], L])[row_node]                           # L[k-1]
+    C = _mm(counter, Cx[:, None, None, :], G)[:, :, 0, :]
+    const = c + _mm(counter, Cx[:, None, :], Lk[:, :, None])[:, 0, 0]
+    C[np.arange(len(C)), np.append(interval_blocks(bs), 0)[row_node]] += Cu  # terminal Cu = 0
     lb = sd.du_lo.reshape(M * nu).copy()
     ub = sd.du_hi.reshape(M * nu).copy()
-    return C, c, lb, ub, np.asarray(row_node, dtype=int)
+    return C.reshape(len(C), M * nu), const, lb, ub, row_node
 
 
 def condense(sd: StageData, bs: BlockStructure,

@@ -105,8 +105,8 @@ def pendulum_rhs(x: np.ndarray, u, params: PendulumParams) -> np.ndarray:
     s, c = np.sin(theta), np.cos(theta)
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     den = m2 + m1 - m1 * c * c
-    p_dd = (-m1 * l * s * theta_dot ** 2 + m1 * g * c * s + f) / den
-    th_dd = (f * c - m1 * l * c * s * theta_dot ** 2 + (m2 + m1) * g * s) / (l * den)
+    p_dd = (-m1 * l * s * (theta_dot * theta_dot) + m1 * g * c * s + f) / den
+    th_dd = (f * c - m1 * l * c * s * (theta_dot * theta_dot) + (m2 + m1) * g * s) / (l * den)
     return np.array([p_dot, theta_dot, p_dd, th_dd])
 
 
@@ -119,18 +119,18 @@ def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
     den = m2 + m1 - m1 * c * c
     dden = 2.0 * m1 * s * c
 
-    n2 = -m1 * l * s * theta_dot ** 2 + m1 * g * c * s + f
-    dn2_dth = -m1 * l * c * theta_dot ** 2 + m1 * g * (c * c - s * s)
-    n3 = f * c - m1 * l * c * s * theta_dot ** 2 + (m2 + m1) * g * s
-    dn3_dth = -f * s - m1 * l * (c * c - s * s) * theta_dot ** 2 + (m2 + m1) * g * c
+    n2 = -m1 * l * s * (theta_dot * theta_dot) + m1 * g * c * s + f
+    dn2_dth = -m1 * l * c * (theta_dot * theta_dot) + m1 * g * (c * c - s * s)
+    n3 = f * c - m1 * l * c * s * (theta_dot * theta_dot) + (m2 + m1) * g * s
+    dn3_dth = -f * s - m1 * l * (c * c - s * s) * (theta_dot * theta_dot) + (m2 + m1) * g * c
 
     stack = np.shape(theta)
     A = np.zeros(stack + (4, 4))
     A[..., 0, 2] = 1.0
     A[..., 1, 3] = 1.0
-    A[..., 2, 1] = (dn2_dth * den - n2 * dden) / den ** 2
+    A[..., 2, 1] = (dn2_dth * den - n2 * dden) / (den * den)
     A[..., 2, 3] = -2.0 * m1 * l * s * theta_dot / den
-    A[..., 3, 1] = (dn3_dth * den - n3 * dden) / (l * den ** 2)
+    A[..., 3, 1] = (dn3_dth * den - n3 * dden) / (l * (den * den))
     A[..., 3, 3] = -2.0 * m1 * c * s * theta_dot / den
 
     B = np.zeros(stack + (4, 1))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocking import BlockStructure, interval_blocks
-from .condensing import CondensedQp, SensitivityChain, condense, expand
+from .blocking import BlockStructure, block_sums, interval_blocks
+from .condensing import CondensedQp, SensitivityChain, condense, constraint_rows, expand
 from .integrator import IntegrationDivergedError
 from .model import OcpProblem
 from .qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
@@ -59,28 +59,38 @@ class PrepareOutput:
 
 
 def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
-                        du: np.ndarray, mu: list, lam_lb: np.ndarray,
+                        du: np.ndarray, lam_rows: np.ndarray, lam_lb: np.ndarray,
                         lam_ub: np.ndarray) -> np.ndarray:
     """Blocked Lagrangian gradient at (dxs, du) as an (M, nu) array.
 
-    Costates come from the backward adjoint recursion with the constraint
-    multipliers ``mu`` (one array per node) folded in; block j accumulates
-    the per-interval stationarity components of its intervals, which makes
-    it the T-transpose of the unblocked stationarity vector.
+    ``lam_rows`` holds one multiplier per affine row, in the row order of
+    :func:`constraint_rows` (the QP's row order).  Costates come from the
+    backward adjoint recursion with Cx' mu folded in per node; block j
+    accumulates the per-interval stationarity components of its intervals,
+    which makes it the T-transpose of the unblocked stationarity vector.
     """
     N, M = bs.N, bs.M
-    nu = sd.nu
-    blocks = interval_blocks(bs)
+    nx, nu = sd.nx, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
-    g_stat = (lam_ub - lam_lb).reshape(M, nu).copy()
-    lam_next = sd.qN + sd.QN @ dxs[N] + sd.CN.T @ mu[N]
+    uk = du[interval_blocks(bs)]
+    Cx, Cu, _, row_node = constraint_rows(sd)
+    mu = np.asarray(lam_rows, dtype=float)[:, None]
+    CxTmu = np.zeros((N + 1, nx))
+    CuTmu = np.zeros((N + 1, nu))
+    np.add.at(CxTmu, row_node, Cx * mu)
+    np.add.at(CuTmu, row_node, Cu * mu)
+
+    lam = np.empty((N + 1, nx))  # filled with all but the A' lam term, then swept
+    lam[:N] = (sd.qs + (sd.Qs @ dxs[:N, :, None] + sd.Ss @ uk[:, :, None])[:, :, 0]
+               + CxTmu[:N])
+    lam[N] = sd.qN + sd.QN @ dxs[N] + CxTmu[N]
+    lk = list(lam)
     for k in range(N - 1, -1, -1):
-        j = blocks[k]
-        g_stat[j] += (sd.rs[k] + sd.Rs[k] @ du[j] + sd.Ss[k].T @ dxs[k]
-                      + sd.Bs[k].T @ lam_next + sd.Cus[k].T @ mu[k])
-        lam_next = (sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.Ss[k] @ du[j]
-                    + sd.As[k].T @ lam_next + sd.Cxs[k].T @ mu[k])
-    return g_stat
+        lk[k] += sd.As[k].T.dot(lk[k + 1])
+    stage = (sd.rs + CuTmu[:N]
+             + (sd.Rs @ uk[:, :, None] + np.swapaxes(sd.Ss, 1, 2) @ dxs[:N, :, None]
+                + np.swapaxes(sd.Bs, 1, 2) @ lam[1:, :, None])[:, :, 0])
+    return (lam_ub - lam_lb).reshape(M, nu) + block_sums(stage, bs.I)
 
 
 def kkt_residual(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
@@ -91,39 +101,31 @@ def kkt_residual(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
     The equality residual reports the shooting gaps together with the
     initial-embedding residual evaluated at the point, which is
     ``dx0 - dxs[0]`` and hence vanishes after a full Newton step.
-    ``sol = None`` (or a solution with a different row layout) means zero
-    multipliers.
+    ``sol = None`` (or a solution with a different row layout than
+    ``row_node``) means zero multipliers.
     """
-    N, M = bs.N, bs.M
-    nu = sd.nu
-    blocks = interval_blocks(bs)
+    M, nu = bs.M, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
+    Cx, Cu, c, nodes = constraint_rows(sd)
 
-    lam_rows = np.zeros(len(row_node))
+    lam_rows = np.zeros(len(nodes))
     lam_lb = np.zeros(M * nu)
     lam_ub = np.zeros(M * nu)
     if sol is not None and len(sol.lam_rows) == len(row_node) \
             and len(sol.lam_lb) == M * nu:
         lam_rows, lam_lb, lam_ub = sol.lam_rows, sol.lam_lb, sol.lam_ub
-    mu = [lam_rows[row_node == k] for k in range(N + 1)]
 
-    g_stat = stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub)
+    g_stat = stationarity_blocks(sd, bs, dxs, du, lam_rows, lam_lb, lam_ub)
     stationarity = float(np.abs(g_stat).max(initial=0.0))
     eq = max(float(np.abs(sd.ds).max(initial=0.0)),
              float(np.abs(sd.dx0 - dxs[0]).max(initial=0.0)))
-
-    viol = 0.0
-    for k in range(N):
-        if sd.Cxs[k].shape[0]:
-            r = sd.Cxs[k] @ dxs[k] + sd.Cus[k] @ du[blocks[k]] + sd.cs[k]
-            viol = max(viol, float(r.max(initial=0.0)))
-    if sd.CN.shape[0]:
-        viol = max(viol, float((sd.CN @ dxs[N] + sd.cN).max(initial=0.0)))
-    viol = max(viol, float((du - sd.du_hi.reshape(M, nu)).max(initial=0.0)))
-    viol = max(viol, float((sd.du_lo.reshape(M, nu) - du).max(initial=0.0)))
-
-    return KktReport(stationarity=stationarity, eq_residual=eq,
-                     ineq_violation=max(viol, 0.0))
+    row_block = np.append(interval_blocks(bs), 0)[nodes]  # terminal rows: Cu = 0
+    rows = (np.einsum("rx,rx->r", Cx, dxs[nodes])
+            + np.einsum("ru,ru->r", Cu, du[row_block]) + c)
+    viol = max(float(rows.max(initial=0.0)),
+               float((du - sd.du_hi.reshape(M, nu)).max(initial=0.0)),
+               float((sd.du_lo.reshape(M, nu) - du).max(initial=0.0)))
+    return KktReport(stationarity=stationarity, eq_residual=eq, ineq_violation=viol)
 
 
 class RtiController:

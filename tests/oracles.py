@@ -256,3 +256,169 @@ def random_block_structure(rng, N):
         lengths.append(n)
         left -= n
     return lengths
+
+
+# --- stage data the loop oracles below are checked on -------------------------
+
+def perturbed_scheme_stage_data(scheme):
+    """Scheme A/B/C controller and its stage data at a perturbed trajectory."""
+    from blockmpc.harness import SchemeConfig, build_controller
+    from blockmpc.shooting import Trajectory, evaluate
+
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    x0 = np.array([0.1, 3.0, 0.2, -0.1])
+    traj = ctrl.initial_state(x0).traj
+    rng = np.random.default_rng(4)
+    traj = Trajectory(xs=traj.xs + 0.05 * rng.standard_normal(traj.xs.shape),
+                      us=traj.us + rng.standard_normal(traj.us.shape))
+    return ctrl.bs, evaluate(ctrl.problem, ctrl.bs, traj, x0 + 0.01)
+
+
+def ragged_stage_data(rng, lengths, nx, nu):
+    """Synthetic stage data whose nodes carry 1, 2, 0, 1, 2, ... rows, node 0
+    included, plus two terminal rows."""
+    from blockmpc.blocking import from_block_lengths
+    from blockmpc.harness import synthetic_stage_data
+
+    bs = from_block_lengths(lengths)
+    sd = synthetic_stage_data(rng, bs.N, nx, nu, M=bs.M, nc=2, ncN=2, node0_rows=True)
+    for k in range(bs.N):
+        nr = (k + 1) % 3
+        sd.Cxs[k], sd.Cus[k], sd.cs[k] = sd.Cxs[k][:nr], sd.Cus[k][:nr], sd.cs[k][:nr]
+    return bs, sd
+
+
+# --- per-column / per-node loops of the tailored condensing and KKT report ----
+#
+# These are the loop forms of the batched routines in ``condensing`` and
+# ``rti``: one 4x4-sized product per Python iteration, written out stage by
+# stage.  The batched routes must reproduce them to rounding.
+
+def loop_Ghat(sd, bs):
+    """Blocked sensitivity chain, one block product per (row, column)."""
+    N, M, I = bs.N, bs.M, bs.I
+    Gh = np.zeros((N, M, sd.nx, sd.nu))
+    for i in range(M):
+        Gh[I[i], i] = sd.Bs[I[i]]
+        for j in range(I[i] + 1, N):
+            Gh[j, i] = sd.As[j] @ Gh[j - 1, i]
+            if j < I[i + 1]:
+                Gh[j, i] += sd.Bs[j]
+    return Gh
+
+
+def loop_L(sd, dx0):
+    """Residual chain L[k] = A_k L[k-1] + d_k with L[-1] = dx0, one node at a time."""
+    L = np.zeros((sd.N, sd.nx))
+    for k in range(sd.N):
+        L[k] = sd.As[k] @ (L[k - 1] if k else dx0) + sd.ds[k]
+    return L
+
+
+def loop_Hhat(sd, bs, Ghat):
+    """Reduced Hessian: per-column backward sweep, row accumulation, mirror (S = 0)."""
+    N, M, I = bs.N, bs.M, bs.I
+    nu = sd.nu
+    Htmp = np.zeros((N, M, nu, nu))
+    for i in range(M):
+        W = sd.QN @ Ghat[N - 1, i]
+        for k in range(N - 1, I[i], -1):
+            Htmp[k, i] = sd.Ss[k].T @ Ghat[k - 1, i] + sd.Bs[k].T @ W
+            W = sd.Qs[k] @ Ghat[k - 1, i] + sd.As[k].T @ W
+        Htmp[I[i], i] = sd.Bs[I[i]].T @ W
+
+    Hh = np.zeros((M * nu, M * nu))
+    kblk = 0
+    Rtmp = np.zeros((nu, nu))
+    for i in range(N):
+        Hh[kblk * nu:(kblk + 1) * nu, :] += np.transpose(Htmp[i], (1, 0, 2)).reshape(nu, M * nu)
+        Rtmp = Rtmp + sd.Rs[i]
+        if i + 1 == I[kblk + 1]:
+            Hh[kblk * nu:(kblk + 1) * nu, kblk * nu:(kblk + 1) * nu] += Rtmp
+            kblk += 1
+            Rtmp = np.zeros((nu, nu))
+    for b in range(M):
+        for j in range(b + 1, M):
+            Hh[b * nu:(b + 1) * nu, j * nu:(j + 1) * nu] = \
+                Hh[j * nu:(j + 1) * nu, b * nu:(b + 1) * nu].T
+    return Hh
+
+
+def loop_ghat(sd, bs, L):
+    """Reduced gradient by one backward costate sweep, stage by stage."""
+    N, M = bs.N, bs.M
+    block = [find_block(bs.I, k) for k in range(N)]
+    g = np.zeros((M, sd.nu))
+    w = sd.qN + sd.QN @ L[N - 1]
+    for k in range(N - 1, 0, -1):
+        g[block[k]] += sd.rs[k] + sd.Ss[k].T @ L[k - 1] + sd.Bs[k].T @ w
+        w = sd.qs[k] + sd.Qs[k] @ L[k - 1] + sd.As[k].T @ w
+    g[0] += sd.rs[0] + sd.Ss[0].T @ sd.dx0 + sd.Bs[0].T @ w
+    return g.reshape(M * sd.nu)
+
+
+def loop_condense_constraints(sd, bs, Ghat, L, dx0):
+    """Condensed rows node by node and block column by block column."""
+    N, M, nu = bs.N, bs.M, sd.nu
+    rows, consts, row_node = [], [], []
+    for k in range(N):
+        Cx, Cu, c = sd.Cxs[k], sd.Cus[k], sd.cs[k]
+        nr = Cx.shape[0]
+        if nr == 0:
+            continue
+        row = np.zeros((nr, M * nu))
+        if k == 0:
+            const = c + Cx @ dx0
+        else:
+            for j in range(M):
+                if bs.I[j] < k:
+                    row[:, j * nu:(j + 1) * nu] = Cx @ Ghat[k - 1, j]
+            const = c + Cx @ L[k - 1]
+        jk = find_block(bs.I, k)
+        row[:, jk * nu:(jk + 1) * nu] += Cu
+        rows.append(row)
+        consts.append(const)
+        row_node.extend([k] * nr)
+    if sd.CN.shape[0] > 0:
+        row = np.zeros((sd.CN.shape[0], M * nu))
+        for j in range(M):
+            row[:, j * nu:(j + 1) * nu] = sd.CN @ Ghat[N - 1, j]
+        rows.append(row)
+        consts.append(sd.cN + sd.CN @ L[N - 1])
+        row_node.extend([N] * sd.CN.shape[0])
+    C = np.vstack(rows) if rows else np.zeros((0, M * nu))
+    c = np.concatenate(consts) if consts else np.zeros(0)
+    return C, c, np.asarray(row_node, dtype=int)
+
+
+def loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub):
+    """Blocked Lagrangian gradient by the adjoint recursion; ``mu`` is one array per node."""
+    N, M, nu = bs.N, bs.M, sd.nu
+    du = np.asarray(du, dtype=float).reshape(M, nu)
+    g_stat = (lam_ub - lam_lb).reshape(M, nu).copy()
+    lam_next = sd.qN + sd.QN @ dxs[N] + sd.CN.T @ mu[N]
+    for k in range(N - 1, -1, -1):
+        j = find_block(bs.I, k)
+        g_stat[j] += (sd.rs[k] + sd.Rs[k] @ du[j] + sd.Ss[k].T @ dxs[k]
+                      + sd.Bs[k].T @ lam_next + sd.Cus[k].T @ mu[k])
+        lam_next = (sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.Ss[k] @ du[j]
+                    + sd.As[k].T @ lam_next + sd.Cxs[k].T @ mu[k])
+    return g_stat
+
+
+def loop_kkt_parts(sd, bs, dxs, du, lam_rows, row_node, lam_lb, lam_ub):
+    """(blocked stationarity vector, eq_residual, ineq_violation), multipliers split by node masks."""
+    N, M, nu = bs.N, bs.M, sd.nu
+    du = np.asarray(du, dtype=float).reshape(M, nu)
+    mu = [lam_rows[row_node == k] for k in range(N + 1)]
+    g_stat = loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub)
+    eq = max(np.abs(sd.ds).max(initial=0.0), np.abs(sd.dx0 - dxs[0]).max(initial=0.0))
+    viol = 0.0
+    for k in range(N):
+        if sd.Cxs[k].shape[0]:
+            r = sd.Cxs[k] @ dxs[k] + sd.Cus[k] @ du[find_block(bs.I, k)] + sd.cs[k]
+            viol = max(viol, r.max())
+    if sd.CN.shape[0]:
+        viol = max(viol, (sd.CN @ dxs[N] + sd.cN).max())
+    viol = max(viol, (du - sd.du_hi.reshape(M, nu)).max(), (sd.du_lo.reshape(M, nu) - du).max())
+    return g_stat, eq, viol

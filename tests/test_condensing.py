@@ -17,7 +17,18 @@ from blockmpc.condensing import (
 from blockmpc.harness import synthetic_stage_data
 from blockmpc.model import ProblemDims
 from blockmpc.shooting import StageData
-from oracles import dense_condense, kron_T, random_block_structure
+from oracles import (
+    dense_condense,
+    kron_T,
+    loop_condense_constraints,
+    loop_Ghat,
+    loop_ghat,
+    loop_Hhat,
+    loop_L,
+    perturbed_scheme_stage_data,
+    ragged_stage_data,
+    random_block_structure,
+)
 
 
 def scalar_chain(N, A=1.0, B=1.0, Q=1.0, R=1.0, QN=1.0):
@@ -252,6 +263,51 @@ def test_constraints_match_explicit_T_product():
     T = kron_T(lengths, 2)
     assert np.abs(C - ref["Cc"] @ T).max() < 1e-10 * max(1.0, np.abs(ref["Cc"]).max())
     assert np.abs(c - ref["cc"]).max() < 1e-10 * max(1.0, np.abs(ref["cc"]).max())
+
+
+# --- batched routes against their loop forms ------------------------------------
+
+def assert_rel(a, b, tol=1e-13):
+    assert a.shape == b.shape
+    scale = np.abs(b).max(initial=0.0)
+    assert np.abs(a - b).max(initial=0.0) <= tol * scale
+
+
+def check_against_loops(sd, bs):
+    Gh = compute_Ghat(sd, bs)
+    L = compute_L(sd, bs, sd.dx0)
+    assert_rel(Gh, loop_Ghat(sd, bs))
+    assert_rel(L, loop_L(sd, sd.dx0))
+    assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh))
+    assert_rel(compute_ghat(sd, bs, Gh, L), loop_ghat(sd, bs, L))
+    C, c, _, _, nodes = condense_constraints(sd, bs, Gh, L, sd.dx0)
+    C_ref, c_ref, nodes_ref = loop_condense_constraints(sd, bs, Gh, L, sd.dx0)
+    assert_rel(C, C_ref)
+    assert_rel(c, c_ref)
+    assert np.array_equal(nodes, nodes_ref)
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_batched_condensing_matches_loops_on_scheme_data(scheme):
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    check_against_loops(sd, bs)
+
+
+@pytest.mark.parametrize("lengths", [[1, 2, 4, 5], [3, 1, 1, 2], [7]])
+def test_batched_condensing_matches_loops_on_ragged_rows(lengths):
+    rng = np.random.default_rng(20)
+    bs, sd = ragged_stage_data(rng, lengths, 3, 2)
+    assert {Cx.shape[0] for Cx in sd.Cxs} == {0, 1, 2} and sd.Cxs[0].shape[0] > 0
+    check_against_loops(sd, bs)
+
+
+def test_hhat_rejects_nonzero_cross_term():
+    rng = np.random.default_rng(21)
+    bs = from_block_lengths([2, 4])
+    sd = rand_sd(rng, 6, 3, 2, M=2)
+    sd.Ss[3, 1, 0] = 0.5
+    with pytest.raises(ValueError, match="cross-term"):
+        compute_Hhat(sd, bs, compute_Ghat(sd, bs))
 
 
 # --- naive pipeline ----------------------------------------------------------

@@ -48,6 +48,22 @@ def test_input_jacobian_theta_row_at_horizontal():
     assert B[3, 0] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_pointwise_call_equals_batched_column():
+    # squares are products, so one state and a column stack round alike
+    # (numpy's scalar ** 2 goes through pow, which misrounds e.g. 2.0153494736286257)
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-5, 5, size=(4, 200))
+    X[3, :20] = 2.0153494736286257
+    X[1, :20] = np.linspace(0.0, 6.0, 20)
+    U = rng.uniform(-20, 20, size=(1, 200))
+    F = pendulum_rhs(X, U, PARAMS)
+    A, B = pendulum_jacobians(X, U, PARAMS)
+    for i in range(X.shape[1]):
+        assert np.array_equal(pendulum_rhs(X[:, i], U[:, i], PARAMS), F[:, i])
+        Ai, Bi = pendulum_jacobians(X[:, i], U[:, i], PARAMS)
+        assert np.array_equal(Ai, A[i]) and np.array_equal(Bi, B[i])
+
+
 def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(1)
     f = lambda x, u: pendulum_rhs(x, u, PARAMS)

@@ -16,7 +16,14 @@ from blockmpc.model import (
 from blockmpc.qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
 from blockmpc.rti import RtiController, kkt_residual, stationarity_blocks
 from blockmpc.shooting import Trajectory, evaluate
-from oracles import riccati_first_gain, rk4_linear_closed_form
+from blockmpc.condensing import constraint_rows
+from oracles import (
+    loop_kkt_parts,
+    perturbed_scheme_stage_data,
+    ragged_stage_data,
+    riccati_first_gain,
+    rk4_linear_closed_form,
+)
 
 
 def linear_problem(rng, nx=3, nu=2, N=12, Ts=0.1):
@@ -202,7 +209,8 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
          [rng.uniform(0, 1, sd.CN.shape[0])]
     blocks = interval_blocks(bs)
 
-    got = stationarity_blocks(sd, bs, dxs, du, mu, np.zeros(3 * nu), np.zeros(3 * nu))
+    got = stationarity_blocks(sd, bs, dxs, du, np.concatenate(mu), np.zeros(3 * nu),
+                              np.zeros(3 * nu))
 
     # unblocked stationarity components via independent costate recursion
     lam = sd.qN + sd.QN @ dxs[N] + sd.CN.T @ mu[N]
@@ -216,6 +224,39 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
     T = build_T(bs, nu)
     folded = (T.T @ per_stage.reshape(N * nu)).reshape(3, nu)
     assert np.abs(got - folded).max() < 1e-12 * max(1.0, np.abs(folded).max())
+
+
+def check_kkt_against_loop(sd, bs, rng):
+    M, nu = bs.M, sd.nu
+    row_node = constraint_rows(sd)[3]
+    dxs = rng.standard_normal((bs.N + 1, sd.nx))
+    du = rng.standard_normal(M * nu)
+    sol = QpSolution(z=du, status="solved", iterations=1,
+                     lam_rows=rng.uniform(0, 1, len(row_node)),
+                     lam_lb=rng.uniform(0, 1, M * nu), lam_ub=rng.uniform(0, 1, M * nu),
+                     ws=WorkingSet())
+    g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, du, sol.lam_rows, row_node,
+                                             sol.lam_lb, sol.lam_ub)
+    g_stat = stationarity_blocks(sd, bs, dxs, du, sol.lam_rows, sol.lam_lb, sol.lam_ub)
+    scale = np.abs(g_ref).max()
+    assert np.abs(g_stat - g_ref).max() <= 1e-13 * scale
+    got = kkt_residual(sd, bs, dxs, du, sol, row_node)
+    assert abs(got.stationarity - scale) <= 1e-13 * scale
+    assert got.eq_residual == eq_ref
+    assert abs(got.ineq_violation - viol_ref) <= 1e-13 * abs(viol_ref)
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_kkt_matches_node_loop_on_scheme_data(scheme):
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    check_kkt_against_loop(sd, bs, np.random.default_rng(36))
+
+
+@pytest.mark.parametrize("lengths", [[1, 2, 4, 5], [3, 1, 1, 2]])
+def test_kkt_matches_node_loop_on_ragged_rows(lengths):
+    rng = np.random.default_rng(37)
+    bs, sd = ragged_stage_data(rng, lengths, 3, 2)
+    check_kkt_against_loop(sd, bs, rng)
 
 
 def test_kkt_ineq_violation_reports_exact_epsilon():

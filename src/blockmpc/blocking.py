@@ -74,10 +74,7 @@ def unit_blocks(N: int) -> BlockStructure:
 
 def interval_blocks(bs: BlockStructure) -> np.ndarray:
     """Block index of every interval k = 0..N-1 as an int array."""
-    out = np.empty(bs.N, dtype=int)
-    for j in range(bs.M):
-        out[bs.I[j]:bs.I[j + 1]] = j
-    return out
+    return np.repeat(np.arange(bs.M), bs.lengths)
 
 
 def block_sums(x: np.ndarray, I) -> np.ndarray:

@@ -17,6 +17,7 @@ steps:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +50,18 @@ class SensitivityChain:
     L: np.ndarray     # (N, nx)
 
 
+# The affine rows Cx dx_k + Cu du + c <= 0 of all nodes, stacked in QP row
+# order; row_node maps each row to its shooting node (N for terminal rows).
+AffineRows = namedtuple("AffineRows", "Cx Cu c row_node")
+
+
 @dataclass
 class CondensedQp:
     """Dense reduced QP: min 0.5 z'Hz + g'z s.t. C z + c <= 0, lb <= z <= ub.
 
-    ``row_node`` maps every constraint row back to the shooting node it came
-    from (N for terminal rows), so multipliers can be attributed to nodes.
+    ``rows`` are the stage rows that C and c condense, one per QP row; the
+    KKT report reuses them, and ``rows.row_node`` attributes multipliers to
+    nodes.
     """
 
     H: np.ndarray
@@ -63,7 +70,7 @@ class CondensedQp:
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    row_node: np.ndarray
+    rows: AffineRows
 
 
 def compute_Ghat(sd: StageData, bs: BlockStructure,
@@ -167,8 +174,8 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     return block_sums(stage[::-1], N - np.asarray(I[::-1]))[::-1].reshape(M * sd.nu)
 
 
-def constraint_rows(sd: StageData):
-    """Every affine row of the stage data in QP row order: (Cx, Cu, c, row_node).
+def constraint_rows(sd: StageData) -> AffineRows:
+    """Every affine row of the stage data in QP row order.
 
     Rows come node by node (0..N-1), then the terminal rows, which carry
     node N and a zero input part.
@@ -178,11 +185,11 @@ def constraint_rows(sd: StageData):
     Cx = np.concatenate(list(sd.Cxs) + [sd.CN])
     Cu = np.concatenate(list(sd.Cus) + [np.zeros((ncN, sd.nu))])
     c = np.concatenate(list(sd.cs) + [sd.cN])
-    return Cx, Cu, c, row_node
+    return AffineRows(Cx, Cu, c, row_node)
 
 
-def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
-                         L: np.ndarray, dx0: np.ndarray,
+def condense_constraints(sd: StageData, bs: BlockStructure, rows: AffineRows,
+                         Ghat: np.ndarray, L: np.ndarray, dx0: np.ndarray,
                          counter: FlopCounter | None = None):
     """Condense affine rows and fold input boxes into simple bounds.
 
@@ -190,10 +197,11 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     in column blocks[k], with constant shifted by Cx_k L[k-1]; node-0 rows
     see only dx0 and the direct input part.  All rows are condensed in one
     gathered product; Ghat[k-1, j] = 0 for I[j] >= k makes the blocks right
-    of a row's node exact zeros.  Returns (C, c, lb, ub, row_node).
+    of a row's node exact zeros.  ``rows`` is ``constraint_rows(sd)``.
+    Returns (C, c, lb, ub).
     """
     M, nu = bs.M, sd.nu
-    Cx, Cu, c, row_node = constraint_rows(sd)
+    Cx, Cu, c, row_node = rows
     G = np.concatenate([np.zeros((1,) + Ghat.shape[1:]), Ghat])[row_node]  # Ghat[k-1]
     Lk = np.concatenate([dx0[None], L])[row_node]                           # L[k-1]
     C = _mm(counter, Cx[:, None, None, :], G)[:, :, 0, :]
@@ -201,7 +209,7 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     C[np.arange(len(C)), np.append(interval_blocks(bs), 0)[row_node]] += Cu  # terminal Cu = 0
     lb = sd.du_lo.reshape(M * nu).copy()
     ub = sd.du_hi.reshape(M * nu).copy()
-    return C.reshape(len(C), M * nu), const, lb, ub, row_node
+    return C.reshape(len(C), M * nu), const, lb, ub
 
 
 def condense(sd: StageData, bs: BlockStructure,
@@ -211,8 +219,9 @@ def condense(sd: StageData, bs: BlockStructure,
     L = compute_L(sd, bs, sd.dx0)
     H = compute_Hhat(sd, bs, Ghat, counter)
     g = compute_ghat(sd, bs, Ghat, L, counter)
-    C, c, lb, ub, row_node = condense_constraints(sd, bs, Ghat, L, sd.dx0, counter)
-    return CondensedQp(H=H, g=g, C=C, c=c, lb=lb, ub=ub, row_node=row_node), \
+    rows = constraint_rows(sd)
+    C, c, lb, ub = condense_constraints(sd, bs, rows, Ghat, L, sd.dx0, counter)
+    return CondensedQp(H=H, g=g, C=C, c=c, lb=lb, ub=ub, rows=rows), \
         SensitivityChain(Ghat=Ghat, L=L)
 
 
@@ -257,8 +266,8 @@ def _full_G(sd: StageData, counter: FlopCounter | None = None) -> np.ndarray:
 def _full_condense(sd: StageData, counter: FlopCounter | None = None):
     """Classical condensing of the unblocked problem (before any blocking).
 
-    Returns (G, L, H_c, g_c, C_c, c_c, row_node) with H_c/g_c/C_c over the
-    N*nu unblocked inputs.
+    Returns (G, L, H_c, g_c, C_c, c_c) with H_c/g_c/C_c over the N*nu
+    unblocked inputs; the rows of C_c follow :func:`constraint_rows`.
     """
     N, nx, nu = sd.N, sd.nx, sd.nu
     G = _full_G(sd, counter)
@@ -284,7 +293,7 @@ def _full_condense(sd: StageData, counter: FlopCounter | None = None):
         w = sd.qs[k] + _mm(counter, sd.Qs[k], L[k - 1]) + _mm(counter, sd.As[k].T, w)
     gc[0] = sd.rs[0] + sd.Ss[0].T @ sd.dx0 + _mm(counter, sd.Bs[0].T, w)
 
-    rows, consts, row_node = [], [], []
+    rows, consts = [], []
     for k in range(N):
         Cx, Cu, c = sd.Cxs[k], sd.Cus[k], sd.cs[k]
         nr = Cx.shape[0]
@@ -300,17 +309,15 @@ def _full_condense(sd: StageData, counter: FlopCounter | None = None):
         row[:, k * nu:(k + 1) * nu] += Cu
         rows.append(row)
         consts.append(const)
-        row_node.extend([k] * nr)
     if sd.CN.shape[0] > 0:
         row = np.zeros((sd.CN.shape[0], N * nu))
         for j in range(N):
             row[:, j * nu:(j + 1) * nu] = _mm(counter, sd.CN, G[N - 1, j])
         rows.append(row)
         consts.append(sd.cN + _mm(counter, sd.CN, L[N - 1]))
-        row_node.extend([N] * sd.CN.shape[0])
     Cc = np.vstack(rows) if rows else np.zeros((0, N * nu))
     cc = np.concatenate(consts) if consts else np.zeros(0)
-    return G, L, Hc, gc.reshape(N * nu), Cc, cc, np.asarray(row_node, dtype=int)
+    return G, L, Hc, gc.reshape(N * nu), Cc, cc
 
 
 def naive_condense(sd: StageData, bs: BlockStructure,
@@ -320,7 +327,7 @@ def naive_condense(sd: StageData, bs: BlockStructure,
     Semantically identical to :func:`condense`; kept as the oracle for the
     tailored pipeline and as the O(N^2) baseline of the benchmark.
     """
-    _, L, Hc, gc, Cc, cc, row_node = _full_condense(sd, counter)
+    _, L, Hc, gc, Cc, cc = _full_condense(sd, counter)
     T = build_T(bs, sd.nu)
     HcT = _mm(counter, Hc, T)
     Hh = _mm(counter, T.T, HcT)
@@ -329,5 +336,5 @@ def naive_condense(sd: StageData, bs: BlockStructure,
     Hh = 0.5 * (Hh + Hh.T)
     lb = sd.du_lo.reshape(bs.M * sd.nu).copy()
     ub = sd.du_hi.reshape(bs.M * sd.nu).copy()
-    return CondensedQp(H=Hh, g=gh, C=Ch, c=cc.copy(), lb=lb, ub=ub, row_node=row_node)
+    return CondensedQp(H=Hh, g=gh, C=Ch, c=cc.copy(), lb=lb, ub=ub, rows=constraint_rows(sd))
 

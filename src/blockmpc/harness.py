@@ -222,6 +222,7 @@ class SimLog:
     timings: list = field(default_factory=list)
     qp_iters: list = field(default_factory=list)
     qp_status: list = field(default_factory=list)
+    qp_start: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     aborted: str | None = None
 
@@ -273,6 +274,7 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
             log.timings.append(dict(state.timings))
             log.qp_iters.append(state.qp_iterations)
             log.qp_status.append(state.qp_status)
+            log.qp_start.append(state.qp_start)
             log.flags.append(violated or state.qp_status != "solved")
             x_plant = _plant_step(plant_rhs, x_plant, u, cfg.Ts, cfg.plant_substeps)
     except IntegrationDivergedError as err:

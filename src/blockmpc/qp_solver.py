@@ -6,8 +6,14 @@ Constraints are identified by integer ids: 0..m-1 are the general rows,
 m..m+n-1 the upper bounds, m+n..m+2n-1 the lower bounds.  The working set
 holds the ids currently treated as equalities; carrying it into the next
 solve is the warm start.  Each iteration refactorizes the reduced KKT
-system from scratch, which is cheap at the problem sizes this package
-produces (a few dozen variables).
+system from scratch.
+
+The controller's QPs have up to 80 variables and 320 candidate rows
+(scheme A: 160 condensed state rows, 160 input bounds); most solves take
+1-2 iterations and under 1 ms.  During a swing-up the warm working set is
+usually rejected: the solve restarts from the clipped unconstrained
+minimizer, projects it onto violated rows (restoration) or falls back to a
+big-M phase 1, and takes up to 40 iterations, up to 17 ms on scheme A.
 """
 
 from __future__ import annotations
@@ -68,28 +74,18 @@ class QpSolution:
     ws: WorkingSet
     iterations: int
     status: str  # "solved" | "max-iterations" | "infeasible-detected"
+    start: str   # "warm" | "cold" | "restored" | "phase1": where the first iterate came from
     obj_history: list = field(default_factory=list)
 
 
 def _unified(qp: DenseQp):
-    """All constraints as rows a_i' z <= b_i; ids of infinite bounds are excluded."""
-    n, m = qp.n, qp.m
-    A = np.zeros((m + 2 * n, n))
-    b = np.zeros(m + 2 * n)
-    usable = np.zeros(m + 2 * n, dtype=bool)
-    if m:
-        A[:m] = qp.Crows
-        b[:m] = -qp.cvec
-        usable[:m] = True
-    for i in range(n):
-        if np.isfinite(qp.ub[i]):
-            A[m + i, i] = 1.0
-            b[m + i] = qp.ub[i]
-            usable[m + i] = True
-        if np.isfinite(qp.lb[i]):
-            A[m + n + i, i] = -1.0
-            b[m + n + i] = -qp.lb[i]
-            usable[m + n + i] = True
+    """All constraints as rows a_i' z <= b_i; ids of infinite bounds are excluded
+    (their rows and right-hand sides are zero)."""
+    up, lo = np.isfinite(qp.ub), np.isfinite(qp.lb)
+    A = np.concatenate([qp.Crows, np.diag(np.where(up, 1.0, 0.0)),
+                        np.diag(np.where(lo, -1.0, 0.0))])
+    b = np.concatenate([-qp.cvec, np.where(up, qp.ub, 0.0), np.where(lo, -qp.lb, 0.0)])
+    usable = np.concatenate([np.ones(qp.m, dtype=bool), up, lo])
     return A, b, usable
 
 
@@ -119,19 +115,27 @@ def _eqp(H, g, A_w, b_w):
     return sol[:n], sol[n:]
 
 
+def _extend_basis(Q, a):
+    """Orthonormal rows Q plus the direction of a, or None if a lies in span(Q):
+    its part orthogonal to Q is at most 1e-10 * max(1, |a|).  Projecting twice
+    (Gram-Schmidt with reorthogonalization) keeps Q orthonormal to rounding."""
+    r = a - (Q @ a) @ Q
+    r -= (Q @ r) @ Q
+    norm = np.linalg.norm(r)
+    if norm <= 1e-10 * max(1.0, np.linalg.norm(a)):
+        return None
+    return np.vstack([Q, r / norm])
+
+
 def _prune_dependent(A, ids):
     """Keep a maximal linearly independent subset of the rows, in order."""
     kept = []
-    basis = np.zeros((0, A.shape[1]))
+    Q = np.zeros((0, A.shape[1]))
     for i in ids:
-        a = A[i]
-        if basis.shape[0]:
-            resid = a - basis.T @ np.linalg.lstsq(basis.T, a, rcond=None)[0]
-        else:
-            resid = a
-        if np.linalg.norm(resid) > 1e-10 * max(1.0, np.linalg.norm(a)):
+        Q_next = _extend_basis(Q, A[i])
+        if Q_next is not None:
             kept.append(i)
-            basis = np.vstack([basis, a])
+            Q = Q_next
     return kept
 
 
@@ -143,6 +147,7 @@ def _restore_feasibility(z, A, b, usable, feas_tol):
     squares their conditioning, is singular) fall back to the big-M phase 1.
     """
     forced: list[int] = []
+    Q = np.zeros((0, A.shape[1]))  # orthonormal basis of the forced rows
     for _ in range(len(b) + 1):
         resid = A @ z - b
         resid[~usable] = -np.inf
@@ -151,16 +156,34 @@ def _restore_feasibility(z, A, b, usable, feas_tol):
             return z, True
         if worst in forced:
             return z, False
-        kept = _prune_dependent(A, forced + [worst])
-        if worst not in kept:
+        Q = _extend_basis(Q, A[worst])
+        if Q is None:
             return z, False  # violated row dependent on already-forced rows
-        forced = kept
+        forced.append(worst)
         Af = A[forced]
         try:
             z = z + Af.T @ np.linalg.solve(Af @ Af.T, b[forced] - Af @ z)
         except np.linalg.LinAlgError:
             return z, False
     return z, False
+
+
+def _ratio_test(Ap, resid, ids, in_W):
+    """Largest step alpha <= 1 along p and the row that blocks it (-1: none).
+
+    Row ids[r] (ids ascending) has a'p = Ap[r] and slack resid[r]; working-set
+    rows and rows with a'p <= 1e-12 never block.  The smallest step wins, ties
+    (within 1e-14) by the lowest id; only steps below 1 are scanned in Python.
+    """
+    moving = np.flatnonzero(~in_W & (Ap > 1e-12))
+    steps = resid[moving] / Ap[moving]
+    early = steps < 1.0 - 1e-14
+    alpha, blocker = 1.0, -1
+    for i, a_step in zip(ids[moving[early]], steps[early]):
+        if a_step < alpha - 1e-14:
+            alpha = max(a_step, 0.0)
+            blocker = int(i)
+    return alpha, blocker
 
 
 def _phase1(qp: DenseQp, tol, max_iter):
@@ -192,8 +215,8 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
     """Primal active-set iteration with deterministic tie-breaking.
 
     Blocking constraint: smallest step, ties by lowest id.  Removal: most
-    negative multiplier, ties by lowest id.  Warm-started re-solves of
-    unchanged data terminate after a single iteration.
+    negative multiplier, ties by the earliest working-set entry.  Warm-started
+    re-solves of unchanged data terminate after a single iteration.
     """
     n, m = qp.n, qp.m
     if max_iter is None:
@@ -201,59 +224,49 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
     feas_tol = max(tol, 1e-9)
     A, b, usable = _unified(qp)
     cand = np.flatnonzero(usable)
+    Ac, bc = A[cand], b[cand]
 
     def feasible(z):
-        return bool(np.all(A[cand] @ z - b[cand] <= feas_tol))
+        return bool(np.all(Ac @ z - bc <= feas_tol))
 
     # starting point: warm equality solve if usable, else clip + restoration
     z = None
     W: list[int] = []
     if _start is not None:
-        z = np.asarray(_start, dtype=float).copy()
+        z, start = np.asarray(_start, dtype=float).copy(), "phase1"
     elif warm is not None and len(warm.active):
         ids = [i for i in warm.active if 0 <= i < len(b) and usable[i]]
         ids = _prune_dependent(A, ids)
         z_try, _ = _eqp(qp.H, qp.g, A[ids], b[ids])
         if feasible(z_try):
-            z, W = z_try, ids
+            z, W, start = z_try, ids, "warm"
     if z is None:
-        z = np.clip(np.linalg.solve(qp.H, -qp.g), qp.lb, qp.ub)
+        z, start = np.clip(np.linalg.solve(qp.H, -qp.g), qp.lb, qp.ub), "cold"
         if not feasible(z):
             z, ok = _restore_feasibility(z, A, b, usable, feas_tol)
+            start = "restored" if ok else "phase1"
             if not ok:
                 z, slack = _phase1(qp, tol, max_iter)
                 if slack > 10.0 * feas_tol or not feasible(z):
                     return QpSolution(z=z, lam_rows=np.zeros(m), lam_lb=np.zeros(n),
                                       lam_ub=np.zeros(n), ws=WorkingSet(), iterations=0,
-                                      status="infeasible-detected")
+                                      status="infeasible-detected", start=start)
         W = []
 
     def solution(status, it, lam_W):
-        lam_rows = np.zeros(m)
-        lam_lb = np.zeros(n)
-        lam_ub = np.zeros(n)
-        for idx, lam in zip(W, lam_W):
-            if idx < m:
-                lam_rows[idx] = lam
-            elif idx < m + n:
-                lam_ub[idx - m] = lam
-            else:
-                lam_lb[idx - m - n] = lam
-        return QpSolution(z=z, lam_rows=lam_rows, lam_lb=lam_lb, lam_ub=lam_ub,
+        # lam_W pairs with W in order; after a max-iterations exit W may have
+        # gained or lost a row since lam_W was computed, and the surplus is dropped
+        lam = np.zeros(len(b))
+        lam[W[:len(lam_W)]] = lam_W[:len(W)]
+        return QpSolution(z=z, lam_rows=lam[:m], lam_lb=lam[m + n:], lam_ub=lam[m:m + n],
                           ws=WorkingSet(tuple(W)), iterations=it, status=status,
-                          obj_history=obj_history)
+                          start=start, obj_history=obj_history)
 
     def objective(v):
         return 0.5 * v @ qp.H @ v + qp.g @ v
 
     obj_history = [objective(z)]
     lam_W = np.zeros(len(W))
-
-    def drop_worst():
-        # most negative multiplier; exact ties broken by lowest constraint id
-        lam_min = lam_W.min()
-        worst = min(i for i, lam in enumerate(lam_W) if lam == lam_min)
-        W.pop(worst)
 
     for it in range(1, max_iter + 1):
         grad = qp.H @ z + qp.g
@@ -264,21 +277,12 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
             obj_history.append(objective(z))
             if len(W) == 0 or lam_W.min() >= -tol:
                 return solution("solved", it, lam_W)
-            drop_worst()
+            W.pop(int(np.argmin(lam_W)))
             continue
 
-        # largest feasible step along p; blocking rows have a_i'p > 0
-        alpha = 1.0
-        blocker = -1
-        Ap = A[cand] @ p
-        resid = b[cand] - A[cand] @ z
-        for local, i in enumerate(cand):
-            if i in W or Ap[local] <= 1e-12:
-                continue
-            a_step = resid[local] / Ap[local]
-            if a_step < alpha - 1e-14:
-                alpha = max(a_step, 0.0)
-                blocker = int(i)
+        in_W = np.zeros(len(b), dtype=bool)
+        in_W[W] = True
+        alpha, blocker = _ratio_test(Ac @ p, bc - Ac @ z, cand, in_W[cand])
         z = z + alpha * p
         obj_history.append(objective(z))
         if blocker >= 0:
@@ -288,6 +292,6 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
             # solve are valid at the new point, so check optimality now
             if len(W) == 0 or lam_W.min() >= -tol:
                 return solution("solved", it, lam_W)
-            drop_worst()
+            W.pop(int(np.argmin(lam_W)))
 
     return solution("max-iterations", max_iter, lam_W)

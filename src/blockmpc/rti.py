@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blocking import BlockStructure, block_sums, interval_blocks
-from .condensing import CondensedQp, SensitivityChain, condense, constraint_rows, expand
+from .condensing import AffineRows, CondensedQp, SensitivityChain, condense, expand
 from .integrator import IntegrationDivergedError
 from .model import OcpProblem
 from .qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
@@ -46,6 +46,7 @@ class RtiState:
     timings: dict = field(default_factory=dict)
     qp_iterations: int = 0
     qp_status: str = ""
+    qp_start: str = ""
 
 
 @dataclass
@@ -59,12 +60,12 @@ class PrepareOutput:
 
 
 def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
-                        du: np.ndarray, lam_rows: np.ndarray, lam_lb: np.ndarray,
-                        lam_ub: np.ndarray) -> np.ndarray:
+                        du: np.ndarray, rows: AffineRows, lam_rows: np.ndarray,
+                        lam_lb: np.ndarray, lam_ub: np.ndarray) -> np.ndarray:
     """Blocked Lagrangian gradient at (dxs, du) as an (M, nu) array.
 
-    ``lam_rows`` holds one multiplier per affine row, in the row order of
-    :func:`constraint_rows` (the QP's row order).  Costates come from the
+    ``lam_rows`` holds one multiplier per row of ``rows`` (the stacked
+    affine rows of ``sd``, in the QP's row order).  Costates come from the
     backward adjoint recursion with Cx' mu folded in per node; block j
     accumulates the per-interval stationarity components of its intervals,
     which makes it the T-transpose of the unblocked stationarity vector.
@@ -73,7 +74,7 @@ def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
     nx, nu = sd.nx, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
     uk = du[interval_blocks(bs)]
-    Cx, Cu, _, row_node = constraint_rows(sd)
+    Cx, Cu, _, row_node = rows
     mu = np.asarray(lam_rows, dtype=float)[:, None]
     CxTmu = np.zeros((N + 1, nx))
     CuTmu = np.zeros((N + 1, nu))
@@ -95,27 +96,27 @@ def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
 
 def kkt_residual(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
                  du: np.ndarray, sol: QpSolution | None,
-                 row_node: np.ndarray) -> KktReport:
+                 rows: AffineRows) -> KktReport:
     """KKT condition norms of the blocked problem at the point (dxs, du).
 
     The equality residual reports the shooting gaps together with the
     initial-embedding residual evaluated at the point, which is
     ``dx0 - dxs[0]`` and hence vanishes after a full Newton step.
-    ``sol = None`` (or a solution with a different row layout than
-    ``row_node``) means zero multipliers.
+    ``rows`` is ``constraint_rows(sd)``.  ``sol = None`` (or a solution
+    with a different row layout than ``rows``) means zero multipliers.
     """
     M, nu = bs.M, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
-    Cx, Cu, c, nodes = constraint_rows(sd)
+    Cx, Cu, c, nodes = rows
 
     lam_rows = np.zeros(len(nodes))
     lam_lb = np.zeros(M * nu)
     lam_ub = np.zeros(M * nu)
-    if sol is not None and len(sol.lam_rows) == len(row_node) \
+    if sol is not None and len(sol.lam_rows) == len(nodes) \
             and len(sol.lam_lb) == M * nu:
         lam_rows, lam_lb, lam_ub = sol.lam_rows, sol.lam_lb, sol.lam_ub
 
-    g_stat = stationarity_blocks(sd, bs, dxs, du, lam_rows, lam_lb, lam_ub)
+    g_stat = stationarity_blocks(sd, bs, dxs, du, rows, lam_rows, lam_lb, lam_ub)
     stationarity = float(np.abs(g_stat).max(initial=0.0))
     eq = max(float(np.abs(sd.ds).max(initial=0.0)),
              float(np.abs(sd.dx0 - dxs[0]).max(initial=0.0)))
@@ -189,13 +190,14 @@ class RtiController:
             raise IntegrationDivergedError("trajectory update diverged")
         traj = Trajectory(xs=state.traj.xs + dxs,
                           us=state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu))
-        kkt = kkt_residual(prep.sd, self.bs, dxs, du, sol, prep.qp.row_node)
+        kkt = kkt_residual(prep.sd, self.bs, dxs, du, sol, prep.qp.rows)
         t_total = prep.timings["prepare_total"] + (time.perf_counter() - t0)
         timings = {"shooting": prep.timings["shooting"],
                    "condensing": prep.timings["condensing"],
                    "qp": t_qp, "total": t_total}
         new_state = RtiState(traj=traj, ws=sol.ws, last_kkt=kkt, timings=timings,
-                             qp_iterations=sol.iterations, qp_status=sol.status)
+                             qp_iterations=sol.iterations, qp_status=sol.status,
+                             qp_start=sol.start)
         u_applied = traj.us[0].copy()
         return u_applied, new_state
 

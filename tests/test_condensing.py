@@ -10,6 +10,7 @@ from blockmpc.condensing import (
     compute_ghat,
     condense,
     condense_constraints,
+    constraint_rows,
     expand,
     flop_count,
     naive_condense,
@@ -231,7 +232,7 @@ def test_constraints_empty_without_state_rows():
     bs = from_block_lengths([3])
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, bs, np.zeros(1))
-    C, c, lb, ub, nodes = condense_constraints(sd, bs, Gh, L, np.zeros(1))
+    C, c, lb, ub = condense_constraints(sd, bs, constraint_rows(sd), Gh, L, np.zeros(1))
     assert C.shape == (0, 1) and c.size == 0
     assert lb[0] == -2.0 and ub[0] == 5.0
 
@@ -245,10 +246,11 @@ def test_single_step_row_matches_Ghat_pattern():
     bs = from_block_lengths([2])
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, bs, sd.dx0)
-    C, c, _, _, nodes = condense_constraints(sd, bs, Gh, L, sd.dx0)
+    rows = constraint_rows(sd)
+    C, c, _, _ = condense_constraints(sd, bs, rows, Gh, L, sd.dx0)
     assert np.allclose(C[:, 0], Gh[0, 0].ravel())
     assert np.allclose(c, L[0])
-    assert list(nodes) == [1, 1]
+    assert list(rows.row_node) == [1, 1]
 
 
 def test_constraints_match_explicit_T_product():
@@ -258,7 +260,7 @@ def test_constraints_match_explicit_T_product():
     sd = rand_sd(rng, 12, 3, 2, M=4, nc=2, ncN=2)
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, bs, sd.dx0)
-    C, c, _, _, _ = condense_constraints(sd, bs, Gh, L, sd.dx0)
+    C, c, _, _ = condense_constraints(sd, bs, constraint_rows(sd), Gh, L, sd.dx0)
     ref = dense_condense(sd)
     T = kron_T(lengths, 2)
     assert np.abs(C - ref["Cc"] @ T).max() < 1e-10 * max(1.0, np.abs(ref["Cc"]).max())
@@ -280,11 +282,12 @@ def check_against_loops(sd, bs):
     assert_rel(L, loop_L(sd, sd.dx0))
     assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh))
     assert_rel(compute_ghat(sd, bs, Gh, L), loop_ghat(sd, bs, L))
-    C, c, _, _, nodes = condense_constraints(sd, bs, Gh, L, sd.dx0)
+    rows = constraint_rows(sd)
+    C, c, _, _ = condense_constraints(sd, bs, rows, Gh, L, sd.dx0)
     C_ref, c_ref, nodes_ref = loop_condense_constraints(sd, bs, Gh, L, sd.dx0)
     assert_rel(C, C_ref)
     assert_rel(c, c_ref)
-    assert np.array_equal(nodes, nodes_ref)
+    assert np.array_equal(rows.row_node, nodes_ref)
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
@@ -360,7 +363,7 @@ def test_pipeline_equivalence_random_instances():
             finite = np.isfinite(b)
             assert np.array_equal(np.isfinite(a), finite)
             assert np.abs(a[finite] - b[finite]).max(initial=0.0) < 1e-10 * scale, name
-        assert np.array_equal(qp_t.row_node, qp_n.row_node)
+        assert np.array_equal(qp_t.rows.row_node, qp_n.rows.row_node)
 
 
 # --- flop accounting ----------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from blockmpc import qp_solver, rti
 from blockmpc.cli import main as cli_main
 from blockmpc.harness import (
     ConfigError,
@@ -16,6 +17,7 @@ from blockmpc.harness import (
     timing_summary,
     write_outputs,
 )
+import oracles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(ROOT, "configs", "pendulum.cfg")
@@ -223,6 +225,32 @@ def test_short_track_cold_start_reaches_phase1(x0):
     log = run_closed_loop(cfg)
     assert log.aborted is None and len(log) == 4
     assert log.qp_status == ["solved"] * 4
+    assert log.qp_start[0] == "phase1"
+
+
+def test_scheme_A_restored_solves_match_loop_oracles(monkeypatch):
+    # The first samples of a scheme-A swing-up reject their warm start and go
+    # through restoration, the solves that set the latency tail.  Re-solving
+    # each QP with the loop forms of the row tests swapped in must reproduce
+    # every iterate, working set and start path.
+    seen = []
+
+    def recording(qp, **kw):
+        sol = qp_solver.solve_qp(qp, **kw)
+        seen.append((qp, kw, sol))
+        return sol
+
+    monkeypatch.setattr(rti, "solve_qp", recording)
+    log = run_closed_loop(short_cfg("A", sim_time=0.3))
+    assert log.qp_start.count("restored") >= 3
+    monkeypatch.setattr(qp_solver, "_prune_dependent", oracles.lstsq_prune_dependent)
+    monkeypatch.setattr(qp_solver, "_restore_feasibility", oracles.loop_restore_feasibility)
+    monkeypatch.setattr(qp_solver, "_ratio_test", oracles.loop_ratio_test)
+    for qp, kw, sol in seen:
+        ref = qp_solver.solve_qp(qp, **kw)
+        assert (ref.start, ref.status, ref.iterations) == (sol.start, sol.status, sol.iterations)
+        assert ref.ws == sol.ws
+        assert np.array_equal(ref.z, sol.z)
 
 
 # --- bench ---------------------------------------------------------------------

@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmpc.qp_solver import DenseQp, WorkingSet, solve_qp
-from oracles import enumerate_qp
+from blockmpc.qp_solver import (
+    DenseQp,
+    WorkingSet,
+    _prune_dependent,
+    _ratio_test,
+    _restore_feasibility,
+    _unified,
+    solve_qp,
+)
+from oracles import enumerate_qp, loop_ratio_test, loop_restore_feasibility, lstsq_prune_dependent
 
 
 def random_qp(rng, n=None, m=None, with_bounds=None):
@@ -147,3 +155,125 @@ def test_working_set_ids_stable_across_resolves():
 def test_lb_ub_must_be_ordered():
     with pytest.raises(ValueError):
         DenseQp(H=np.eye(1), g=np.zeros(1), lb=np.array([1.0]), ub=np.array([0.0]))
+
+
+# --- start path -----------------------------------------------------------------
+
+def test_start_path_recorded():
+    box = DenseQp(H=np.eye(2), g=np.array([-1.0, -1.0]), ub=np.array([0.5, 0.5]))
+    cold = solve_qp(box)
+    assert cold.start == "cold"
+    assert solve_qp(box, warm=cold.ws).start == "warm"
+    # the warm EQP solution (1, 1) violates the bounds; the clipped start does not
+    assert solve_qp(box, warm=WorkingSet((3,))).start == "cold"
+    row = DenseQp(H=np.eye(2), g=np.zeros(2), Crows=np.array([[1.0, 1.0]]),
+                  cvec=np.array([4.0]))
+    assert solve_qp(row).start == "restored"
+    empty = DenseQp(H=np.eye(1), g=np.zeros(1),
+                    Crows=np.array([[1.0], [-1.0]]), cvec=np.array([1.0, 1.0]))
+    assert solve_qp(empty).start == "phase1"
+
+
+# --- row tests against their loop forms -----------------------------------------
+
+def dependent_rows(rng, n):
+    """Rows in random order: random rows (fewer than n/2 + 2), +-e_i pairs,
+    exact duplicates, scaled copies and combinations perturbed by 1e-12."""
+    base = list(rng.standard_normal((int(rng.integers(1, n // 2 + 2)), n)))
+    for i in rng.choice(n, min(n, 3), replace=False):
+        e = np.zeros(n)
+        e[i] = 1.0
+        base += [e, -e]
+    rows = list(base)
+    for _ in range(int(rng.integers(1, 6))):
+        rows.append(base[int(rng.integers(len(base)))].copy())
+        rows.append(rng.choice([-3.0, -1e-3, 0.5, 2.5, 1e4]) * base[int(rng.integers(len(base)))])
+        rows.append(rng.standard_normal(len(base)) @ np.array(base)
+                    + 1e-12 * rng.standard_normal(n))
+    A = np.array(rows)
+    return A, list(rng.permutation(len(A)))
+
+
+def test_prune_keeps_the_ids_of_the_lstsq_loop():
+    rng = np.random.default_rng(40)
+    dropped = 0
+    for _ in range(200):
+        A, ids = dependent_rows(rng, int(rng.choice([2, 5, 12, 80])))
+        kept = _prune_dependent(A, ids)
+        assert kept == lstsq_prune_dependent(A, ids)
+        dropped += len(ids) - len(kept)
+    assert dropped > 1000
+
+
+def test_prune_keeps_at_most_n_rows_of_ill_conditioned_sets():
+    # Once nearly dependent kept rows fill R^n, the lstsq residual of a row in
+    # their span can read above the threshold: the loop form keeps all three
+    # of (1, 0), (1, 1e-7), (0, 1).  The orthonormal basis keeps at most n.
+    A = np.array([[1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]])
+    assert lstsq_prune_dependent(A, [0, 1, 2]) == [0, 1, 2]
+    assert _prune_dependent(A, [0, 1, 2]) == [0, 1]
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        n = int(rng.choice([5, 12, 30]))
+        B = rng.standard_normal((n - 1, n))
+        A = np.vstack([B, B[0] + 1e-7 * rng.standard_normal(n), rng.standard_normal((5, n))])
+        kept = _prune_dependent(A, list(rng.permutation(len(A))))
+        assert len(kept) == n == np.linalg.matrix_rank(A[kept])
+
+
+def ratio_case(rng):
+    r = int(rng.integers(1, 40))
+    ids = np.sort(rng.choice(500, r, replace=False))
+    Ap = rng.standard_normal(r)
+    Ap[rng.random(r) < 0.1] = 1e-12         # on the threshold: never blocks
+    resid = np.abs(rng.standard_normal(r)) * rng.choice([0.1, 1.0, 10.0], r)
+    resid[rng.random(r) < 0.1] = -1e-10     # slightly violated: step below 0
+    pos = np.flatnonzero(Ap > 1e-12)
+    if len(pos) >= 3:
+        a, b, c = rng.choice(pos, 3, replace=False)
+        Ap[b], resid[b] = 2.0 * Ap[a], 2.0 * resid[a]          # the exact same step
+        resid[c] = resid[a] / Ap[a] * Ap[c] - 5e-15 * Ap[c]    # within 1e-14 below it
+    return Ap, resid, ids, rng.random(r) < 0.2
+
+
+def test_ratio_test_picks_the_blocker_of_the_candidate_loop():
+    rng = np.random.default_rng(41)
+    blocked = 0
+    for _ in range(500):
+        Ap, resid, ids, in_W = ratio_case(rng)
+        got = _ratio_test(Ap, resid, ids, in_W)
+        assert got == loop_ratio_test(Ap, resid, ids, in_W)
+        blocked += got[1] >= 0
+    assert 100 < blocked < 500
+
+
+def test_ratio_test_ties_and_working_set_rows():
+    ids = np.array([2, 5, 7, 9, 11])
+    Ap = np.array([1.0, 2.0, 1.0, 4.0, 1.0])
+    resid = np.array([0.3, 0.8, 0.4, 1.6, 0.2])    # steps 0.3, 0.4, 0.4, 0.4, 0.2
+    in_W = np.array([True, False, False, False, True])
+    for got in (_ratio_test(Ap, resid, ids, in_W), loop_ratio_test(Ap, resid, ids, in_W)):
+        assert got == (0.4, 5)  # the working-set rows 2 and 11 would block first
+    in_W[:] = False
+    assert _ratio_test(Ap, resid, ids, in_W) == (0.2, 11)
+    resid[:] = -1e-9                               # every step negative: alpha 0
+    assert _ratio_test(Ap, resid, ids, in_W) == loop_ratio_test(Ap, resid, ids, in_W)
+
+
+def test_restoration_stalls_on_row_dependent_on_forced_rows():
+    # From the origin restoration forces row 0, then row 1; their projection
+    # (-4, -1.6, -0.8) violates row 2 = 0.1 row 0 - 0.3 row 1.  The Gram
+    # matrix of all three is singular only up to rounding and solves without
+    # error, so only the independence test stops a projection onto them.
+    qp = DenseQp(H=np.eye(3), g=np.zeros(3),
+                 Crows=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.1, -0.3, -0.15]]),
+                 cvec=np.array([4.0, 2.0, -0.1]))
+    A, b, usable = _unified(qp)
+    for restore in (_restore_feasibility, loop_restore_feasibility):
+        z, ok = restore(np.zeros(3), A, b, usable, 1e-8)
+        assert not ok
+        assert np.allclose(z, [-4.0, -1.6, -0.8], rtol=0, atol=1e-15)
+    sol = solve_qp(qp)
+    assert sol.start == "phase1" and sol.status == "solved"
+    assert np.abs(sol.z - enumerate_qp(qp)).max() < 1e-8
+    assert np.allclose(sol.z, [-5.0, -1.6, -0.8])

@@ -192,8 +192,7 @@ def test_kkt_consistency_zero_step_zero_residuals():
     sd.qs[:] = 0.0
     sd.rs[:] = 0.0
     sd.qN[:] = 0.0
-    report = kkt_residual(sd, bs, np.zeros((6, 3)), np.zeros(2), None,
-                          np.zeros(0, dtype=int))
+    report = kkt_residual(sd, bs, np.zeros((6, 3)), np.zeros(2), None, constraint_rows(sd))
     assert report.total == 0.0
 
 
@@ -209,8 +208,8 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
          [rng.uniform(0, 1, sd.CN.shape[0])]
     blocks = interval_blocks(bs)
 
-    got = stationarity_blocks(sd, bs, dxs, du, np.concatenate(mu), np.zeros(3 * nu),
-                              np.zeros(3 * nu))
+    got = stationarity_blocks(sd, bs, dxs, du, constraint_rows(sd), np.concatenate(mu),
+                              np.zeros(3 * nu), np.zeros(3 * nu))
 
     # unblocked stationarity components via independent costate recursion
     lam = sd.qN + sd.QN @ dxs[N] + sd.CN.T @ mu[N]
@@ -228,19 +227,20 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
 
 def check_kkt_against_loop(sd, bs, rng):
     M, nu = bs.M, sd.nu
-    row_node = constraint_rows(sd)[3]
+    rows = constraint_rows(sd)
+    row_node = rows.row_node
     dxs = rng.standard_normal((bs.N + 1, sd.nx))
     du = rng.standard_normal(M * nu)
-    sol = QpSolution(z=du, status="solved", iterations=1,
+    sol = QpSolution(z=du, status="solved", start="cold", iterations=1,
                      lam_rows=rng.uniform(0, 1, len(row_node)),
                      lam_lb=rng.uniform(0, 1, M * nu), lam_ub=rng.uniform(0, 1, M * nu),
                      ws=WorkingSet())
     g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, du, sol.lam_rows, row_node,
                                              sol.lam_lb, sol.lam_ub)
-    g_stat = stationarity_blocks(sd, bs, dxs, du, sol.lam_rows, sol.lam_lb, sol.lam_ub)
+    g_stat = stationarity_blocks(sd, bs, dxs, du, rows, sol.lam_rows, sol.lam_lb, sol.lam_ub)
     scale = np.abs(g_ref).max()
     assert np.abs(g_stat - g_ref).max() <= 1e-13 * scale
-    got = kkt_residual(sd, bs, dxs, du, sol, row_node)
+    got = kkt_residual(sd, bs, dxs, du, sol, rows)
     assert abs(got.stationarity - scale) <= 1e-13 * scale
     assert got.eq_residual == eq_ref
     assert abs(got.ineq_violation - viol_ref) <= 1e-13 * abs(viol_ref)
@@ -269,7 +269,7 @@ def test_kkt_ineq_violation_reports_exact_epsilon():
     sd.cs[1] = np.array([-1.0])
     dxs = np.zeros((4, 2))
     dxs[1, 0] = 1.0 + eps  # row value = dxs + c = eps > 0
-    report = kkt_residual(sd, bs, dxs, np.zeros(3), None, np.array([1]))
+    report = kkt_residual(sd, bs, dxs, np.zeros(3), None, constraint_rows(sd))
     assert report.ineq_violation == pytest.approx(eps, abs=1e-15)
 
 

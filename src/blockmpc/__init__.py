@@ -5,7 +5,7 @@ a standard uniform-grid controller, a nonuniform-grid controller, and a
 move-blocked controller that keeps the fine shooting grid while sharing
 one input across several intervals.  The move-blocked stage data is
 condensed to a small dense QP in O(N*M) block operations and solved by a
-warm-started primal active-set method.
+warm-started dual (Goldfarb-Idnani) active-set method.
 """
 
 __version__ = "0.1.0"

@@ -37,11 +37,6 @@ class BlockStructure:
             raise InvalidBlockStructureError("index vector must be strictly increasing")
         object.__setattr__(self, "lengths", tuple(b - a for a, b in zip(self.I, self.I[1:])))
 
-    @property
-    def is_unit(self) -> bool:
-        """True when every block holds a single interval (no blocking)."""
-        return self.M == self.N
-
 
 def from_block_lengths(lengths) -> BlockStructure:
     """Build a block structure from per-block interval counts.

@@ -65,7 +65,6 @@ class SchemeConfig:
     qp_tol: float = 1e-8
     qp_max_iter: int = 0  # 0 means the solver default
     seed: int = 0
-    shift_inputs: bool = False
 
     def validate(self):
         if self.scheme not in ("A", "B", "C"):
@@ -78,8 +77,6 @@ class SchemeConfig:
         if self.scheme == "B" and sum(self.grid_lengths) != self.N:
             raise ConfigError(
                 f"grid_lengths sum to {sum(self.grid_lengths)}, expected N = {self.N}")
-        if self.shift_inputs and self.scheme != "A":
-            raise ConfigError("shift_inputs applies to unit-block scheme A only")
         return self
 
     def with_scheme(self, scheme: str) -> "SchemeConfig":
@@ -96,9 +93,8 @@ _VECTOR_KEYS = {"block_lengths", "grid_lengths", "block_indices", "grid_indices"
                 "q_diag", "r_diag", "qn_diag", "x_lo", "x_hi", "u_lo", "u_hi", "x0"}
 _INT_KEYS = {"N", "plant_substeps", "seed", "qp_max_iter"}
 _FLOAT_KEYS = {"Ts", "m1", "m2", "l", "g", "sim_time", "qp_tol"}
-_BOOL_KEYS = {"shift_inputs"}
 _STR_KEYS = {"scheme"}
-_ALL_KEYS = _VECTOR_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+_ALL_KEYS = _VECTOR_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
 def _parse_vector(text: str):
@@ -135,10 +131,6 @@ def load_config(path: str) -> SchemeConfig:
                     parsed = int(value)
                 elif key in _FLOAT_KEYS:
                     parsed = float(value)
-                elif key in _BOOL_KEYS:
-                    if value.lower() not in ("true", "false", "0", "1"):
-                        raise ValueError(value)
-                    parsed = value.lower() in ("true", "1")
                 else:
                     parsed = value
             except ValueError as err:
@@ -204,8 +196,7 @@ def build_controller(cfg: SchemeConfig) -> RtiController:
             bs = unit_blocks(cfg.N)
         else:
             bs = from_block_lengths(cfg.block_lengths)
-    return RtiController(problem, bs, qp_tol=cfg.qp_tol, qp_max_iter=qp_max_iter,
-                         shift_inputs=cfg.shift_inputs)
+    return RtiController(problem, bs, qp_tol=cfg.qp_tol, qp_max_iter=qp_max_iter)
 
 
 # --- closed-loop simulation --------------------------------------------------

@@ -133,16 +133,13 @@ class RtiController:
     """One real-time-iteration controller instance for a fixed block structure."""
 
     def __init__(self, problem: OcpProblem, bs: BlockStructure, qp_tol: float = 1e-8,
-                 qp_max_iter: int | None = None, shift_inputs: bool = False):
+                 qp_max_iter: int | None = None):
         if problem.N != bs.N:
             raise ValueError("problem grid and block structure disagree on N")
-        if shift_inputs and not bs.is_unit:
-            raise ValueError("input shifting is only defined for unit blocks")
         self.problem = problem
         self.bs = bs
         self.qp_tol = qp_tol
         self.qp_max_iter = qp_max_iter
-        self.shift_inputs = shift_inputs
 
     def initial_state(self, x0: np.ndarray, us0: np.ndarray | None = None) -> RtiState:
         """Feasible starting point: simulate the nodes forward under us0 (default zero)."""
@@ -206,14 +203,9 @@ class RtiController:
 
         Blocked inputs are carried over unshifted (block boundaries are fixed
         relative to the horizon, so a one-interval shift has no consistent
-        blocked representation) and the working set is kept.  Unit-block
-        controllers may opt into the classical shift-by-one.
+        blocked representation) and the working set is kept.
         """
-        traj = state.traj.copy()
-        if self.shift_inputs:
-            traj.xs[:-1] = traj.xs[1:]
-            traj.us[:-1] = traj.us[1:]
-        return replace(state, traj=traj, timings=dict(state.timings))
+        return replace(state, traj=state.traj.copy(), timings=dict(state.timings))
 
     def step(self, state: RtiState, x0_measured: np.ndarray):
         """Full RTI cycle: prepare, feedback, advance.  Returns (u_applied, state)."""

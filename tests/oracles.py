@@ -197,33 +197,44 @@ def enumerate_qp(qp, tol=1e-9):
     Solves the equality-constrained subproblem for each subset of the
     unified constraint rows, keeps candidates that are primal feasible with
     nonnegative multipliers, and returns the best (or None if no subset
-    qualifies, i.e. the problem is infeasible).
+    qualifies, i.e. the problem is infeasible).  Subsets holding both bounds
+    of one variable are skipped: their rows e_i and -e_i make the KKT matrix
+    singular, so they never yield a candidate.
     """
     n, m = qp.n, qp.m
-    A_list, b_list = [], []
+    A_list, b_list, var = [], [], []
     for i in range(m):
         A_list.append(qp.Crows[i])
         b_list.append(-qp.cvec[i])
+        var.append(-1)
     for i in range(n):
         if np.isfinite(qp.ub[i]):
             e = np.zeros(n)
             e[i] = 1.0
             A_list.append(e)
             b_list.append(qp.ub[i])
+            var.append(i)
         if np.isfinite(qp.lb[i]):
             e = np.zeros(n)
             e[i] = -1.0
             A_list.append(e)
             b_list.append(-qp.lb[i])
+            var.append(i)
     A = np.array(A_list).reshape(-1, n)
     b = np.array(b_list)
     mt = len(b)
     best, best_obj = None, np.inf
     for k in range(0, min(n, mt) + 1):
         for subset in itertools.combinations(range(mt), k):
+            held = [var[r] for r in subset if var[r] >= 0]
+            if len(set(held)) < len(held):
+                continue
             As_ = A[list(subset)]
             bs_ = b[list(subset)]
-            K = np.block([[qp.H, As_.T], [As_, np.zeros((k, k))]])
+            K = np.zeros((n + k, n + k))
+            K[:n, :n] = qp.H
+            K[:n, n:] = As_.T
+            K[n:, :n] = As_
             try:
                 sol = np.linalg.solve(K, np.concatenate([-qp.g, bs_]))
             except np.linalg.LinAlgError:
@@ -422,64 +433,3 @@ def loop_kkt_parts(sd, bs, dxs, du, lam_rows, row_node, lam_lb, lam_ub):
         viol = max(viol, (sd.CN @ dxs[N] + sd.cN).max())
     viol = max(viol, (du - sd.du_hi.reshape(M, nu)).max(), (sd.du_lo.reshape(M, nu) - du).max())
     return g_stat, eq, viol
-
-
-# --- loop forms of the QP solver's row tests -----------------------------------
-#
-# These are the forms ``qp_solver`` used before its row tests were batched:
-# one least-squares solve per row against the rows kept so far, a restoration
-# that re-prunes its whole forced list after every projection, and a ratio
-# test that visits every candidate row.  The solver must make the same
-# decisions.
-
-def lstsq_prune_dependent(A, ids):
-    """Keep a maximal linearly independent subset of the rows, in order."""
-    kept = []
-    basis = np.zeros((0, A.shape[1]))
-    for i in ids:
-        a = A[i]
-        if basis.shape[0]:
-            resid = a - basis.T @ np.linalg.lstsq(basis.T, a, rcond=None)[0]
-        else:
-            resid = a
-        if np.linalg.norm(resid) > 1e-10 * max(1.0, np.linalg.norm(a)):
-            kept.append(i)
-            basis = np.vstack([basis, a])
-    return kept
-
-
-def loop_restore_feasibility(z, A, b, usable, feas_tol):
-    """Project onto the accumulated most-violated rows, re-pruning them each time."""
-    forced = []
-    for _ in range(len(b) + 1):
-        resid = A @ z - b
-        resid[~usable] = -np.inf
-        worst = int(np.argmax(resid))
-        if resid[worst] <= feas_tol:
-            return z, True
-        if worst in forced:
-            return z, False
-        kept = lstsq_prune_dependent(A, forced + [worst])
-        if worst not in kept:
-            return z, False
-        forced = kept
-        Af = A[forced]
-        try:
-            z = z + Af.T @ np.linalg.solve(Af @ Af.T, b[forced] - Af @ z)
-        except np.linalg.LinAlgError:
-            return z, False
-    return z, False
-
-
-def loop_ratio_test(Ap, resid, ids, in_W):
-    """Blocking step and row, visiting every candidate row in id order."""
-    alpha = 1.0
-    blocker = -1
-    for local, i in enumerate(ids):
-        if in_W[local] or Ap[local] <= 1e-12:
-            continue
-        a_step = resid[local] / Ap[local]
-        if a_step < alpha - 1e-14:
-            alpha = max(a_step, 0.0)
-            blocker = int(i)
-    return alpha, blocker

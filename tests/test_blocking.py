@@ -27,7 +27,7 @@ def test_benchmark_structure_indices():
 def test_unit_blocks():
     bs = from_block_lengths([1, 1, 1])
     assert bs.I == (0, 1, 2, 3)
-    assert bs.is_unit
+    assert bs.lengths == (1, 1, 1)
 
 
 def test_single_block():

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmpc.qp_solver import (
-    DenseQp,
-    WorkingSet,
-    _prune_dependent,
-    _ratio_test,
-    _restore_feasibility,
-    _unified,
-    solve_qp,
-)
-from oracles import enumerate_qp, loop_ratio_test, loop_restore_feasibility, lstsq_prune_dependent
+from blockmpc.qp_solver import DenseQp, WorkingSet, _inv_lower, solve_qp
+from oracles import enumerate_qp
 
 
 def random_qp(rng, n=None, m=None, with_bounds=None):
@@ -34,6 +26,10 @@ def random_qp(rng, n=None, m=None, with_bounds=None):
 def stationarity(qp, sol):
     r = qp.H @ sol.z + qp.g + qp.Crows.T @ sol.lam_rows + sol.lam_ub - sol.lam_lb
     return np.abs(r).max()
+
+
+def objective(qp, z):
+    return 0.5 * z @ qp.H @ z + qp.g @ z
 
 
 def test_unconstrained_solution():
@@ -94,12 +90,13 @@ def test_warm_start_idempotence():
 
 
 def test_monotone_objective_decrease():
+    # a dual method's objective rises toward the optimum, so the gap decreases
     rng = np.random.default_rng(26)
     for _ in range(30):
         qp = random_qp(rng)
         sol = solve_qp(qp)
-        hist = np.array(sol.obj_history)
-        assert np.all(np.diff(hist) <= 1e-10)
+        gap = objective(qp, sol.z) - np.array(sol.obj_history)
+        assert np.all(np.diff(gap) <= 1e-10) and gap[-1] >= -1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,16 +129,21 @@ def test_restoration_path_used_when_clip_start_violates_rows():
 
 
 def test_max_iterations_flagged():
+    # a truncated solve returns a consistent dual iterate: stationary with the
+    # partial multiplier of the row being added, dual feasible, below the optimum
     rng = np.random.default_rng(28)
-    qp = random_qp(rng, n=5, m=6, with_bounds=True)
-    sol = solve_qp(qp, max_iter=1)
-    assert sol.status in ("solved", "max-iterations")
-    ref = solve_qp(qp)
-    if sol.status == "max-iterations":
-        # best iterate is still feasible
-        assert (qp.Crows @ sol.z + qp.cvec).max() < 1e-7
-        assert 0.5 * sol.z @ qp.H @ sol.z + qp.g @ sol.z >= \
-            0.5 * ref.z @ qp.H @ ref.z + qp.g @ ref.z - 1e-10
+    truncated = 0
+    for _ in range(100):
+        qp = random_qp(rng, n=5, m=6, with_bounds=True)
+        ref = solve_qp(qp)
+        for k in range(1, ref.iterations):
+            sol = solve_qp(qp, max_iter=k)
+            assert sol.status == "max-iterations" and sol.iterations == k
+            assert stationarity(qp, sol) < 1e-10
+            assert min(sol.lam_rows.min(), sol.lam_lb.min(), sol.lam_ub.min()) >= 0.0
+            assert objective(qp, sol.z) <= objective(qp, ref.z) + 1e-10
+            truncated += 1
+    assert truncated > 300
 
 
 def test_working_set_ids_stable_across_resolves():
@@ -150,6 +152,16 @@ def test_working_set_ids_stable_across_resolves():
     ws = sol.ws
     sol2 = solve_qp(qp, warm=WorkingSet(tuple(ws.active)))
     assert sol2.ws.active == ws.active
+
+
+def test_blocked_triangular_inverse_matches_general_inverse():
+    rng = np.random.default_rng(29)
+    for n in (1, 10, 16, 17, 33, 80):
+        F = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(F @ F.T + np.eye(n))
+        X = _inv_lower(L)
+        assert np.array_equal(X, np.tril(X))
+        assert np.abs(X - np.linalg.inv(L)).max() < 1e-12 * np.abs(X).max()
 
 
 def test_lb_ub_must_be_ordered():
@@ -164,17 +176,19 @@ def test_start_path_recorded():
     cold = solve_qp(box)
     assert cold.start == "cold"
     assert solve_qp(box, warm=cold.ws).start == "warm"
-    # the warm EQP solution (1, 1) violates the bounds; the clipped start does not
+    # id 3 is the infinite lower bound of z2: nothing of the warm set is usable
     assert solve_qp(box, warm=WorkingSet((3,))).start == "cold"
-    row = DenseQp(H=np.eye(2), g=np.zeros(2), Crows=np.array([[1.0, 1.0]]),
-                  cvec=np.array([4.0]))
-    assert solve_qp(row).start == "restored"
-    empty = DenseQp(H=np.eye(1), g=np.zeros(1),
-                    Crows=np.array([[1.0], [-1.0]]), cvec=np.array([1.0, 1.0]))
-    assert solve_qp(empty).start == "phase1"
+    # the warm equality point (1, 1) violates both bounds; the dual start needs no feasibility
+    assert solve_qp(box, warm=WorkingSet((0,))).start == "warm"
+    twice = DenseQp(H=np.eye(2), g=np.zeros(2), Crows=np.array([[1.0, 1.0], [2.0, 2.0]]),
+                    cvec=np.array([4.0, 8.0]))
+    ref = solve_qp(twice)
+    dependent = solve_qp(twice, warm=WorkingSet((0, 1)))
+    assert dependent.start == "cold" and dependent.status == "solved"
+    assert np.array_equal(dependent.z, ref.z) and np.allclose(ref.z, [-2.0, -2.0])
 
 
-# --- row tests against their loop forms -----------------------------------------
+# --- degenerate rows ------------------------------------------------------------
 
 def dependent_rows(rng, n):
     """Rows in random order: random rows (fewer than n/2 + 2), +-e_i pairs,
@@ -194,86 +208,47 @@ def dependent_rows(rng, n):
     return A, list(rng.permutation(len(A)))
 
 
-def test_prune_keeps_the_ids_of_the_lstsq_loop():
-    rng = np.random.default_rng(40)
-    dropped = 0
-    for _ in range(200):
-        A, ids = dependent_rows(rng, int(rng.choice([2, 5, 12, 80])))
-        kept = _prune_dependent(A, ids)
-        assert kept == lstsq_prune_dependent(A, ids)
-        dropped += len(ids) - len(kept)
-    assert dropped > 1000
-
-
-def test_prune_keeps_at_most_n_rows_of_ill_conditioned_sets():
-    # Once nearly dependent kept rows fill R^n, the lstsq residual of a row in
-    # their span can read above the threshold: the loop form keeps all three
-    # of (1, 0), (1, 1e-7), (0, 1).  The orthonormal basis keeps at most n.
-    A = np.array([[1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]])
-    assert lstsq_prune_dependent(A, [0, 1, 2]) == [0, 1, 2]
-    assert _prune_dependent(A, [0, 1, 2]) == [0, 1]
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        n = int(rng.choice([5, 12, 30]))
-        B = rng.standard_normal((n - 1, n))
-        A = np.vstack([B, B[0] + 1e-7 * rng.standard_normal(n), rng.standard_normal((5, n))])
-        kept = _prune_dependent(A, list(rng.permutation(len(A))))
-        assert len(kept) == n == np.linalg.matrix_rank(A[kept])
-
-
-def ratio_case(rng):
-    r = int(rng.integers(1, 40))
-    ids = np.sort(rng.choice(500, r, replace=False))
-    Ap = rng.standard_normal(r)
-    Ap[rng.random(r) < 0.1] = 1e-12         # on the threshold: never blocks
-    resid = np.abs(rng.standard_normal(r)) * rng.choice([0.1, 1.0, 10.0], r)
-    resid[rng.random(r) < 0.1] = -1e-10     # slightly violated: step below 0
-    pos = np.flatnonzero(Ap > 1e-12)
-    if len(pos) >= 3:
-        a, b, c = rng.choice(pos, 3, replace=False)
-        Ap[b], resid[b] = 2.0 * Ap[a], 2.0 * resid[a]          # the exact same step
-        resid[c] = resid[a] / Ap[a] * Ap[c] - 5e-15 * Ap[c]    # within 1e-14 below it
-    return Ap, resid, ids, rng.random(r) < 0.2
-
-
-def test_ratio_test_picks_the_blocker_of_the_candidate_loop():
-    rng = np.random.default_rng(41)
-    blocked = 0
-    for _ in range(500):
-        Ap, resid, ids, in_W = ratio_case(rng)
-        got = _ratio_test(Ap, resid, ids, in_W)
-        assert got == loop_ratio_test(Ap, resid, ids, in_W)
-        blocked += got[1] >= 0
-    assert 100 < blocked < 500
-
-
-def test_ratio_test_ties_and_working_set_rows():
-    ids = np.array([2, 5, 7, 9, 11])
-    Ap = np.array([1.0, 2.0, 1.0, 4.0, 1.0])
-    resid = np.array([0.3, 0.8, 0.4, 1.6, 0.2])    # steps 0.3, 0.4, 0.4, 0.4, 0.2
-    in_W = np.array([True, False, False, False, True])
-    for got in (_ratio_test(Ap, resid, ids, in_W), loop_ratio_test(Ap, resid, ids, in_W)):
-        assert got == (0.4, 5)  # the working-set rows 2 and 11 would block first
-    in_W[:] = False
-    assert _ratio_test(Ap, resid, ids, in_W) == (0.2, 11)
-    resid[:] = -1e-9                               # every step negative: alpha 0
-    assert _ratio_test(Ap, resid, ids, in_W) == loop_ratio_test(Ap, resid, ids, in_W)
+def test_degenerate_qps_match_enumeration():
+    # About half the rows (and bounds) are active at z0, so duplicates, +-e_i
+    # pairs (fixed variables) and scaled copies meet there; in some QPs one
+    # row is moved past z0, which leaves some of them infeasible.  n <= 3
+    # keeps every variable boxed by its +-e_i rows.
+    rng = np.random.default_rng(43)
+    infeasible = 0
+    for _ in range(120):
+        n = int(rng.choice([2, 3]))
+        A, order = dependent_rows(rng, n)
+        A = A[order]
+        z0 = rng.standard_normal(n)
+        slack = np.where(rng.random(len(A)) < 0.5, 0.0, np.abs(rng.standard_normal(len(A))))
+        if rng.random() < 0.4:
+            slack[rng.integers(len(A))] = -0.1 - np.abs(rng.standard_normal())
+        lb = ub = None
+        if rng.random() < 0.5:
+            lb = z0 - np.where(rng.random(n) < 0.5, 0.0, np.abs(rng.standard_normal(n)))
+            ub = z0 + np.where(rng.random(n) < 0.5, 0.0, np.abs(rng.standard_normal(n)))
+        F = rng.standard_normal((n, n))
+        qp = DenseQp(H=F @ F.T + np.eye(n), g=2.0 * rng.standard_normal(n), Crows=A,
+                     cvec=-(A @ z0) - slack, lb=lb, ub=ub)
+        sol = solve_qp(qp)
+        ref = enumerate_qp(qp)
+        if ref is None:
+            assert sol.status == "infeasible-detected"
+            infeasible += 1
+        else:
+            assert sol.status == "solved"
+            assert np.abs(sol.z - ref).max() < 1e-8 * max(1.0, np.abs(ref).max())
+    assert 10 < infeasible < 60
 
 
 def test_restoration_stalls_on_row_dependent_on_forced_rows():
-    # From the origin restoration forces row 0, then row 1; their projection
-    # (-4, -1.6, -0.8) violates row 2 = 0.1 row 0 - 0.3 row 1.  The Gram
-    # matrix of all three is singular only up to rounding and solves without
-    # error, so only the independence test stops a projection onto them.
+    # Row 2 = 0.1 row 0 - 0.3 row 1, and the projection of the origin onto
+    # rows 0 and 1, (-4, -1.6, -0.8), violates it: a primal restoration that
+    # forces violated rows one at a time stalls here.
     qp = DenseQp(H=np.eye(3), g=np.zeros(3),
                  Crows=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.1, -0.3, -0.15]]),
                  cvec=np.array([4.0, 2.0, -0.1]))
-    A, b, usable = _unified(qp)
-    for restore in (_restore_feasibility, loop_restore_feasibility):
-        z, ok = restore(np.zeros(3), A, b, usable, 1e-8)
-        assert not ok
-        assert np.allclose(z, [-4.0, -1.6, -0.8], rtol=0, atol=1e-15)
     sol = solve_qp(qp)
-    assert sol.start == "phase1" and sol.status == "solved"
+    assert sol.status == "solved"
     assert np.abs(sol.z - enumerate_qp(qp)).max() < 1e-8
     assert np.allclose(sol.z, [-5.0, -1.6, -0.8])

@@ -273,31 +273,13 @@ def test_kkt_ineq_violation_reports_exact_epsilon():
     assert report.ineq_violation == pytest.approx(eps, abs=1e-15)
 
 
-def test_advance_fixed_point_and_shift():
+def test_advance_fixed_point():
     ctrl = pendulum_controller(N=6)
     state = ctrl.initial_state(np.zeros(4))
     adv = ctrl.advance(state)
-    assert np.allclose(adv.traj.xs, state.traj.xs)
-    assert np.allclose(adv.traj.us, state.traj.us)
-
-    prob = ctrl.problem
-    shifting = RtiController(prob, unit_blocks(6), shift_inputs=True)
-    traj = Trajectory(xs=np.arange(28, dtype=float).reshape(7, 4),
-                      us=np.arange(6, dtype=float).reshape(6, 1))
-    from blockmpc.rti import RtiState
-    shifted = shifting.advance(RtiState(traj=traj))
-    assert np.allclose(shifted.traj.us.ravel(), [1, 2, 3, 4, 5, 5])
-    assert np.allclose(shifted.traj.xs[0], traj.xs[1])
-    assert np.allclose(shifted.traj.xs[-1], traj.xs[-1])  # last state repeated
-
-
-def test_shift_requires_unit_blocks():
-    params = PendulumParams()
-    cost = QuadraticCost(Q=np.eye(4), R=np.eye(1), QN=np.eye(4),
-                         x_ref=np.zeros(4), u_ref=np.zeros(1))
-    prob = make_pendulum_problem(params, cost, StageBounds.unbounded(4, 1), 0.025, 4)
-    with pytest.raises(ValueError):
-        RtiController(prob, from_block_lengths([2, 2]), shift_inputs=True)
+    assert np.array_equal(adv.traj.xs, state.traj.xs)
+    assert np.array_equal(adv.traj.us, state.traj.us)
+    assert adv.traj.xs is not state.traj.xs and adv.ws == state.ws
 
 
 def test_warm_start_single_iteration_at_steady_state():

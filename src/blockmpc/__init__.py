@@ -11,15 +11,7 @@ warm-started dual (Goldfarb-Idnani) active-set method.
 __version__ = "0.1.0"
 
 from .blocking import BlockStructure, InvalidBlockStructureError, build_T, from_block_lengths
-from .condensing import (
-    CondensedQp,
-    FlopCounter,
-    SensitivityChain,
-    condense,
-    expand,
-    flop_count,
-    naive_condense,
-)
+from .condensing import FlopCounter, SensitivityChain, condense, expand, flop_count, naive_condense
 from .integrator import IntegrationDivergedError, IntegratorConfig, integrate_interval, rk4_step
 from .model import (
     OcpProblem,
@@ -37,7 +29,6 @@ from .shooting import StageData, Trajectory, evaluate, forward_simulate
 
 __all__ = [
     "BlockStructure",
-    "CondensedQp",
     "DenseQp",
     "FlopCounter",
     "IntegrationDivergedError",

@@ -17,13 +17,13 @@ steps:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocking import BlockStructure, block_sums, build_T, interval_blocks
 from .model import ProblemDims
+from .qp_solver import DenseQp
 from .shooting import StageData
 
 
@@ -48,29 +48,6 @@ class SensitivityChain:
 
     Ghat: np.ndarray  # (N, M, nx, nu), zero for k < I[j]
     L: np.ndarray     # (N, nx)
-
-
-# The affine rows Cx dx_k + Cu du + c <= 0 of all nodes, stacked in QP row
-# order; row_node maps each row to its shooting node (N for terminal rows).
-AffineRows = namedtuple("AffineRows", "Cx Cu c row_node")
-
-
-@dataclass
-class CondensedQp:
-    """Dense reduced QP: min 0.5 z'Hz + g'z s.t. C z + c <= 0, lb <= z <= ub.
-
-    ``rows`` are the stage rows that C and c condense, one per QP row; the
-    KKT report reuses them, and ``rows.row_node`` attributes multipliers to
-    nodes.
-    """
-
-    H: np.ndarray
-    g: np.ndarray
-    C: np.ndarray
-    c: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    rows: AffineRows
 
 
 def compute_Ghat(sd: StageData, bs: BlockStructure,
@@ -174,34 +151,20 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     return block_sums(stage[::-1], N - np.asarray(I[::-1]))[::-1].reshape(M * sd.nu)
 
 
-def constraint_rows(sd: StageData) -> AffineRows:
-    """Every affine row of the stage data in QP row order.
-
-    Rows come node by node (0..N-1), then the terminal rows, which carry
-    node N and a zero input part.
-    """
-    ncN = sd.CN.shape[0]
-    row_node = np.repeat(np.arange(sd.N + 1), [Cx.shape[0] for Cx in sd.Cxs] + [ncN])
-    Cx = np.concatenate(list(sd.Cxs) + [sd.CN])
-    Cu = np.concatenate(list(sd.Cus) + [np.zeros((ncN, sd.nu))])
-    c = np.concatenate(list(sd.cs) + [sd.cN])
-    return AffineRows(Cx, Cu, c, row_node)
-
-
-def condense_constraints(sd: StageData, bs: BlockStructure, rows: AffineRows,
-                         Ghat: np.ndarray, L: np.ndarray, dx0: np.ndarray,
+def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
+                         L: np.ndarray, dx0: np.ndarray,
                          counter: FlopCounter | None = None):
-    """Condense affine rows and fold input boxes into simple bounds.
+    """Condense the affine rows ``sd.rows`` and fold input boxes into simple bounds.
 
     A row at node k >= 1 becomes Cx_k Ghat[k-1, :] plus its direct input part
     in column blocks[k], with constant shifted by Cx_k L[k-1]; node-0 rows
     see only dx0 and the direct input part.  All rows are condensed in one
     gathered product; Ghat[k-1, j] = 0 for I[j] >= k makes the blocks right
-    of a row's node exact zeros.  ``rows`` is ``constraint_rows(sd)``.
-    Returns (C, c, lb, ub).
+    of a row's node exact zeros.  Returns (C, c, lb, ub), rows in the order
+    of ``sd.rows``.
     """
     M, nu = bs.M, sd.nu
-    Cx, Cu, c, row_node = rows
+    Cx, Cu, c, row_node = sd.rows
     G = np.concatenate([np.zeros((1,) + Ghat.shape[1:]), Ghat])[row_node]  # Ghat[k-1]
     Lk = np.concatenate([dx0[None], L])[row_node]                           # L[k-1]
     C = _mm(counter, Cx[:, None, None, :], G)[:, :, 0, :]
@@ -214,15 +177,17 @@ def condense_constraints(sd: StageData, bs: BlockStructure, rows: AffineRows,
 
 def condense(sd: StageData, bs: BlockStructure,
              counter: FlopCounter | None = None):
-    """Tailored pipeline: stage data -> (CondensedQp, SensitivityChain)."""
+    """Tailored pipeline: stage data -> (DenseQp, SensitivityChain).
+
+    The QP is the one ``solve_qp`` takes, over the M*nu blocked input steps;
+    its i-th general row condenses row i of ``sd.rows``.
+    """
     Ghat = compute_Ghat(sd, bs, counter)
     L = compute_L(sd, bs, sd.dx0)
     H = compute_Hhat(sd, bs, Ghat, counter)
     g = compute_ghat(sd, bs, Ghat, L, counter)
-    rows = constraint_rows(sd)
-    C, c, lb, ub = condense_constraints(sd, bs, rows, Ghat, L, sd.dx0, counter)
-    return CondensedQp(H=H, g=g, C=C, c=c, lb=lb, ub=ub, rows=rows), \
-        SensitivityChain(Ghat=Ghat, L=L)
+    C, c, lb, ub = condense_constraints(sd, bs, Ghat, L, sd.dx0, counter)
+    return DenseQp(H=H, g=g, Crows=C, cvec=c, lb=lb, ub=ub), SensitivityChain(Ghat=Ghat, L=L)
 
 
 def expand(Ghat: np.ndarray, L: np.ndarray, dx0: np.ndarray,
@@ -267,7 +232,7 @@ def _full_condense(sd: StageData, counter: FlopCounter | None = None):
     """Classical condensing of the unblocked problem (before any blocking).
 
     Returns (G, L, H_c, g_c, C_c, c_c) with H_c/g_c/C_c over the N*nu
-    unblocked inputs; the rows of C_c follow :func:`constraint_rows`.
+    unblocked inputs; the rows of C_c follow ``sd.rows``.
     """
     N, nx, nu = sd.N, sd.nx, sd.nu
     G = _full_G(sd, counter)
@@ -294,34 +259,29 @@ def _full_condense(sd: StageData, counter: FlopCounter | None = None):
     gc[0] = sd.rs[0] + sd.Ss[0].T @ sd.dx0 + _mm(counter, sd.Bs[0].T, w)
 
     rows, consts = [], []
-    for k in range(N):
-        Cx, Cu, c = sd.Cxs[k], sd.Cus[k], sd.cs[k]
-        nr = Cx.shape[0]
-        if nr == 0:
+    for k in range(N + 1):
+        at_k = sd.rows.row_node == k
+        if not at_k.any():
             continue
-        row = np.zeros((nr, N * nu))
+        Cx, Cu, c = sd.rows.Cx[at_k], sd.rows.Cu[at_k], sd.rows.c[at_k]
+        row = np.zeros((len(c), N * nu))
         if k == 0:
             const = c + Cx @ sd.dx0
         else:
             for j in range(k):
                 row[:, j * nu:(j + 1) * nu] = _mm(counter, Cx, G[k - 1, j])
             const = c + _mm(counter, Cx, L[k - 1])
-        row[:, k * nu:(k + 1) * nu] += Cu
+        if k < N:  # terminal rows have no input part
+            row[:, k * nu:(k + 1) * nu] += Cu
         rows.append(row)
         consts.append(const)
-    if sd.CN.shape[0] > 0:
-        row = np.zeros((sd.CN.shape[0], N * nu))
-        for j in range(N):
-            row[:, j * nu:(j + 1) * nu] = _mm(counter, sd.CN, G[N - 1, j])
-        rows.append(row)
-        consts.append(sd.cN + _mm(counter, sd.CN, L[N - 1]))
     Cc = np.vstack(rows) if rows else np.zeros((0, N * nu))
     cc = np.concatenate(consts) if consts else np.zeros(0)
     return G, L, Hc, gc.reshape(N * nu), Cc, cc
 
 
 def naive_condense(sd: StageData, bs: BlockStructure,
-                   counter: FlopCounter | None = None) -> CondensedQp:
+                   counter: FlopCounter | None = None) -> DenseQp:
     """Baseline route: condense unblocked, then fold with the explicit T.
 
     Semantically identical to :func:`condense`; kept as the oracle for the
@@ -336,5 +296,5 @@ def naive_condense(sd: StageData, bs: BlockStructure,
     Hh = 0.5 * (Hh + Hh.T)
     lb = sd.du_lo.reshape(bs.M * sd.nu).copy()
     ub = sd.du_hi.reshape(bs.M * sd.nu).copy()
-    return CondensedQp(H=Hh, g=gh, C=Ch, c=cc.copy(), lb=lb, ub=ub, rows=constraint_rows(sd))
+    return DenseQp(H=Hh, g=gh, Crows=Ch, cvec=cc.copy(), lb=lb, ub=ub)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .blocking import from_block_lengths, unit_blocks
+from .blocking import from_block_indices, from_block_lengths, unit_blocks
 from .condensing import FlopCounter, compute_Ghat, compute_Hhat, condense, naive_condense
 from .integrator import IntegrationDivergedError, rk4_state_step
 from .model import (
@@ -32,7 +32,7 @@ from .model import (
     pendulum_rhs,
 )
 from .rti import KktReport, RtiController
-from .shooting import StageData
+from .shooting import AffineRows, StageData
 
 _PKG_NAME = "blockmpc"
 
@@ -97,15 +97,8 @@ _STR_KEYS = {"scheme"}
 _ALL_KEYS = _VECTOR_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
-def _parse_vector(text: str):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _indices_to_lengths(indices, line_no):
-    idx = [int(v) for v in indices]
-    if idx[0] != 0 or any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ConfigError(f"line {line_no}: index vector must start at 0 and increase")
-    return tuple(b - a for a, b in zip(idx, idx[1:]))
+def _parse_vector(text: str, kind=float):
+    return tuple(kind(tok) for tok in text.replace(",", " ").split())
 
 
 def load_config(path: str) -> SchemeConfig:
@@ -123,10 +116,12 @@ def load_config(path: str) -> SchemeConfig:
             if key not in _ALL_KEYS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
             try:
-                if key in _VECTOR_KEYS:
+                if key in ("block_lengths", "grid_lengths"):
+                    parsed = from_block_lengths(_parse_vector(value, int)).lengths
+                elif key in ("block_indices", "grid_indices"):
+                    parsed = from_block_indices(_parse_vector(value, int)).lengths
+                elif key in _VECTOR_KEYS:
                     parsed = _parse_vector(value)
-                    if key in ("block_lengths", "grid_lengths"):
-                        parsed = tuple(int(v) for v in parsed)
                 elif key in _INT_KEYS:
                     parsed = int(value)
                 elif key in _FLOAT_KEYS:
@@ -139,8 +134,8 @@ def load_config(path: str) -> SchemeConfig:
 
     for alt, target in (("block_indices", "block_lengths"), ("grid_indices", "grid_lengths")):
         if alt in seen:
-            lengths = _indices_to_lengths(seen[alt][0], seen[alt][1])
-            if target in seen and tuple(seen[target][0]) != lengths:
+            lengths = seen[alt][0]
+            if target in seen and seen[target][0] != lengths:
                 raise ConfigError(
                     f"line {seen[alt][1]}: {alt} disagrees with {target}")
             seen[target] = (lengths, seen[alt][1])
@@ -235,8 +230,8 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
     """Simulate the configured controller against the nominal plant.
 
     Per sample: measure plant state, prepare, feedback, apply the first
-    input over Ts, advance.  On integration divergence the partial log is
-    returned with ``aborted`` set.
+    input over Ts.  On integration divergence the partial log is returned
+    with ``aborted`` set.
     """
     cfg.validate()
     controller = build_controller(cfg)
@@ -367,8 +362,9 @@ def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
                          node0_rows: bool = False) -> StageData:
     """Random Gauss-Newton stage data (S = 0) with non-exploding sensitivities.
 
-    M sizes the per-block input bounds (default unbounded).  Node-0 rows are
-    pure input rows when enabled, matching how the shooting step emits them.
+    M sizes the per-block input bounds (default unbounded).  Nodes 1..N-1
+    carry nc rows each, node 0 too when ``node0_rows`` is set, and node N
+    carries ncN terminal rows with a zero input part.
     """
     if M is None:
         M = N
@@ -386,18 +382,22 @@ def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
         Rs[k] = m.T @ m / nu + np.eye(nu)
     m = rng.standard_normal((nx, nx))
     QN = m.T @ m / nx
-    Cxs, Cus, cs = [], [], []
-    for k in range(N):
-        nr = nc if (k > 0 or node0_rows) else 0
-        Cxs.append(rng.standard_normal((nr, nx)))
-        Cus.append(rng.standard_normal((nr, nu)))
-        cs.append(rng.standard_normal(nr))
+    counts = [nc if (k > 0 or node0_rows) else 0 for k in range(N)]
+    Cx, Cu, c = [], [], []
+    for nr in counts:
+        Cx.append(rng.standard_normal((nr, nx)))
+        Cu.append(rng.standard_normal((nr, nu)))
+        c.append(rng.standard_normal(nr))
+    qs, rs = rng.standard_normal((N, nx)), rng.standard_normal((N, nu))
+    qN = rng.standard_normal(nx)
+    Cx.append(rng.standard_normal((ncN, nx)))
+    Cu.append(np.zeros((ncN, nu)))
+    c.append(rng.standard_normal(ncN))
+    rows = AffineRows(np.concatenate(Cx), np.concatenate(Cu), np.concatenate(c),
+                      np.repeat(np.arange(N + 1), counts + [ncN]))
     return StageData(
-        As=As, Bs=Bs, ds=ds, Qs=Qs, Ss=np.zeros((N, nx, nu)), Rs=Rs,
-        qs=rng.standard_normal((N, nx)), rs=rng.standard_normal((N, nu)),
-        Cxs=Cxs, Cus=Cus, cs=cs, QN=QN, qN=rng.standard_normal(nx),
-        CN=rng.standard_normal((ncN, nx)), cN=rng.standard_normal(ncN),
-        dx0=rng.standard_normal(nx) * 0.1,
+        As=As, Bs=Bs, ds=ds, Qs=Qs, Ss=np.zeros((N, nx, nu)), Rs=Rs, qs=qs, rs=rs,
+        QN=QN, qN=qN, rows=rows, dx0=rng.standard_normal(nx) * 0.1,
         du_lo=np.full((M, nu), -np.inf), du_hi=np.full((M, nu), np.inf))
 
 

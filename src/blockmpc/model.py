@@ -155,7 +155,7 @@ def stage_cost_terms(xs: np.ndarray, us: np.ndarray, cost: QuadraticCost):
     return q, r, Q, np.zeros(stack + (nx, nu)), R
 
 
-def box_constraint_rows(x_lo, x_hi, xs: np.ndarray, nu: int):
+def state_box_rows(x_lo, x_hi, xs: np.ndarray, nu: int):
     """Affine rows Cx*dx + Cu*du + c <= 0 encoding finite state box bounds at nodes xs (n, nx).
 
     Upper bound i gives row  e_i*dx + (x_k[i] - hi) <= 0, lower bound i gives

@@ -37,7 +37,11 @@ class WorkingSet:
 
 @dataclass
 class DenseQp:
-    """Strictly convex dense QP; rows encode Crows z + cvec <= 0."""
+    """Strictly convex dense QP; rows encode Crows z + cvec <= 0.
+
+    ``condense`` returns its reduced QP in this form, and ``C``/``c`` read
+    the rows under the names of the condensing equations.
+    """
 
     H: np.ndarray
     g: np.ndarray
@@ -68,6 +72,14 @@ class DenseQp:
     @property
     def m(self) -> int:
         return self.Crows.shape[0]
+
+    @property
+    def C(self) -> np.ndarray:
+        return self.Crows
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.cvec
 
 
 @dataclass

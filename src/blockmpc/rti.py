@@ -11,12 +11,12 @@ post-step stationarity with the shooting gaps seen at this linearization.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocking import BlockStructure, block_sums, interval_blocks
-from .condensing import AffineRows, CondensedQp, SensitivityChain, condense, expand
+from .condensing import SensitivityChain, condense, expand
 from .integrator import IntegrationDivergedError
 from .model import OcpProblem
 from .qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
@@ -53,19 +53,19 @@ class RtiState:
 class PrepareOutput:
     """Products of the prepare phase, consumed by feedback."""
 
-    qp: CondensedQp
+    qp: DenseQp
     chain: SensitivityChain
     sd: StageData
     timings: dict
 
 
 def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
-                        du: np.ndarray, rows: AffineRows, lam_rows: np.ndarray,
+                        du: np.ndarray, lam_rows: np.ndarray,
                         lam_lb: np.ndarray, lam_ub: np.ndarray) -> np.ndarray:
     """Blocked Lagrangian gradient at (dxs, du) as an (M, nu) array.
 
-    ``lam_rows`` holds one multiplier per row of ``rows`` (the stacked
-    affine rows of ``sd``, in the QP's row order).  Costates come from the
+    ``lam_rows`` holds one multiplier per row of ``sd.rows`` (the QP's row
+    order).  Costates come from the
     backward adjoint recursion with Cx' mu folded in per node; block j
     accumulates the per-interval stationarity components of its intervals,
     which makes it the T-transpose of the unblocked stationarity vector.
@@ -74,7 +74,7 @@ def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
     nx, nu = sd.nx, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
     uk = du[interval_blocks(bs)]
-    Cx, Cu, _, row_node = rows
+    Cx, Cu, _, row_node = sd.rows
     mu = np.asarray(lam_rows, dtype=float)[:, None]
     CxTmu = np.zeros((N + 1, nx))
     CuTmu = np.zeros((N + 1, nu))
@@ -95,19 +95,20 @@ def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
 
 
 def kkt_residual(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
-                 du: np.ndarray, sol: QpSolution | None,
-                 rows: AffineRows) -> KktReport:
+                 du: np.ndarray, sol: QpSolution | None) -> KktReport:
     """KKT condition norms of the blocked problem at the point (dxs, du).
 
     The equality residual reports the shooting gaps together with the
     initial-embedding residual evaluated at the point, which is
-    ``dx0 - dxs[0]`` and hence vanishes after a full Newton step.
-    ``rows`` is ``constraint_rows(sd)``.  ``sol = None`` (or a solution
-    with a different row layout than ``rows``) means zero multipliers.
+    ``dx0 - dxs[0]`` and hence vanishes after a full Newton step.  The
+    inequality part evaluates ``sd.rows`` and the input bounds; the
+    multipliers of ``sol`` belong to the QP condensed from ``sd``.
+    ``sol = None`` (or a solution with a different row count than
+    ``sd.rows``) means zero multipliers.
     """
     M, nu = bs.M, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
-    Cx, Cu, c, nodes = rows
+    Cx, Cu, c, nodes = sd.rows
 
     lam_rows = np.zeros(len(nodes))
     lam_lb = np.zeros(M * nu)
@@ -116,7 +117,7 @@ def kkt_residual(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
             and len(sol.lam_lb) == M * nu:
         lam_rows, lam_lb, lam_ub = sol.lam_rows, sol.lam_lb, sol.lam_ub
 
-    g_stat = stationarity_blocks(sd, bs, dxs, du, rows, lam_rows, lam_lb, lam_ub)
+    g_stat = stationarity_blocks(sd, bs, dxs, du, lam_rows, lam_lb, lam_ub)
     stationarity = float(np.abs(g_stat).max(initial=0.0))
     eq = max(float(np.abs(sd.ds).max(initial=0.0)),
              float(np.abs(sd.dx0 - dxs[0]).max(initial=0.0)))
@@ -177,9 +178,7 @@ class RtiController:
         nothing).  ``state`` is the state ``prep`` was prepared from.
         """
         t0 = time.perf_counter()
-        dense = DenseQp(H=prep.qp.H, g=prep.qp.g, Crows=prep.qp.C, cvec=prep.qp.c,
-                        lb=prep.qp.lb, ub=prep.qp.ub)
-        sol = solve_qp(dense, warm=state.ws, tol=self.qp_tol, max_iter=self.qp_max_iter)
+        sol = solve_qp(prep.qp, warm=state.ws, tol=self.qp_tol, max_iter=self.qp_max_iter)
         t_qp = time.perf_counter() - t0
         du = sol.z
         dxs = expand(prep.chain.Ghat, prep.chain.L, prep.sd.dx0, du)
@@ -187,7 +186,7 @@ class RtiController:
             raise IntegrationDivergedError("trajectory update diverged")
         traj = Trajectory(xs=state.traj.xs + dxs,
                           us=state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu))
-        kkt = kkt_residual(prep.sd, self.bs, dxs, du, sol, prep.qp.rows)
+        kkt = kkt_residual(prep.sd, self.bs, dxs, du, sol)
         t_total = prep.timings["prepare_total"] + (time.perf_counter() - t0)
         timings = {"shooting": prep.timings["shooting"],
                    "condensing": prep.timings["condensing"],
@@ -198,17 +197,12 @@ class RtiController:
         u_applied = traj.us[0].copy()
         return u_applied, new_state
 
-    def advance(self, state: RtiState) -> RtiState:
-        """Inter-sample warm start.
-
-        Blocked inputs are carried over unshifted (block boundaries are fixed
-        relative to the horizon, so a one-interval shift has no consistent
-        blocked representation) and the working set is kept.
-        """
-        return replace(state, traj=state.traj.copy(), timings=dict(state.timings))
-
     def step(self, state: RtiState, x0_measured: np.ndarray):
-        """Full RTI cycle: prepare, feedback, advance.  Returns (u_applied, state)."""
-        prep = self.prepare(state, x0_measured)
-        u, new_state = self.feedback(state, prep, x0_measured)
-        return u, self.advance(new_state)
+        """Full RTI cycle: prepare, then feedback.  Returns (u_applied, state).
+
+        The returned state is the next sample's warm start: the blocked
+        inputs carry over unshifted (block boundaries are fixed relative to
+        the horizon, so a one-interval shift has no consistent blocked
+        representation), and so does the working set.
+        """
+        return self.feedback(state, self.prepare(state, x0_measured), x0_measured)

@@ -9,13 +9,14 @@ coarsening the grid.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocking import BlockStructure, interval_blocks
 from .integrator import IntegrationDivergedError, integrate_interval, rk4_state_step
-from .model import OcpProblem, box_constraint_rows, stage_cost_terms
+from .model import OcpProblem, stage_cost_terms, state_box_rows
 
 
 @dataclass
@@ -35,13 +36,20 @@ class Trajectory:
         return Trajectory(self.xs.copy(), self.us.copy())
 
 
+# Affine rows Cx dx_k + Cu du + c <= 0, one per QP row and in QP row order:
+# row_node (non-decreasing) is each row's shooting node k, N for the
+# terminal rows, whose input part Cu is zero.
+AffineRows = namedtuple("AffineRows", "Cx Cu c row_node")
+
+
 @dataclass
 class StageData:
     """Per-node linearization data of the blocked stage-wise QP.
 
     Dynamic stages k = 0..N-1 carry sensitivities (A, B), shooting residual
     d_k = phi(x_k, u_block(k)) - x_{k+1}, Gauss-Newton Hessian blocks and
-    cost gradients, and affine constraint rows Cx*dx + Cu*du + c <= 0.
+    cost gradients.  ``rows`` stacks the affine constraint rows of all
+    nodes, terminal rows included, in the order of the condensed QP's rows.
     ``dx0`` is the initial-value embedding residual x0_measured - x_0.
     Input box bounds appear once per block as bounds on the input step.
     """
@@ -54,13 +62,9 @@ class StageData:
     Rs: np.ndarray
     qs: np.ndarray
     rs: np.ndarray
-    Cxs: list
-    Cus: list
-    cs: list
     QN: np.ndarray
     qN: np.ndarray
-    CN: np.ndarray
-    cN: np.ndarray
+    rows: AffineRows
     dx0: np.ndarray
     du_lo: np.ndarray
     du_hi: np.ndarray
@@ -117,18 +121,15 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
 
     # dx0 is fixed by the initial-value embedding, so state rows at node 0
     # would be constant; they are not emitted.
-    Cx, Cu, c = box_constraint_rows(problem.bounds.x_lo, problem.bounds.x_hi,
-                                    traj.xs[1:], nu)
-    Cxs = [np.zeros((0, nx))] + [Cx] * (N - 1)
-    Cus = [np.zeros((0, nu))] + [Cu] * (N - 1)
-    cs = [np.zeros(0)] + list(c[:N - 1])
+    Cx, Cu, c = state_box_rows(problem.bounds.x_lo, problem.bounds.x_hi, traj.xs[1:], nu)
+    rows = AffineRows(np.tile(Cx, (N, 1)), np.tile(Cu, (N, 1)), c.reshape(-1),
+                      np.repeat(np.arange(1, N + 1), len(Cx)))
 
     qN = problem.cost.QN @ (traj.xs[N] - problem.cost.x_ref)
     du_lo = problem.bounds.u_lo - traj.us
     du_hi = problem.bounds.u_hi - traj.us
 
     return StageData(As=As, Bs=Bs, ds=ds, Qs=w3 * Q, Ss=w3 * S, Rs=w3 * R,
-                     qs=w * q, rs=w * r, Cxs=Cxs, Cus=Cus, cs=cs,
-                     QN=problem.cost.QN.copy(), qN=qN, CN=Cx, cN=c[N - 1],
+                     qs=w * q, rs=w * r, QN=problem.cost.QN.copy(), qN=qN, rows=rows,
                      dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
                      du_lo=du_lo, du_hi=du_hi)

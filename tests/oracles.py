@@ -88,7 +88,7 @@ def loop_evaluate(problem, bs, traj, x0_measured):
     As, Bs, ds = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nx))
     Qs, Ss, Rs = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nu, nu))
     qs, rs = np.zeros((N, nx)), np.zeros((N, nu))
-    Cxs, Cus, cs = [np.zeros((0, nx))], [np.zeros((0, nu))], [np.zeros(0)]
+    per_node = [(np.zeros((0, nx)), np.zeros((0, nu)), np.zeros(0))]
     for k in range(N):
         x, u, w = traj.xs[k], traj.us[block[k]], problem.weight_scales[k]
         x_end, As[k], Bs[k] = rk4_step(problem.rhs, problem.jac, x, u, problem.intervals[k].h)
@@ -96,12 +96,11 @@ def loop_evaluate(problem, bs, traj, x0_measured):
         Qs[k], Rs[k] = w * cost.Q, w * cost.R
         qs[k], rs[k] = w * (cost.Q @ (x - cost.x_ref)), w * (cost.R @ (u - cost.u_ref))
         if k > 0:
-            for lst, item in zip((Cxs, Cus, cs), box_rows(x)):
-                lst.append(item)
-    CN, _, cN = box_rows(traj.xs[N])
+            per_node.append(box_rows(x))
+    per_node.append(box_rows(traj.xs[N]))
     return StageData(As=As, Bs=Bs, ds=ds, Qs=Qs, Ss=Ss, Rs=Rs, qs=qs, rs=rs,
-                     Cxs=Cxs, Cus=Cus, cs=cs,
-                     QN=cost.QN.copy(), qN=cost.QN @ (traj.xs[N] - cost.x_ref), CN=CN, cN=cN,
+                     QN=cost.QN.copy(), qN=cost.QN @ (traj.xs[N] - cost.x_ref),
+                     rows=stack_node_rows(per_node),
                      dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
                      du_lo=np.array([bounds.u_lo] * M) - traj.us,
                      du_hi=np.array([bounds.u_hi] * M) - traj.us)
@@ -110,6 +109,21 @@ def loop_evaluate(problem, bs, traj, x0_measured):
 def find_block(I, k):
     """Binary-search block lookup over the start-index vector."""
     return bisect_right(I, k) - 1
+
+
+def node_rows(sd, k):
+    """(Cx, Cu, c) of the affine rows at node k (k = N: the terminal rows)."""
+    at_k = sd.rows.row_node == k
+    return sd.rows.Cx[at_k], sd.rows.Cu[at_k], sd.rows.c[at_k]
+
+
+def stack_node_rows(per_node):
+    """AffineRows from one (Cx, Cu, c) per node 0..N, stacked node by node."""
+    from blockmpc.shooting import AffineRows
+
+    Cx, Cu, c = (np.concatenate(part) for part in zip(*per_node))
+    return AffineRows(Cx, Cu, c, np.repeat(np.arange(len(per_node)),
+                                           [len(rows[2]) for rows in per_node]))
 
 
 def kron_T(lengths, nu):
@@ -171,7 +185,7 @@ def dense_condense(sd):
 
     rows, consts = [], []
     for k in range(N):
-        Cx, Cu, c = sd.Cxs[k], sd.Cus[k], sd.cs[k]
+        Cx, Cu, c = node_rows(sd, k)
         if Cx.shape[0] == 0:
             continue
         row = np.zeros((Cx.shape[0], N * nu))
@@ -183,9 +197,10 @@ def dense_condense(sd):
         row[:, k * nu:(k + 1) * nu] += Cu
         rows.append(row)
         consts.append(const)
-    if sd.CN.shape[0]:
-        rows.append(sd.CN @ Gm[(N - 1) * nx:, :])
-        consts.append(sd.cN + sd.CN @ L[N - 1])
+    CN, _, cN = node_rows(sd, N)
+    if CN.shape[0]:
+        rows.append(CN @ Gm[(N - 1) * nx:, :])
+        consts.append(cN + CN @ L[N - 1])
     Cc = np.vstack(rows) if rows else np.zeros((0, N * nu))
     cc = np.concatenate(consts) if consts else np.zeros(0)
     return {"G": G, "L": L, "Hc": Hc, "gc": gc, "Cc": Cc, "cc": cc}
@@ -293,9 +308,8 @@ def ragged_stage_data(rng, lengths, nx, nu):
 
     bs = from_block_lengths(lengths)
     sd = synthetic_stage_data(rng, bs.N, nx, nu, M=bs.M, nc=2, ncN=2, node0_rows=True)
-    for k in range(bs.N):
-        nr = (k + 1) % 3
-        sd.Cxs[k], sd.Cus[k], sd.cs[k] = sd.Cxs[k][:nr], sd.Cus[k][:nr], sd.cs[k][:nr]
+    per_node = [[part[:(k + 1) % 3] for part in node_rows(sd, k)] for k in range(bs.N)]
+    sd.rows = stack_node_rows(per_node + [node_rows(sd, bs.N)])
     return bs, sd
 
 
@@ -373,7 +387,7 @@ def loop_condense_constraints(sd, bs, Ghat, L, dx0):
     N, M, nu = bs.N, bs.M, sd.nu
     rows, consts, row_node = [], [], []
     for k in range(N):
-        Cx, Cu, c = sd.Cxs[k], sd.Cus[k], sd.cs[k]
+        Cx, Cu, c = node_rows(sd, k)
         nr = Cx.shape[0]
         if nr == 0:
             continue
@@ -390,13 +404,14 @@ def loop_condense_constraints(sd, bs, Ghat, L, dx0):
         rows.append(row)
         consts.append(const)
         row_node.extend([k] * nr)
-    if sd.CN.shape[0] > 0:
-        row = np.zeros((sd.CN.shape[0], M * nu))
+    CN, _, cN = node_rows(sd, N)
+    if CN.shape[0] > 0:
+        row = np.zeros((CN.shape[0], M * nu))
         for j in range(M):
-            row[:, j * nu:(j + 1) * nu] = sd.CN @ Ghat[N - 1, j]
+            row[:, j * nu:(j + 1) * nu] = CN @ Ghat[N - 1, j]
         rows.append(row)
-        consts.append(sd.cN + sd.CN @ L[N - 1])
-        row_node.extend([N] * sd.CN.shape[0])
+        consts.append(cN + CN @ L[N - 1])
+        row_node.extend([N] * CN.shape[0])
     C = np.vstack(rows) if rows else np.zeros((0, M * nu))
     c = np.concatenate(consts) if consts else np.zeros(0)
     return C, c, np.asarray(row_node, dtype=int)
@@ -407,13 +422,14 @@ def loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub):
     N, M, nu = bs.N, bs.M, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
     g_stat = (lam_ub - lam_lb).reshape(M, nu).copy()
-    lam_next = sd.qN + sd.QN @ dxs[N] + sd.CN.T @ mu[N]
+    lam_next = sd.qN + sd.QN @ dxs[N] + node_rows(sd, N)[0].T @ mu[N]
     for k in range(N - 1, -1, -1):
         j = find_block(bs.I, k)
+        Cx, Cu, _ = node_rows(sd, k)
         g_stat[j] += (sd.rs[k] + sd.Rs[k] @ du[j] + sd.Ss[k].T @ dxs[k]
-                      + sd.Bs[k].T @ lam_next + sd.Cus[k].T @ mu[k])
+                      + sd.Bs[k].T @ lam_next + Cu.T @ mu[k])
         lam_next = (sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.Ss[k] @ du[j]
-                    + sd.As[k].T @ lam_next + sd.Cxs[k].T @ mu[k])
+                    + sd.As[k].T @ lam_next + Cx.T @ mu[k])
     return g_stat
 
 
@@ -426,10 +442,11 @@ def loop_kkt_parts(sd, bs, dxs, du, lam_rows, row_node, lam_lb, lam_ub):
     eq = max(np.abs(sd.ds).max(initial=0.0), np.abs(sd.dx0 - dxs[0]).max(initial=0.0))
     viol = 0.0
     for k in range(N):
-        if sd.Cxs[k].shape[0]:
-            r = sd.Cxs[k] @ dxs[k] + sd.Cus[k] @ du[find_block(bs.I, k)] + sd.cs[k]
-            viol = max(viol, r.max())
-    if sd.CN.shape[0]:
-        viol = max(viol, (sd.CN @ dxs[N] + sd.cN).max())
+        Cx, Cu, c = node_rows(sd, k)
+        if Cx.shape[0]:
+            viol = max(viol, (Cx @ dxs[k] + Cu @ du[find_block(bs.I, k)] + c).max())
+    CN, _, cN = node_rows(sd, N)
+    if CN.shape[0]:
+        viol = max(viol, (CN @ dxs[N] + cN).max())
     viol = max(viol, (du - sd.du_hi.reshape(M, nu)).max(), (sd.du_lo.reshape(M, nu) - du).max())
     return g_stat, eq, viol

@@ -10,14 +10,13 @@ from blockmpc.condensing import (
     compute_ghat,
     condense,
     condense_constraints,
-    constraint_rows,
     expand,
     flop_count,
     naive_condense,
 )
 from blockmpc.harness import synthetic_stage_data
 from blockmpc.model import ProblemDims
-from blockmpc.shooting import StageData
+from blockmpc.shooting import AffineRows, StageData
 from oracles import (
     dense_condense,
     kron_T,
@@ -39,10 +38,9 @@ def scalar_chain(N, A=1.0, B=1.0, Q=1.0, R=1.0, QN=1.0):
         As=A * ones, Bs=B * ones, ds=np.zeros((N, 1)),
         Qs=Q * ones, Ss=np.zeros((N, 1, 1)), Rs=R * ones,
         qs=np.zeros((N, 1)), rs=np.zeros((N, 1)),
-        Cxs=[np.zeros((0, 1))] * N, Cus=[np.zeros((0, 1))] * N,
-        cs=[np.zeros(0)] * N,
         QN=QN * np.ones((1, 1)), qN=np.zeros(1),
-        CN=np.zeros((0, 1)), cN=np.zeros(0), dx0=np.zeros(1),
+        rows=AffineRows(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0, int)),
+        dx0=np.zeros(1),
         du_lo=np.full((N, 1), -np.inf), du_hi=np.full((N, 1), np.inf))
 
 
@@ -232,7 +230,7 @@ def test_constraints_empty_without_state_rows():
     bs = from_block_lengths([3])
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, bs, np.zeros(1))
-    C, c, lb, ub = condense_constraints(sd, bs, constraint_rows(sd), Gh, L, np.zeros(1))
+    C, c, lb, ub = condense_constraints(sd, bs, Gh, L, np.zeros(1))
     assert C.shape == (0, 1) and c.size == 0
     assert lb[0] == -2.0 and ub[0] == 5.0
 
@@ -240,17 +238,13 @@ def test_constraints_empty_without_state_rows():
 def test_single_step_row_matches_Ghat_pattern():
     rng = np.random.default_rng(13)
     sd = rand_sd(rng, 2, 2, 1, M=1, nc=0, ncN=0)
-    sd.Cxs[1] = np.eye(2)
-    sd.Cus[1] = np.zeros((2, 1))
-    sd.cs[1] = np.zeros(2)
+    sd.rows = AffineRows(np.eye(2), np.zeros((2, 1)), np.zeros(2), np.array([1, 1]))
     bs = from_block_lengths([2])
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, bs, sd.dx0)
-    rows = constraint_rows(sd)
-    C, c, _, _ = condense_constraints(sd, bs, rows, Gh, L, sd.dx0)
+    C, c, _, _ = condense_constraints(sd, bs, Gh, L, sd.dx0)
     assert np.allclose(C[:, 0], Gh[0, 0].ravel())
     assert np.allclose(c, L[0])
-    assert list(rows.row_node) == [1, 1]
 
 
 def test_constraints_match_explicit_T_product():
@@ -260,7 +254,7 @@ def test_constraints_match_explicit_T_product():
     sd = rand_sd(rng, 12, 3, 2, M=4, nc=2, ncN=2)
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, bs, sd.dx0)
-    C, c, _, _ = condense_constraints(sd, bs, constraint_rows(sd), Gh, L, sd.dx0)
+    C, c, _, _ = condense_constraints(sd, bs, Gh, L, sd.dx0)
     ref = dense_condense(sd)
     T = kron_T(lengths, 2)
     assert np.abs(C - ref["Cc"] @ T).max() < 1e-10 * max(1.0, np.abs(ref["Cc"]).max())
@@ -282,12 +276,11 @@ def check_against_loops(sd, bs):
     assert_rel(L, loop_L(sd, sd.dx0))
     assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh))
     assert_rel(compute_ghat(sd, bs, Gh, L), loop_ghat(sd, bs, L))
-    rows = constraint_rows(sd)
-    C, c, _, _ = condense_constraints(sd, bs, rows, Gh, L, sd.dx0)
+    C, c, _, _ = condense_constraints(sd, bs, Gh, L, sd.dx0)
     C_ref, c_ref, nodes_ref = loop_condense_constraints(sd, bs, Gh, L, sd.dx0)
     assert_rel(C, C_ref)
     assert_rel(c, c_ref)
-    assert np.array_equal(rows.row_node, nodes_ref)
+    assert np.array_equal(sd.rows.row_node, nodes_ref)
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
@@ -300,7 +293,8 @@ def test_batched_condensing_matches_loops_on_scheme_data(scheme):
 def test_batched_condensing_matches_loops_on_ragged_rows(lengths):
     rng = np.random.default_rng(20)
     bs, sd = ragged_stage_data(rng, lengths, 3, 2)
-    assert {Cx.shape[0] for Cx in sd.Cxs} == {0, 1, 2} and sd.Cxs[0].shape[0] > 0
+    per_node = np.bincount(sd.rows.row_node, minlength=bs.N + 1)
+    assert set(per_node[:bs.N]) == {0, 1, 2} and per_node[0] > 0
     check_against_loops(sd, bs)
 
 
@@ -363,7 +357,6 @@ def test_pipeline_equivalence_random_instances():
             finite = np.isfinite(b)
             assert np.array_equal(np.isfinite(a), finite)
             assert np.abs(a[finite] - b[finite]).max(initial=0.0) < 1e-10 * scale, name
-        assert np.array_equal(qp_t.rows.row_node, qp_n.rows.row_node)
 
 
 # --- flop accounting ----------------------------------------------------------

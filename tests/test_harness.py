@@ -153,7 +153,6 @@ def test_applied_input_matches_post_step_head():
         prep = ctrl.prepare(state, x)
         u, state = ctrl.feedback(state, prep, x)
         assert np.array_equal(u, state.traj.us[0])
-        state = ctrl.advance(state)
         from blockmpc.harness import _plant_step
         from blockmpc.model import PendulumParams, pendulum_rhs
         params = PendulumParams()
@@ -319,6 +318,20 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("scheme = C\nblock_indices =\n", 2),
+    ("scheme = C\nN = 80\nblock_lengths = 40.5, 40.4\n", 3),
+    ("scheme = B\ngrid_lengths = 0, 80\n", 2),
+], ids=["empty-indices", "fractional-lengths", "zero-length"])
+def test_cli_rejects_bad_block_vector(tmp_path, capsys, text, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"line {line}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bench(tmp_path, capsys):

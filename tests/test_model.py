@@ -8,10 +8,10 @@ from blockmpc.model import (
     ProblemDims,
     QuadraticCost,
     StageBounds,
-    box_constraint_rows,
     pendulum_jacobians,
     pendulum_rhs,
     stage_cost_terms,
+    state_box_rows,
 )
 from oracles import fd_input_jacobian, fd_state_jacobian
 
@@ -169,7 +169,7 @@ def test_box_rows_encode_current_point():
     x_lo = np.array([-2.0, -np.inf])
     x_hi = np.array([2.0, np.inf])
     xs = np.array([[0.5, 3.0], [-1.5, 0.0]])
-    Cx, Cu, c = box_constraint_rows(x_lo, x_hi, xs, nu=1)
+    Cx, Cu, c = state_box_rows(x_lo, x_hi, xs, nu=1)
     # one upper and one lower row for the bounded component only, per node
     assert Cx.shape == (2, 2) and Cu.shape == (2, 1) and c.shape == (2, 2)
     assert np.array_equal(Cx, [[1.0, 0.0], [-1.0, 0.0]])
@@ -180,11 +180,11 @@ def test_box_rows_encode_current_point():
 def test_box_rows_order_upper_before_lower_per_component():
     x_lo = np.array([-1.0, -np.inf, -3.0])
     x_hi = np.array([1.0, 2.0, np.inf])
-    Cx, Cu, c = box_constraint_rows(x_lo, x_hi, np.zeros((1, 3)), nu=2)
+    Cx, Cu, c = state_box_rows(x_lo, x_hi, np.zeros((1, 3)), nu=2)
     assert np.array_equal(Cx, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, -1]])
     assert np.array_equal(Cu, np.zeros((4, 2)))
     assert np.array_equal(c, [[-1.0, -1.0, -2.0, -3.0]])
-    Cx, _, c = box_constraint_rows(-np.inf * np.ones(3), np.inf * np.ones(3),
+    Cx, _, c = state_box_rows(-np.inf * np.ones(3), np.inf * np.ones(3),
                                    np.zeros((4, 3)), nu=1)
     assert Cx.shape == (0, 3) and c.shape == (4, 0)
 

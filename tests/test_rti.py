@@ -13,12 +13,12 @@ from blockmpc.model import (
     StageBounds,
     make_pendulum_problem,
 )
-from blockmpc.qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
+from blockmpc.qp_solver import QpSolution, WorkingSet, solve_qp
 from blockmpc.rti import RtiController, kkt_residual, stationarity_blocks
-from blockmpc.shooting import Trajectory, evaluate
-from blockmpc.condensing import constraint_rows
+from blockmpc.shooting import AffineRows, Trajectory, evaluate
 from oracles import (
     loop_kkt_parts,
+    node_rows,
     perturbed_scheme_stage_data,
     ragged_stage_data,
     riccati_first_gain,
@@ -82,9 +82,7 @@ def test_full_step_policy():
     state = ctrl.initial_state(x0)
     xhat = np.array([0.05, 2.9, 0.1, 0.0])
     prep = ctrl.prepare(state, xhat)
-    dense = DenseQp(H=prep.qp.H, g=prep.qp.g, Crows=prep.qp.C, cvec=prep.qp.c,
-                    lb=prep.qp.lb, ub=prep.qp.ub)
-    sol = solve_qp(dense)
+    sol = solve_qp(prep.qp)
     dxs = expand(prep.chain.Ghat, prep.chain.L, prep.sd.dx0, sol.z)
     u, new_state = ctrl.feedback(state, prep, xhat)
     assert np.allclose(new_state.traj.xs, state.traj.xs + dxs)
@@ -155,9 +153,7 @@ def test_unit_block_loop_matches_naive_reference():
     us_ref, xs_ref = [], []
     for _ in range(50):
         sd = evaluate(prob, bs, traj, x)
-        qp = naive_condense(sd, bs)
-        sol = solve_qp(DenseQp(H=qp.H, g=qp.g, Crows=qp.C, cvec=qp.c,
-                               lb=qp.lb, ub=qp.ub))
+        sol = solve_qp(naive_condense(sd, bs))
         from blockmpc.condensing import compute_Ghat, compute_L
         Gh = compute_Ghat(sd, bs)
         L = compute_L(sd, bs, sd.dx0)
@@ -192,7 +188,7 @@ def test_kkt_consistency_zero_step_zero_residuals():
     sd.qs[:] = 0.0
     sd.rs[:] = 0.0
     sd.qN[:] = 0.0
-    report = kkt_residual(sd, bs, np.zeros((6, 3)), np.zeros(2), None, constraint_rows(sd))
+    report = kkt_residual(sd, bs, np.zeros((6, 3)), np.zeros(2), None)
     assert report.total == 0.0
 
 
@@ -204,22 +200,23 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
     sd = synthetic_stage_data(rng, N, nx, nu, M=3, nc=2, ncN=1)
     dxs = rng.standard_normal((N + 1, nx))
     du = rng.standard_normal((3, nu))
-    mu = [rng.uniform(0, 1, sd.Cxs[k].shape[0]) for k in range(N)] + \
-         [rng.uniform(0, 1, sd.CN.shape[0])]
+    rows = [node_rows(sd, k) for k in range(N + 1)]
+    mu = [rng.uniform(0, 1, len(c)) for _, _, c in rows]
     blocks = interval_blocks(bs)
 
-    got = stationarity_blocks(sd, bs, dxs, du, constraint_rows(sd), np.concatenate(mu),
+    got = stationarity_blocks(sd, bs, dxs, du, np.concatenate(mu),
                               np.zeros(3 * nu), np.zeros(3 * nu))
 
     # unblocked stationarity components via independent costate recursion
-    lam = sd.qN + sd.QN @ dxs[N] + sd.CN.T @ mu[N]
+    lam = sd.qN + sd.QN @ dxs[N] + rows[N][0].T @ mu[N]
     per_stage = np.zeros((N, nu))
     for k in range(N - 1, -1, -1):
         uk = du[blocks[k]]
+        Cx, Cu, _ = rows[k]
         per_stage[k] = (sd.rs[k] + sd.Rs[k] @ uk + sd.Ss[k].T @ dxs[k]
-                        + sd.Bs[k].T @ lam + sd.Cus[k].T @ mu[k])
+                        + sd.Bs[k].T @ lam + Cu.T @ mu[k])
         lam = (sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.Ss[k] @ uk
-               + sd.As[k].T @ lam + sd.Cxs[k].T @ mu[k])
+               + sd.As[k].T @ lam + Cx.T @ mu[k])
     T = build_T(bs, nu)
     folded = (T.T @ per_stage.reshape(N * nu)).reshape(3, nu)
     assert np.abs(got - folded).max() < 1e-12 * max(1.0, np.abs(folded).max())
@@ -227,8 +224,7 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
 
 def check_kkt_against_loop(sd, bs, rng):
     M, nu = bs.M, sd.nu
-    rows = constraint_rows(sd)
-    row_node = rows.row_node
+    row_node = sd.rows.row_node
     dxs = rng.standard_normal((bs.N + 1, sd.nx))
     du = rng.standard_normal(M * nu)
     sol = QpSolution(z=du, status="solved", start="cold", iterations=1,
@@ -237,10 +233,10 @@ def check_kkt_against_loop(sd, bs, rng):
                      ws=WorkingSet())
     g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, du, sol.lam_rows, row_node,
                                              sol.lam_lb, sol.lam_ub)
-    g_stat = stationarity_blocks(sd, bs, dxs, du, rows, sol.lam_rows, sol.lam_lb, sol.lam_ub)
+    g_stat = stationarity_blocks(sd, bs, dxs, du, sol.lam_rows, sol.lam_lb, sol.lam_ub)
     scale = np.abs(g_ref).max()
     assert np.abs(g_stat - g_ref).max() <= 1e-13 * scale
-    got = kkt_residual(sd, bs, dxs, du, sol, rows)
+    got = kkt_residual(sd, bs, dxs, du, sol)
     assert abs(got.stationarity - scale) <= 1e-13 * scale
     assert got.eq_residual == eq_ref
     assert abs(got.ineq_violation - viol_ref) <= 1e-13 * abs(viol_ref)
@@ -264,22 +260,12 @@ def test_kkt_ineq_violation_reports_exact_epsilon():
     bs = unit_blocks(3)
     sd = synthetic_stage_data(rng, 3, 2, 1, M=3, nc=0, ncN=0)
     eps = 0.017
-    sd.Cxs[1] = np.array([[1.0, 0.0]])
-    sd.Cus[1] = np.zeros((1, 1))
-    sd.cs[1] = np.array([-1.0])
+    sd.rows = AffineRows(np.array([[1.0, 0.0]]), np.zeros((1, 1)), np.array([-1.0]),
+                         np.array([1]))
     dxs = np.zeros((4, 2))
     dxs[1, 0] = 1.0 + eps  # row value = dxs + c = eps > 0
-    report = kkt_residual(sd, bs, dxs, np.zeros(3), None, constraint_rows(sd))
+    report = kkt_residual(sd, bs, dxs, np.zeros(3), None)
     assert report.ineq_violation == pytest.approx(eps, abs=1e-15)
-
-
-def test_advance_fixed_point():
-    ctrl = pendulum_controller(N=6)
-    state = ctrl.initial_state(np.zeros(4))
-    adv = ctrl.advance(state)
-    assert np.array_equal(adv.traj.xs, state.traj.xs)
-    assert np.array_equal(adv.traj.us, state.traj.us)
-    assert adv.traj.xs is not state.traj.xs and adv.ws == state.ws
 
 
 def test_warm_start_single_iteration_at_steady_state():
@@ -287,6 +273,5 @@ def test_warm_start_single_iteration_at_steady_state():
     x_eq = np.zeros(4)
     state = ctrl.initial_state(x_eq)
     _, state = ctrl.feedback(state, ctrl.prepare(state, x_eq), x_eq)
-    state = ctrl.advance(state)
     _, state2 = ctrl.feedback(state, ctrl.prepare(state, x_eq), x_eq)
     assert state2.qp_iterations <= 1

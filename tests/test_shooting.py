@@ -119,19 +119,17 @@ def test_block_input_sharing_instrumented():
         assert set(u_cols[0, 2:]) == {-0.5}
 
 
-def test_constraint_rows_at_interior_nodes_only():
+def test_state_box_rows_at_interior_nodes_only():
     prob = pendulum_problem(N=4)
     bs = unit_blocks(4)
     x0 = np.array([0.5, 3.0, 0.0, 0.0])
     traj = forward_simulate(prob, bs, x0, np.zeros((4, 1)))
     sd = evaluate(prob, bs, traj, x0)
-    assert sd.Cxs[0].shape[0] == 0  # node 0 state is fixed by the embedding
-    for k in range(1, 4):
-        assert sd.Cxs[k].shape[0] == 2
-    assert sd.CN.shape[0] == 2
+    # none at node 0 (its state is fixed by the embedding), two at nodes 1..4
+    assert list(sd.rows.row_node) == [1, 1, 2, 2, 3, 3, 4, 4]
     # row values reproduce p - hi and lo - p at the linearization point
-    assert sd.cs[1][0] == pytest.approx(traj.xs[1][0] - 2.0)
-    assert sd.cs[1][1] == pytest.approx(-2.0 - traj.xs[1][0])
+    assert sd.rows.c[0] == pytest.approx(traj.xs[1][0] - 2.0)
+    assert sd.rows.c[1] == pytest.approx(-2.0 - traj.xs[1][0])
 
 
 def test_weight_scales_applied():
@@ -164,8 +162,8 @@ def test_dimension_mismatch_rejected():
 def _assert_stage_data_match(sd, ref):
     for name, got in vars(sd).items():
         want = getattr(ref, name)
-        pairs = zip(got, want) if isinstance(want, list) else [(got, want)]
-        if isinstance(want, list):
+        pairs = zip(got, want) if isinstance(want, tuple) else [(got, want)]
+        if isinstance(want, tuple):
             assert len(got) == len(want), name
         for a, b in pairs:
             assert np.shape(a) == np.shape(b), name

@@ -5,9 +5,9 @@ steps:
 
 * the tailored route works directly on the blocked stage data and costs
   O(N*M) block operations (the fast path used by the controller).  Python
-  loops remain only for the recurrences (the Ghat columns, the per-column
-  Hhat sweep, the gradient costate, L): one product and one add per step.
-  Every other term is one stacked product per column or per horizon;
+  loops remain only for the recurrences (the Ghat columns, the Hhat sweep
+  over all block columns at once, L): one product and one add per step.
+  Every other term, the gradient included, is one stacked product;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
   and as the baseline for the complexity benchmark).
@@ -89,33 +89,31 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
                  counter: FlopCounter | None = None) -> np.ndarray:
     """Reduced Hessian in O(N*M) block products.
 
-    Per column block i a backward sweep W_k = Q_k Ghat[k-1,i] + A_k' W_{k+1}
-    collects the curvature behind stage k; stage k >= I[i] then contributes
-    S_k' Ghat[k-1,i] + B_k' W_{k+1} to its row block, and the summed R of
-    each block joins the diagonal.  The upper block triangle is completed by
-    symmetry, which drops the G' S terms of the diagonal blocks: exact only
-    for S = 0 (Gauss-Newton data), so nonzero S raises ValueError.
+    One backward sweep W_k = Q_k Ghat[k-1] + A_k' W_{k+1} (W_N = QN Ghat[N-1])
+    carries all block columns at once, stored transposed: one product per
+    node.  Stage k adds B_k' W_{k+1} to row block blk[k] in the columns
+    i <= blk[k]; the sweep also runs through the columns that start after k,
+    and this mask drops what it gives there.  The summed R of each block joins
+    the diagonal, and the upper block triangle is mirrored, which drops the
+    G' S terms of the diagonal blocks: exact only for S = 0 (Gauss-Newton
+    data), so nonzero S raises ValueError.
     """
     if np.any(sd.Ss):
         raise ValueError("compute_Hhat requires a zero cross-term S")
     N, M, I = bs.N, bs.M, bs.I
     nx, nu = sd.nx, sd.nu
-    BT, ST = np.swapaxes(sd.Bs, 1, 2), np.swapaxes(sd.Ss, 1, 2)
-    AT = [A.T for A in sd.As]
-    Htmp = np.zeros((N, M, nu, nu))
-    for i in range(M):
-        s = I[i]
-        Ws = np.empty((N - s, nx, nu))  # W_{s+1}, ..., W_N
-        Ws[:-1] = _mm(counter, sd.Qs[s + 1:], Ghat[s:N - 1, i])
-        Ws[-1] = _mm(counter, sd.QN, Ghat[N - 1, i])
-        W = list(Ws)
-        for k in range(N - 1, s, -1):
-            W[k - s - 1] += AT[k].dot(W[k - s])
-        if counter is not None:
-            counter.mults += (N - 1 - s) * nx * nx * nu
-        BW = _mm(counter, BT[s:], Ws)
-        BW[1:] += _mm(counter, ST[s + 1:], Ghat[s:N - 1, i])
-        Htmp[s:, i] = BW
+    blk = interval_blocks(bs)
+    GT = Ghat.transpose(0, 1, 3, 2).reshape(N, M * nu, nx)  # Ghat[k]'
+    WT = np.empty((N, M * nu, nx))  # W_1', ..., W_N'
+    WT[:-1] = _mm(counter, GT[:-1], np.swapaxes(sd.Qs[1:], 1, 2))
+    WT[-1] = _mm(counter, GT[-1], sd.QN.T)
+    W, As = list(WT), list(sd.As)
+    for k in range(N - 1, 0, -1):
+        W[k - 1] += W[k].dot(As[k])
+    if counter is not None:  # the sweep's products, made one node at a time
+        counter.mults += (N - 1) * M * nu * nx * nx
+    BW = _mm(counter, WT, sd.Bs).reshape(N, M, nu, nu).swapaxes(2, 3)  # B_k' W_{k+1}
+    Htmp = np.where((np.arange(M) <= blk[:, None])[:, :, None, None], BW, 0.0)
 
     H4 = block_sums(Htmp, I)  # (row block, column block, nu, nu)
     H4[np.diag_indices(M)] += block_sums(sd.Rs, I)
@@ -126,29 +124,25 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
 
 def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
                  L: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Reduced gradient by one backward sweep, mirroring the Hessian recursion.
+    """Reduced gradient at the zero input step, one stacked product with Ghat.
 
-    w_k = q_k + Q_k L[k-1] + A_k' w_{k+1} carries the state gradient behind
-    stage k evaluated at the zero input step (L[-1] = dx0); stage k then
-    contributes r_k + S_k' L[k-1] + B_k' w_{k+1} to its block, summed from
-    the last stage of the block down to the first.
+    With v_k = q_k + Q_k L[k-1] the state gradient at node k (qN, QN at
+    k = N; L[-1] = dx0), block j collects sum_k Ghat[k-1, j]' v_k plus the
+    r_k + S_k' L[k-1] of its own stages, summed from the last stage of the
+    block down to the first.
     """
     N, M, I = bs.N, bs.M, bs.I
+    nx, nu = sd.nx, sd.nu
     if Ghat.shape[:2] != (N, M):
         raise ValueError("Ghat inconsistent with block structure")
-    BT, ST = np.swapaxes(sd.Bs, 1, 2), np.swapaxes(sd.Ss, 1, 2)
     Lprev = np.concatenate([sd.dx0[None], L[:-1]])[:, :, None]  # L[k-1], (N, nx, 1)
-    ws = np.empty((N, sd.nx))  # w_1, ..., w_N
-    ws[:-1] = sd.qs[1:] + _mm(counter, sd.Qs[1:], Lprev[1:])[:, :, 0]
-    ws[-1] = sd.qN + _mm(counter, sd.QN, L[N - 1])
-    w = list(ws)
-    for k in range(N - 1, 0, -1):
-        w[k - 1] += sd.As[k].T.dot(w[k])
-    if counter is not None:
-        counter.mults += (N - 1) * sd.nx * sd.nx
-    stage = sd.rs + _mm(counter, ST, Lprev)[:, :, 0] \
-        + _mm(counter, BT, ws[:, :, None])[:, :, 0]
-    return block_sums(stage[::-1], N - np.asarray(I[::-1]))[::-1].reshape(M * sd.nu)
+    vs = np.empty((N, nx))  # v_1, ..., v_N
+    vs[:-1] = sd.qs[1:] + _mm(counter, sd.Qs[1:], Lprev[1:])[:, :, 0]
+    vs[-1] = sd.qN + _mm(counter, sd.QN, L[N - 1])
+    stage = sd.rs + _mm(counter, np.swapaxes(sd.Ss, 1, 2), Lprev)[:, :, 0]
+    own = block_sums(stage[::-1], N - np.asarray(I[::-1]))[::-1].reshape(M * nu)
+    Gm = Ghat.transpose(0, 2, 1, 3).reshape(N * nx, M * nu)  # rows (k, x), columns (j, u)
+    return own + _mm(counter, vs.reshape(N * nx), Gm)
 
 
 def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
@@ -161,15 +155,17 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     see only dx0 and the direct input part.  All rows are condensed in one
     gathered product; Ghat[k-1, j] = 0 for I[j] >= k makes the blocks right
     of a row's node exact zeros.  Returns (C, c, lb, ub), rows in the order
-    of ``sd.rows``.
+    of ``sd.rows``; a terminal row with a nonzero Cu raises ValueError.
     """
     M, nu = bs.M, sd.nu
     Cx, Cu, c, row_node = sd.rows
+    if np.any(Cu[row_node == bs.N]):
+        raise ValueError("condense_constraints requires a zero input part on terminal rows")
     G = np.concatenate([np.zeros((1,) + Ghat.shape[1:]), Ghat])[row_node]  # Ghat[k-1]
     Lk = np.concatenate([dx0[None], L])[row_node]                           # L[k-1]
     C = _mm(counter, Cx[:, None, None, :], G)[:, :, 0, :]
     const = c + _mm(counter, Cx[:, None, :], Lk[:, :, None])[:, 0, 0]
-    C[np.arange(len(C)), np.append(interval_blocks(bs), 0)[row_node]] += Cu  # terminal Cu = 0
+    C[np.arange(len(C)), np.append(interval_blocks(bs), 0)[row_node]] += Cu
     lb = sd.du_lo.reshape(M * nu).copy()
     ub = sd.du_hi.reshape(M * nu).copy()
     return C.reshape(len(C), M * nu), const, lb, ub
@@ -208,9 +204,9 @@ def expand(Ghat: np.ndarray, L: np.ndarray, dx0: np.ndarray,
 def flop_count(dims: ProblemDims, bs: BlockStructure) -> int:
     """Leading-order multiply count of the reduced-Hessian recursion.
 
-    Returns N*M*(nx^2*nu + nx*nu^2); the implementation executes roughly
-    twice this (two products per sweep step), so instrumented counts land
-    within a small constant factor of the prediction.
+    Returns N*M*(nx^2*nu + nx*nu^2), the Q and B products over all columns;
+    the sweep adds (N-1)*M*nx^2*nu more, so instrumented counts land within
+    a small constant factor of the prediction.
     """
     return bs.N * bs.M * (dims.nx ** 2 * dims.nu + dims.nx * dims.nu ** 2)
 

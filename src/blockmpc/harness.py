@@ -25,6 +25,7 @@ from .blocking import from_block_indices, from_block_lengths, unit_blocks
 from .condensing import FlopCounter, compute_Ghat, compute_Hhat, condense, naive_condense
 from .integrator import IntegrationDivergedError, rk4_state_step
 from .model import (
+    PENDULUM_DIMS,
     PendulumParams,
     QuadraticCost,
     StageBounds,
@@ -89,8 +90,9 @@ class ConfigError(ValueError):
     """Configuration file or value error; carries the offending line if known."""
 
 
-_VECTOR_KEYS = {"block_lengths", "grid_lengths", "block_indices", "grid_indices",
-                "q_diag", "r_diag", "qn_diag", "x_lo", "x_hi", "u_lo", "u_hi", "x0"}
+_MODEL_DIM = {"q_diag": "nx", "qn_diag": "nx", "x_lo": "nx", "x_hi": "nx", "x0": "nx",
+              "r_diag": "nu", "u_lo": "nu", "u_hi": "nu"}  # float vector -> dimension of its length
+_VECTOR_KEYS = {"block_lengths", "grid_lengths", "block_indices", "grid_indices"} | set(_MODEL_DIM)
 _INT_KEYS = {"N", "plant_substeps", "seed", "qp_max_iter"}
 _FLOAT_KEYS = {"Ts", "m1", "m2", "l", "g", "sim_time", "qp_tol"}
 _STR_KEYS = {"scheme"}
@@ -120,8 +122,11 @@ def load_config(path: str) -> SchemeConfig:
                     parsed = from_block_lengths(_parse_vector(value, int)).lengths
                 elif key in ("block_indices", "grid_indices"):
                     parsed = from_block_indices(_parse_vector(value, int)).lengths
-                elif key in _VECTOR_KEYS:
+                elif key in _MODEL_DIM:
                     parsed = _parse_vector(value)
+                    n = getattr(PENDULUM_DIMS, _MODEL_DIM[key])
+                    if len(parsed) != n:
+                        raise ValueError(f"need {_MODEL_DIM[key]} = {n} values, got {len(parsed)}")
                 elif key in _INT_KEYS:
                     parsed = int(value)
                 elif key in _FLOAT_KEYS:

@@ -28,6 +28,9 @@ class ProblemDims:
             raise ValueError(f"invalid dimensions {self}")
 
 
+PENDULUM_DIMS = ProblemDims(nx=4, nu=1)  # cart position, pole angle and their rates; force
+
+
 @dataclass(frozen=True)
 class PendulumParams:
     """Cart-pole physical parameters: pole mass m1, cart mass m2, pole length l, gravity g."""
@@ -226,7 +229,6 @@ def make_pendulum_problem(
     """
     rhs = lambda x, u: pendulum_rhs(x, u, params)
     jac = lambda x, u: pendulum_jacobians(x, u, params)
-    dims = ProblemDims(nx=4, nu=1)
     if interval_lengths is None:
         intervals = [IntegratorConfig(h=Ts) for _ in range(N)]
         scales = np.ones(N)
@@ -235,5 +237,5 @@ def make_pendulum_problem(
             raise ValueError("interval lengths must sum to the uniform-grid interval count")
         intervals = [IntegratorConfig(h=float(n) * Ts) for n in interval_lengths]
         scales = np.asarray(interval_lengths, dtype=float)
-    return OcpProblem(dims=dims, rhs=rhs, jac=jac, cost=cost, bounds=bounds,
+    return OcpProblem(dims=PENDULUM_DIMS, rhs=rhs, jac=jac, cost=cost, bounds=bounds,
                       intervals=intervals, weight_scales=scales)

@@ -32,9 +32,6 @@ class Trajectory:
         if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.us))):
             raise ValueError("trajectory entries must be finite")
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.xs.copy(), self.us.copy())
-
 
 # Affine rows Cx dx_k + Cu du + c <= 0, one per QP row and in QP row order:
 # row_node (non-decreasing) is each row's shooting node k, N for the

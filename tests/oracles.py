@@ -369,6 +369,40 @@ def loop_Hhat(sd, bs, Ghat):
     return Hh
 
 
+def column_Hhat(sd, bs, Ghat):
+    """Reduced Hessian by one backward sweep per block column (S = 0).
+
+    Column i runs W_k = Q_k Ghat[k-1,i] + A_k' W_{k+1} from W_N = QN Ghat[N-1,i]
+    down to k = I[i]+1, one product per node; its stages k >= I[i] give
+    B_k' W_{k+1} (plus S_k' Ghat[k-1,i]) to their row block, the summed R of
+    each block joins the diagonal and the upper block triangle is mirrored.
+    """
+    from blockmpc.blocking import block_sums
+
+    N, M, I = bs.N, bs.M, bs.I
+    nx, nu = sd.nx, sd.nu
+    BT, ST = np.swapaxes(sd.Bs, 1, 2), np.swapaxes(sd.Ss, 1, 2)
+    AT = [A.T for A in sd.As]
+    Htmp = np.zeros((N, M, nu, nu))
+    for i in range(M):
+        s = I[i]
+        Ws = np.empty((N - s, nx, nu))  # W_{s+1}, ..., W_N
+        Ws[:-1] = sd.Qs[s + 1:] @ Ghat[s:N - 1, i]
+        Ws[-1] = sd.QN @ Ghat[N - 1, i]
+        W = list(Ws)
+        for k in range(N - 1, s, -1):
+            W[k - s - 1] += AT[k].dot(W[k - s])
+        BW = BT[s:] @ Ws
+        BW[1:] += ST[s + 1:] @ Ghat[s:N - 1, i]
+        Htmp[s:, i] = BW
+
+    H4 = block_sums(Htmp, I)
+    H4[np.diag_indices(M)] += block_sums(sd.Rs, I)
+    upper = np.triu(np.ones((M, M), dtype=bool), 1)
+    H4[upper] = np.swapaxes(H4, 0, 1)[upper].swapaxes(1, 2)
+    return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)
+
+
 def loop_ghat(sd, bs, L):
     """Reduced gradient by one backward costate sweep, stage by stage."""
     N, M = bs.N, bs.M

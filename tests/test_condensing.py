@@ -18,6 +18,7 @@ from blockmpc.harness import synthetic_stage_data
 from blockmpc.model import ProblemDims
 from blockmpc.shooting import AffineRows, StageData
 from oracles import (
+    column_Hhat,
     dense_condense,
     kron_T,
     loop_condense_constraints,
@@ -305,6 +306,44 @@ def test_hhat_rejects_nonzero_cross_term():
     sd.Ss[3, 1, 0] = 0.5
     with pytest.raises(ValueError, match="cross-term"):
         compute_Hhat(sd, bs, compute_Ghat(sd, bs))
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_hhat_matches_column_sweep_on_scheme_data(scheme):
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    Gh = compute_Ghat(sd, bs)
+    assert_rel(compute_Hhat(sd, bs, Gh), column_Hhat(sd, bs, Gh), tol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_hhat_matches_column_sweep_on_random_blocks(nu):
+    rng = np.random.default_rng(22 + nu)
+    cases = [[1], [9], [1] * 6] + [random_block_structure(rng, int(rng.integers(2, 16)))
+                                   for _ in range(8)]
+    for lengths in cases:  # N = 1, M = 1, unit blocks, then random partitions
+        bs = from_block_lengths(lengths)
+        sd = rand_sd(rng, bs.N, 3, nu, M=bs.M)
+        Gh = compute_Ghat(sd, bs)
+        assert_rel(compute_Hhat(sd, bs, Gh), column_Hhat(sd, bs, Gh), tol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["A", "C"])
+def test_condense_count_is_python_int(scheme):
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    counter = FlopCounter()
+    condense(sd, bs, counter)
+    assert type(counter.mults) is int and counter.mults > 0
+
+
+def test_constraints_reject_terminal_input_part():
+    rng = np.random.default_rng(23)
+    bs = from_block_lengths([2, 3])
+    sd = rand_sd(rng, 5, 3, 1, M=2, nc=1, ncN=1)
+    sd.rows.Cu[sd.rows.row_node == bs.N] = 1.0
+    Gh = compute_Ghat(sd, bs)
+    L = compute_L(sd, bs, sd.dx0)
+    with pytest.raises(ValueError, match="terminal"):
+        condense_constraints(sd, bs, Gh, L, sd.dx0)
 
 
 # --- naive pipeline ----------------------------------------------------------

@@ -320,6 +320,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["x0 =", "q_diag =", "u_lo = -20, -20", "x_lo = -2"])
+def test_cli_rejects_vector_of_wrong_length(tmp_path, capsys, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scheme = C\n{line}\n")
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and line.split()[0] in err
+
+
 @pytest.mark.parametrize("text, line", [
     ("scheme = C\nblock_indices =\n", 2),
     ("scheme = C\nN = 80\nblock_lengths = 40.5, 40.4\n", 3),

@@ -9,6 +9,7 @@ I[0] = 0 and I[M] = N, so block j covers intervals [I[j], I[j+1]).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,8 @@ class InvalidBlockStructureError(ValueError):
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Partition of N shooting intervals into M input blocks."""
+    """Partition of N shooting intervals into M input blocks.  The constants of
+    the structure alone are cached properties, built once and shared read-only."""
 
     N: int
     M: int
@@ -36,6 +38,38 @@ class BlockStructure:
         if any(b <= a for a, b in zip(self.I, self.I[1:])):
             raise InvalidBlockStructureError("index vector must be strictly increasing")
         object.__setattr__(self, "lengths", tuple(b - a for a, b in zip(self.I, self.I[1:])))
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Block index of every interval k = 0..N-1."""
+        return _frozen(np.repeat(np.arange(self.M), self.lengths))
+
+    @cached_property
+    def sum_rows(self) -> np.ndarray:
+        """(M, max length) gather rows of ``block_sums``, padded with N (a zero row)."""
+        pos = np.arange(max(self.lengths))
+        start = np.asarray(self.I[:-1])[:, None]
+        return _frozen(np.where(pos < np.asarray(self.lengths)[:, None], start + pos, self.N))
+
+    @cached_property
+    def sum_rows_descending(self) -> np.ndarray:
+        """``sum_rows`` from each block's last interval to its first, padding first."""
+        return self.sum_rows[:, ::-1]
+
+    @cached_property
+    def started(self) -> np.ndarray:
+        """(N, M) mask: block column i has started by interval k (i <= blocks[k])."""
+        return _frozen(np.arange(self.M) <= self.blocks[:, None])
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """(M, M) mask of the strict upper block triangle."""
+        return _frozen(np.triu(np.ones((self.M, self.M), dtype=bool), 1))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def from_block_lengths(lengths) -> BlockStructure:
@@ -67,21 +101,13 @@ def unit_blocks(N: int) -> BlockStructure:
     return from_block_lengths([1] * N)
 
 
-def interval_blocks(bs: BlockStructure) -> np.ndarray:
-    """Block index of every interval k = 0..N-1 as an int array."""
-    return np.repeat(np.arange(bs.M), bs.lengths)
+def block_sums(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum the rows of x (N, ...) over blocks: (M, ...).
 
-
-def block_sums(x: np.ndarray, I) -> np.ndarray:
-    """Sum the rows of x (N, ...) over the blocks of start vector I: (M, ...).
-
-    Rows are added in index order, so the sums round like a loop accumulating
+    ``rows`` is ``bs.sum_rows`` or ``bs.sum_rows_descending``; each block's
+    rows are added in that order, so the sums round like a loop accumulating
     from zero (``np.add.reduceat`` adds a block's first row last).
     """
-    I = np.asarray(I)
-    lengths = np.diff(I)
-    pos = np.arange(lengths.max())
-    rows = np.where(pos < lengths[:, None], I[:-1, None] + pos, len(x))
     padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])[rows]
     return np.add.accumulate(padded, axis=1)[:, -1]
 

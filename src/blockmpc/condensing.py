@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import BlockStructure, block_sums, build_T, interval_blocks
+from .blocking import BlockStructure, block_sums, build_T
 from .model import ProblemDims
 from .qp_solver import DenseQp
 from .shooting import StageData
@@ -93,16 +93,11 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     carries all block columns at once, stored transposed: one product per
     node.  Stage k adds B_k' W_{k+1} to row block blk[k] in the columns
     i <= blk[k]; the sweep also runs through the columns that start after k,
-    and this mask drops what it gives there.  The summed R of each block joins
-    the diagonal, and the upper block triangle is mirrored, which drops the
-    G' S terms of the diagonal blocks: exact only for S = 0 (Gauss-Newton
-    data), so nonzero S raises ValueError.
+    and the mask ``bs.started`` drops what it gives there.  The summed R of
+    each block joins the diagonal, and the upper block triangle is mirrored.
     """
-    if np.any(sd.Ss):
-        raise ValueError("compute_Hhat requires a zero cross-term S")
-    N, M, I = bs.N, bs.M, bs.I
+    N, M = bs.N, bs.M
     nx, nu = sd.nx, sd.nu
-    blk = interval_blocks(bs)
     GT = Ghat.transpose(0, 1, 3, 2).reshape(N, M * nu, nx)  # Ghat[k]'
     WT = np.empty((N, M * nu, nx))  # W_1', ..., W_N'
     WT[:-1] = _mm(counter, GT[:-1], np.swapaxes(sd.Qs[1:], 1, 2))
@@ -113,12 +108,11 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     if counter is not None:  # the sweep's products, made one node at a time
         counter.mults += (N - 1) * M * nu * nx * nx
     BW = _mm(counter, WT, sd.Bs).reshape(N, M, nu, nu).swapaxes(2, 3)  # B_k' W_{k+1}
-    Htmp = np.where((np.arange(M) <= blk[:, None])[:, :, None, None], BW, 0.0)
+    Htmp = np.where(bs.started[:, :, None, None], BW, 0.0)
 
-    H4 = block_sums(Htmp, I)  # (row block, column block, nu, nu)
-    H4[np.diag_indices(M)] += block_sums(sd.Rs, I)
-    upper = np.triu(np.ones((M, M), dtype=bool), 1)
-    H4[upper] = np.swapaxes(H4, 0, 1)[upper].swapaxes(1, 2)
+    H4 = block_sums(Htmp, bs.sum_rows)  # (row block, column block, nu, nu)
+    H4[np.diag_indices(M)] += block_sums(sd.Rs, bs.sum_rows)
+    H4[bs.upper] = np.swapaxes(H4, 0, 1)[bs.upper].swapaxes(1, 2)
     return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)
 
 
@@ -127,20 +121,16 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     """Reduced gradient at the zero input step, one stacked product with Ghat.
 
     With v_k = q_k + Q_k L[k-1] the state gradient at node k (qN, QN at
-    k = N; L[-1] = dx0), block j collects sum_k Ghat[k-1, j]' v_k plus the
-    r_k + S_k' L[k-1] of its own stages, summed from the last stage of the
-    block down to the first.
+    k = N), block j collects sum_k Ghat[k-1, j]' v_k plus the r_k of its own
+    stages, summed from the last stage of the block down to the first.
     """
-    N, M, I = bs.N, bs.M, bs.I
-    nx, nu = sd.nx, sd.nu
+    N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     if Ghat.shape[:2] != (N, M):
         raise ValueError("Ghat inconsistent with block structure")
-    Lprev = np.concatenate([sd.dx0[None], L[:-1]])[:, :, None]  # L[k-1], (N, nx, 1)
     vs = np.empty((N, nx))  # v_1, ..., v_N
-    vs[:-1] = sd.qs[1:] + _mm(counter, sd.Qs[1:], Lprev[1:])[:, :, 0]
+    vs[:-1] = sd.qs[1:] + _mm(counter, sd.Qs[1:], L[:-1, :, None])[:, :, 0]
     vs[-1] = sd.qN + _mm(counter, sd.QN, L[N - 1])
-    stage = sd.rs + _mm(counter, np.swapaxes(sd.Ss, 1, 2), Lprev)[:, :, 0]
-    own = block_sums(stage[::-1], N - np.asarray(I[::-1]))[::-1].reshape(M * nu)
+    own = block_sums(sd.rs, bs.sum_rows_descending).reshape(M * nu)
     Gm = Ghat.transpose(0, 2, 1, 3).reshape(N * nx, M * nu)  # rows (k, x), columns (j, u)
     return own + _mm(counter, vs.reshape(N * nx), Gm)
 
@@ -165,7 +155,7 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     Lk = np.concatenate([dx0[None], L])[row_node]                           # L[k-1]
     C = _mm(counter, Cx[:, None, None, :], G)[:, :, 0, :]
     const = c + _mm(counter, Cx[:, None, :], Lk[:, :, None])[:, 0, 0]
-    C[np.arange(len(C)), np.append(interval_blocks(bs), 0)[row_node]] += Cu
+    C[np.arange(len(C)), np.append(bs.blocks, 0)[row_node]] += Cu
     lb = sd.du_lo.reshape(M * nu).copy()
     ub = sd.du_hi.reshape(M * nu).copy()
     return C.reshape(len(C), M * nu), const, lb, ub
@@ -224,13 +214,15 @@ def _full_G(sd: StageData, counter: FlopCounter | None = None) -> np.ndarray:
     return G
 
 
-def _full_condense(sd: StageData, counter: FlopCounter | None = None):
-    """Classical condensing of the unblocked problem (before any blocking).
+def naive_condense(sd: StageData, bs: BlockStructure,
+                   counter: FlopCounter | None = None) -> DenseQp:
+    """Baseline route: condense the unblocked problem, then fold with the explicit T.
 
-    Returns (G, L, H_c, g_c, C_c, c_c) with H_c/g_c/C_c over the N*nu
-    unblocked inputs; the rows of C_c follow ``sd.rows``.
+    Semantically identical to :func:`condense`; kept as the oracle for the
+    tailored pipeline and as the O(N^2) baseline of the benchmark.  The
+    unblocked Hc, gc, Cc and cc are over the N*nu interval inputs.
     """
-    N, nx, nu = sd.N, sd.nx, sd.nu
+    N, nu = sd.N, sd.nu
     G = _full_G(sd, counter)
     L = compute_L(sd, BlockStructure(N=N, M=N, I=tuple(range(N + 1))), sd.dx0)
 
@@ -238,59 +230,37 @@ def _full_condense(sd: StageData, counter: FlopCounter | None = None):
     for j in range(N):
         W = _mm(counter, sd.QN, G[N - 1, j])
         for k in range(N - 1, j, -1):
-            Hc[k * nu:(k + 1) * nu, j * nu:(j + 1) * nu] = \
-                _mm(counter, sd.Ss[k].T, G[k - 1, j]) + _mm(counter, sd.Bs[k].T, W)
+            Hc[k * nu:(k + 1) * nu, j * nu:(j + 1) * nu] = _mm(counter, sd.Bs[k].T, W)
             W = _mm(counter, sd.Qs[k], G[k - 1, j]) + _mm(counter, sd.As[k].T, W)
         Hc[j * nu:(j + 1) * nu, j * nu:(j + 1) * nu] = sd.Rs[j] + _mm(counter, sd.Bs[j].T, W)
-    for j in range(N):
-        for k in range(j + 1, N):
-            Hc[j * nu:(j + 1) * nu, k * nu:(k + 1) * nu] = \
-                Hc[k * nu:(k + 1) * nu, j * nu:(j + 1) * nu].T
+    upper = np.kron(np.triu(np.ones((N, N), dtype=bool), 1), np.ones((nu, nu), dtype=bool))
+    Hc[upper] = Hc.T[upper]
 
     gc = np.zeros((N, nu))
     w = sd.qN + _mm(counter, sd.QN, L[N - 1])
     for k in range(N - 1, 0, -1):
-        gc[k] = sd.rs[k] + _mm(counter, sd.Ss[k].T, L[k - 1]) + _mm(counter, sd.Bs[k].T, w)
+        gc[k] = sd.rs[k] + _mm(counter, sd.Bs[k].T, w)
         w = sd.qs[k] + _mm(counter, sd.Qs[k], L[k - 1]) + _mm(counter, sd.As[k].T, w)
-    gc[0] = sd.rs[0] + sd.Ss[0].T @ sd.dx0 + _mm(counter, sd.Bs[0].T, w)
+    gc[0] = sd.rs[0] + _mm(counter, sd.Bs[0].T, w)
 
-    rows, consts = [], []
-    for k in range(N + 1):
-        at_k = sd.rows.row_node == k
-        if not at_k.any():
-            continue
-        Cx, Cu, c = sd.rows.Cx[at_k], sd.rows.Cu[at_k], sd.rows.c[at_k]
-        row = np.zeros((len(c), N * nu))
+    Cx, Cu, c, row_node = sd.rows
+    Cc, cc = np.zeros((len(c), N * nu)), c.copy()
+    for k in np.unique(row_node):
+        at = row_node == k
         if k == 0:
-            const = c + Cx @ sd.dx0
+            cc[at] += Cx[at] @ sd.dx0
         else:
             for j in range(k):
-                row[:, j * nu:(j + 1) * nu] = _mm(counter, Cx, G[k - 1, j])
-            const = c + _mm(counter, Cx, L[k - 1])
+                Cc[at, j * nu:(j + 1) * nu] = _mm(counter, Cx[at], G[k - 1, j])
+            cc[at] += _mm(counter, Cx[at], L[k - 1])
         if k < N:  # terminal rows have no input part
-            row[:, k * nu:(k + 1) * nu] += Cu
-        rows.append(row)
-        consts.append(const)
-    Cc = np.vstack(rows) if rows else np.zeros((0, N * nu))
-    cc = np.concatenate(consts) if consts else np.zeros(0)
-    return G, L, Hc, gc.reshape(N * nu), Cc, cc
+            Cc[at, k * nu:(k + 1) * nu] += Cu[at]
 
-
-def naive_condense(sd: StageData, bs: BlockStructure,
-                   counter: FlopCounter | None = None) -> DenseQp:
-    """Baseline route: condense unblocked, then fold with the explicit T.
-
-    Semantically identical to :func:`condense`; kept as the oracle for the
-    tailored pipeline and as the O(N^2) baseline of the benchmark.
-    """
-    _, L, Hc, gc, Cc, cc = _full_condense(sd, counter)
-    T = build_T(bs, sd.nu)
-    HcT = _mm(counter, Hc, T)
-    Hh = _mm(counter, T.T, HcT)
+    T = build_T(bs, nu)
+    Hh = _mm(counter, T.T, _mm(counter, Hc, T))
     gh = _mm(counter, T.T, gc.reshape(-1, 1)).ravel()
-    Ch = _mm(counter, Cc, T) if Cc.shape[0] else np.zeros((0, bs.M * sd.nu))
+    Ch = _mm(counter, Cc, T)
     Hh = 0.5 * (Hh + Hh.T)
-    lb = sd.du_lo.reshape(bs.M * sd.nu).copy()
-    ub = sd.du_hi.reshape(bs.M * sd.nu).copy()
-    return DenseQp(H=Hh, g=gh, Crows=Ch, cvec=cc.copy(), lb=lb, ub=ub)
-
+    lb = sd.du_lo.reshape(bs.M * nu).copy()
+    ub = sd.du_hi.reshape(bs.M * nu).copy()
+    return DenseQp(H=Hh, g=gh, Crows=Ch, cvec=cc, lb=lb, ub=ub)

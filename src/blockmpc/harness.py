@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,7 +67,8 @@ class SchemeConfig:
     qp_max_iter: int = 0  # 0 means the solver default
     seed: int = 0
 
-    def validate(self):
+    def validate(self, lines: dict | None = None):
+        """Check the values; ``lines`` maps a field to its config-file line."""
         if self.scheme not in ("A", "B", "C"):
             raise ConfigError(f"scheme must be A, B or C, got {self.scheme!r}")
         if self.Ts <= 0 or self.sim_time < 0 or self.N < 1 or self.plant_substeps < 1:
@@ -78,12 +79,15 @@ class SchemeConfig:
         if self.scheme == "B" and sum(self.grid_lengths) != self.N:
             raise ConfigError(
                 f"grid_lengths sum to {sum(self.grid_lengths)}, expected N = {self.N}")
+        for key, dim in _MODEL_DIM.items():
+            n, got = getattr(PENDULUM_DIMS, dim), len(getattr(self, key))
+            if got != n:
+                at = f"line {lines[key]}: " if key in (lines or {}) else ""
+                raise ConfigError(f"{at}{key} needs {dim} = {n} values, got {got}")
         return self
 
     def with_scheme(self, scheme: str) -> "SchemeConfig":
-        cfg = SchemeConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-        cfg.scheme = scheme
-        return cfg.validate()
+        return replace(self, scheme=scheme).validate()
 
 
 class ConfigError(ValueError):
@@ -124,9 +128,6 @@ def load_config(path: str) -> SchemeConfig:
                     parsed = from_block_indices(_parse_vector(value, int)).lengths
                 elif key in _MODEL_DIM:
                     parsed = _parse_vector(value)
-                    n = getattr(PENDULUM_DIMS, _MODEL_DIM[key])
-                    if len(parsed) != n:
-                        raise ValueError(f"need {_MODEL_DIM[key]} = {n} values, got {len(parsed)}")
                 elif key in _INT_KEYS:
                     parsed = int(value)
                 elif key in _FLOAT_KEYS:
@@ -148,7 +149,7 @@ def load_config(path: str) -> SchemeConfig:
 
     for key, (value, _) in seen.items():
         setattr(cfg, key, value)
-    return cfg.validate()
+    return cfg.validate({key: line_no for key, (_, line_no) in seen.items()})
 
 
 def config_echo(cfg: SchemeConfig) -> list[str]:
@@ -157,8 +158,6 @@ def config_echo(cfg: SchemeConfig) -> list[str]:
     def fmt(v):
         if isinstance(v, tuple):
             return ",".join(fmt(x) for x in v)
-        if isinstance(v, bool):
-            return str(v).lower()
         if isinstance(v, float):
             return f"{v:.12g}"
         return str(v)
@@ -365,7 +364,7 @@ def write_outputs(log: SimLog, out_dir: str) -> None:
 def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
                          M: int | None = None, nc: int = 0, ncN: int = 0,
                          node0_rows: bool = False) -> StageData:
-    """Random Gauss-Newton stage data (S = 0) with non-exploding sensitivities.
+    """Random Gauss-Newton stage data with non-exploding sensitivities.
 
     M sizes the per-block input bounds (default unbounded).  Nodes 1..N-1
     carry nc rows each, node 0 too when ``node0_rows`` is set, and node N
@@ -401,7 +400,7 @@ def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
     rows = AffineRows(np.concatenate(Cx), np.concatenate(Cu), np.concatenate(c),
                       np.repeat(np.arange(N + 1), counts + [ncN]))
     return StageData(
-        As=As, Bs=Bs, ds=ds, Qs=Qs, Ss=np.zeros((N, nx, nu)), Rs=Rs, qs=qs, rs=rs,
+        As=As, Bs=Bs, ds=ds, Qs=Qs, Rs=Rs, qs=qs, rs=rs,
         QN=QN, qN=qN, rows=rows, dx0=rng.standard_normal(nx) * 0.1,
         du_lo=np.full((M, nu), -np.inf), du_hi=np.full((M, nu), np.inf))
 

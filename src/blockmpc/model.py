@@ -145,17 +145,15 @@ def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
 def stage_cost_terms(xs: np.ndarray, us: np.ndarray, cost: QuadraticCost):
     """Gradient/Hessian blocks of the stage cost at node stacks xs (n, nx), us (n, nu).
 
-    Returns (q, r, Q, S, R), each stacked over the nodes (Q and R as read-only
+    Returns (q, r, Q, R), each stacked over the nodes (Q and R as read-only
     views).  The Hessian is the Gauss-Newton one of the quadratic tracking
-    cost, so Q, R and S = 0 exactly.
+    cost, so Q and R exactly, with no state-input cross term.
     """
     stack = xs.shape[:-1]
-    nx, nu = cost.Q.shape[0], cost.R.shape[0]
     q = (xs - cost.x_ref) @ cost.Q.T
     r = (us - cost.u_ref) @ cost.R.T
-    Q = np.broadcast_to(cost.Q, stack + (nx, nx))
-    R = np.broadcast_to(cost.R, stack + (nu, nu))
-    return q, r, Q, np.zeros(stack + (nx, nu)), R
+    return q, r, np.broadcast_to(cost.Q, stack + cost.Q.shape), \
+        np.broadcast_to(cost.R, stack + cost.R.shape)
 
 
 def state_box_rows(x_lo, x_hi, xs: np.ndarray, nu: int):

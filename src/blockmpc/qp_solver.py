@@ -13,9 +13,11 @@ solve of the warm working set with its negative multipliers dropped, and
 adds the most violated row, dropping rows whose multiplier would turn
 negative on the way.  Every iterate keeps a consistent primal-dual pair, so
 no feasible start is needed, and a violated row that admits neither a
-primal nor a dual step certifies that the QP is infeasible.  H is factored
-once per solve as H = L L'; each iteration takes a thin QR of L^-1 N_W,
-where the columns of N_W are the working-set rows.
+primal nor a dual step certifies that the QP is infeasible.  The cold start
+is one linear solve with H; only once a row enters the working set (or a
+warm set is given) is H factored as H = L L' and L^-1 formed, once per
+solve.  Each iteration then takes a thin QR of L^-1 N_W, where the columns
+of N_W are the working-set rows.
 
 The controller's QPs have up to 80 variables and 320 candidate rows
 (scheme A: 160 condensed state rows, 160 input bounds).
@@ -134,16 +136,25 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         max_iter = 100 * (n + m)
     feas_tol = max(tol, 1e-9)
     A, b, usable = _unified(qp)
-    J = _inv_lower(np.linalg.cholesky(qp.H)).T  # H^-1 = J J'
-    w = J.T @ qp.g
+    z_free = np.linalg.solve(qp.H, -qp.g)  # the unconstrained minimizer
+    J = w = None  # H^-1 = J J', w = J'g: formed once a row is held as an equality
+
+    def inverse_factor():
+        nonlocal J, w
+        if J is None:
+            J = _inv_lower(np.linalg.cholesky(qp.H)).T
+            w = J.T @ qp.g
+        return J
 
     def factor(W):
         if not W:  # most samples end with no active row: skip the QR call's fixed cost
             return np.zeros((n, 0)), np.zeros((0, 0))
-        return np.linalg.qr(J.T @ A[W].T)  # thin QR of L^-1 N_W
+        return np.linalg.qr(inverse_factor().T @ A[W].T)  # thin QR of L^-1 N_W
 
     def eqp(Q, R):
         """Minimizer and multipliers with the rows of W held as equalities."""
+        if not W:
+            return z_free, np.zeros(0)
         lam = -np.linalg.solve(R, np.linalg.solve(R.T, b[W]) + Q.T @ w)
         return -J @ (w + Q @ (R @ lam)), lam
 
@@ -173,7 +184,7 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         else:
             W, fac = [], None
     if start == "cold":
-        z, lam = -J @ w, np.zeros(0)
+        z, lam = z_free, np.zeros(0)
 
     p, u = -1, 0.0  # row being added and its multiplier
     obj_history = [objective(z)]
@@ -189,6 +200,7 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
                 return solution("solved", it)
             p, u = worst, 0.0
         # as row p's multiplier grows by t, z moves by -t J vperp and lam by t dlam
+        J = inverse_factor()
         v = J.T @ A[p]
         Qv = Q.T @ v
         vperp = v - Q @ Qv

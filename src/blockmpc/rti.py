@@ -5,7 +5,8 @@ tailored condensing) and a feedback phase (warm-started QP solve, expansion
 of the state steps, full Newton update of the trajectory).  The carried
 trajectory is the updated iterate; the initial-value embedding absorbs the
 mismatch with the next measurement, and the optimality report combines the
-post-step stationarity with the shooting gaps seen at this linearization.
+post-step stationarity (one product with condensing's Ghat, no loop over the
+nodes) with the shooting gaps seen at this linearization.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocking import BlockStructure, block_sums, interval_blocks
+from .blocking import BlockStructure, block_sums
 from .condensing import SensitivityChain, condense, expand
 from .integrator import IntegrationDivergedError
 from .model import OcpProblem
@@ -59,21 +60,21 @@ class PrepareOutput:
     timings: dict
 
 
-def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
-                        du: np.ndarray, lam_rows: np.ndarray,
+def stationarity_blocks(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
+                        dxs: np.ndarray, du: np.ndarray, lam_rows: np.ndarray,
                         lam_lb: np.ndarray, lam_ub: np.ndarray) -> np.ndarray:
     """Blocked Lagrangian gradient at (dxs, du) as an (M, nu) array.
 
     ``lam_rows`` holds one multiplier per row of ``sd.rows`` (the QP's row
-    order).  Costates come from the
-    backward adjoint recursion with Cx' mu folded in per node; block j
-    accumulates the per-interval stationarity components of its intervals,
-    which makes it the T-transpose of the unblocked stationarity vector.
+    order).  With v_k = q_k + Q_k dx_k + Cx_k' mu_k the state gradient of the
+    Lagrangian at node k (qN, QN and the terminal rows at k = N), the costate
+    terms of block j are sum_k Ghat[k-1, j]' v_k: one product of the stacked
+    v_k with Ghat, as in ``compute_ghat``.  Block j adds the sums of
+    r_k + R_k u_j + Cu_k' mu_k over its own stages, which makes the result
+    the T-transpose of the unblocked stationarity vector.
     """
-    N, M = bs.N, bs.M
-    nx, nu = sd.nx, sd.nu
+    N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
-    uk = du[interval_blocks(bs)]
     Cx, Cu, _, row_node = sd.rows
     mu = np.asarray(lam_rows, dtype=float)[:, None]
     CxTmu = np.zeros((N + 1, nx))
@@ -81,23 +82,20 @@ def stationarity_blocks(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
     np.add.at(CxTmu, row_node, Cx * mu)
     np.add.at(CuTmu, row_node, Cu * mu)
 
-    lam = np.empty((N + 1, nx))  # filled with all but the A' lam term, then swept
-    lam[:N] = (sd.qs + (sd.Qs @ dxs[:N, :, None] + sd.Ss @ uk[:, :, None])[:, :, 0]
-               + CxTmu[:N])
-    lam[N] = sd.qN + sd.QN @ dxs[N] + CxTmu[N]
-    lk = list(lam)
-    for k in range(N - 1, -1, -1):
-        lk[k] += sd.As[k].T.dot(lk[k + 1])
-    stage = (sd.rs + CuTmu[:N]
-             + (sd.Rs @ uk[:, :, None] + np.swapaxes(sd.Ss, 1, 2) @ dxs[:N, :, None]
-                + np.swapaxes(sd.Bs, 1, 2) @ lam[1:, :, None])[:, :, 0])
-    return (lam_ub - lam_lb).reshape(M, nu) + block_sums(stage, bs.I)
+    vs = CxTmu[1:]  # v_1, ..., v_N
+    vs[:-1] += sd.qs[1:] + (sd.Qs[1:] @ dxs[1:N, :, None])[:, :, 0]
+    vs[-1] += sd.qN + sd.QN @ dxs[N]
+    stage = sd.rs + CuTmu[:N] + (sd.Rs @ du[bs.blocks][:, :, None])[:, :, 0]
+    Gm = Ghat.transpose(0, 2, 1, 3).reshape(N * nx, M * nu)
+    return ((lam_ub - lam_lb).reshape(M, nu) + block_sums(stage, bs.sum_rows)
+            + (vs.reshape(N * nx) @ Gm).reshape(M, nu))
 
 
-def kkt_residual(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
+def kkt_residual(sd: StageData, bs: BlockStructure, Ghat: np.ndarray, dxs: np.ndarray,
                  du: np.ndarray, sol: QpSolution | None) -> KktReport:
     """KKT condition norms of the blocked problem at the point (dxs, du).
 
+    ``Ghat`` is the blocked sensitivity chain of ``sd`` (``compute_Ghat``).
     The equality residual reports the shooting gaps together with the
     initial-embedding residual evaluated at the point, which is
     ``dx0 - dxs[0]`` and hence vanishes after a full Newton step.  The
@@ -110,18 +108,16 @@ def kkt_residual(sd: StageData, bs: BlockStructure, dxs: np.ndarray,
     du = np.asarray(du, dtype=float).reshape(M, nu)
     Cx, Cu, c, nodes = sd.rows
 
-    lam_rows = np.zeros(len(nodes))
-    lam_lb = np.zeros(M * nu)
-    lam_ub = np.zeros(M * nu)
+    lam_rows, lam_lb, lam_ub = np.zeros(len(nodes)), np.zeros(M * nu), np.zeros(M * nu)
     if sol is not None and len(sol.lam_rows) == len(nodes) \
             and len(sol.lam_lb) == M * nu:
         lam_rows, lam_lb, lam_ub = sol.lam_rows, sol.lam_lb, sol.lam_ub
 
-    g_stat = stationarity_blocks(sd, bs, dxs, du, lam_rows, lam_lb, lam_ub)
+    g_stat = stationarity_blocks(sd, bs, Ghat, dxs, du, lam_rows, lam_lb, lam_ub)
     stationarity = float(np.abs(g_stat).max(initial=0.0))
     eq = max(float(np.abs(sd.ds).max(initial=0.0)),
              float(np.abs(sd.dx0 - dxs[0]).max(initial=0.0)))
-    row_block = np.append(interval_blocks(bs), 0)[nodes]  # terminal rows: Cu = 0
+    row_block = np.append(bs.blocks, 0)[nodes]  # terminal rows: Cu = 0
     rows = (np.einsum("rx,rx->r", Cx, dxs[nodes])
             + np.einsum("ru,ru->r", Cu, du[row_block]) + c)
     viol = max(float(rows.max(initial=0.0)),
@@ -186,7 +182,7 @@ class RtiController:
             raise IntegrationDivergedError("trajectory update diverged")
         traj = Trajectory(xs=state.traj.xs + dxs,
                           us=state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu))
-        kkt = kkt_residual(prep.sd, self.bs, dxs, du, sol)
+        kkt = kkt_residual(prep.sd, self.bs, prep.chain.Ghat, dxs, du, sol)
         t_total = prep.timings["prepare_total"] + (time.perf_counter() - t0)
         timings = {"shooting": prep.timings["shooting"],
                    "condensing": prep.timings["condensing"],

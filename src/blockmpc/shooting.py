@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import BlockStructure, interval_blocks
+from .blocking import BlockStructure
 from .integrator import IntegrationDivergedError, integrate_interval, rk4_state_step
 from .model import OcpProblem, stage_cost_terms, state_box_rows
 
@@ -55,7 +55,6 @@ class StageData:
     Bs: np.ndarray
     ds: np.ndarray
     Qs: np.ndarray
-    Ss: np.ndarray
     Rs: np.ndarray
     qs: np.ndarray
     rs: np.ndarray
@@ -85,7 +84,7 @@ def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if us.shape[0] != bs.M:
         raise ValueError(f"expected {bs.M} blocked inputs, got {us.shape[0]}")
-    blocks = interval_blocks(bs)
+    blocks = bs.blocks
     xs = np.zeros((bs.N + 1, len(x0)))
     xs[0] = x0
     for k in range(bs.N):
@@ -107,12 +106,12 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     nx, nu = problem.dims.nx, problem.dims.nu
     if traj.xs.shape != (N + 1, nx) or traj.us.shape != (M, nu):
         raise ValueError("trajectory shape inconsistent with problem/blocking")
-    us = traj.us[interval_blocks(bs)]  # (N, nu): the input of each interval
+    us = traj.us[bs.blocks]  # (N, nu): the input of each interval
 
     x_end, As, Bs = integrate_interval(problem.hs, problem.rhs, problem.jac,
                                        traj.xs[:N].T, us.T)
     ds = x_end.T - traj.xs[1:]
-    q, r, Q, S, R = stage_cost_terms(traj.xs[:N], us, problem.cost)
+    q, r, Q, R = stage_cost_terms(traj.xs[:N], us, problem.cost)
     w = problem.weight_scales[:, None]
     w3 = w[:, :, None]
 
@@ -126,7 +125,7 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     du_lo = problem.bounds.u_lo - traj.us
     du_hi = problem.bounds.u_hi - traj.us
 
-    return StageData(As=As, Bs=Bs, ds=ds, Qs=w3 * Q, Ss=w3 * S, Rs=w3 * R,
+    return StageData(As=As, Bs=Bs, ds=ds, Qs=w3 * Q, Rs=w3 * R,
                      qs=w * q, rs=w * r, QN=problem.cost.QN.copy(), qN=qN, rows=rows,
                      dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
                      du_lo=du_lo, du_hi=du_hi)

@@ -86,7 +86,7 @@ def loop_evaluate(problem, bs, traj, x0_measured):
         return np.array(Cx).reshape(-1, nx), np.zeros((len(c), nu)), np.array(c)
 
     As, Bs, ds = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nx))
-    Qs, Ss, Rs = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nu, nu))
+    Qs, Rs = np.zeros((N, nx, nx)), np.zeros((N, nu, nu))
     qs, rs = np.zeros((N, nx)), np.zeros((N, nu))
     per_node = [(np.zeros((0, nx)), np.zeros((0, nu)), np.zeros(0))]
     for k in range(N):
@@ -98,7 +98,7 @@ def loop_evaluate(problem, bs, traj, x0_measured):
         if k > 0:
             per_node.append(box_rows(x))
     per_node.append(box_rows(traj.xs[N]))
-    return StageData(As=As, Bs=Bs, ds=ds, Qs=Qs, Ss=Ss, Rs=Rs, qs=qs, rs=rs,
+    return StageData(As=As, Bs=Bs, ds=ds, Qs=Qs, Rs=Rs, qs=qs, rs=rs,
                      QN=cost.QN.copy(), qN=cost.QN @ (traj.xs[N] - cost.x_ref),
                      rows=stack_node_rows(per_node),
                      dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
@@ -170,18 +170,14 @@ def dense_condense(sd):
         qt[(k - 1) * nx:k * nx] = sd.qs[k]
     Qt[(N - 1) * nx:, (N - 1) * nx:] = sd.QN
     qt[(N - 1) * nx:] = sd.qN
-    St = np.zeros((N * nx, N * nu))
-    for k in range(1, N):
-        St[(k - 1) * nx:k * nx, k * nu:(k + 1) * nu] = sd.Ss[k]
     Rt = np.zeros((N * nu, N * nu))
     rt = np.zeros(N * nu)
     for k in range(N):
         Rt[k * nu:(k + 1) * nu, k * nu:(k + 1) * nu] = sd.Rs[k]
         rt[k * nu:(k + 1) * nu] = sd.rs[k]
 
-    Hc = Gm.T @ Qt @ Gm + Gm.T @ St + St.T @ Gm + Rt
-    gc = Gm.T @ (Qt @ Lv + qt) + St.T @ Lv + rt
-    gc[:nu] += sd.Ss[0].T @ sd.dx0
+    Hc = Gm.T @ Qt @ Gm + Rt
+    gc = Gm.T @ (Qt @ Lv + qt) + rt
 
     rows, consts = [], []
     for k in range(N):
@@ -341,14 +337,14 @@ def loop_L(sd, dx0):
 
 
 def loop_Hhat(sd, bs, Ghat):
-    """Reduced Hessian: per-column backward sweep, row accumulation, mirror (S = 0)."""
+    """Reduced Hessian: per-column backward sweep, row accumulation, mirror."""
     N, M, I = bs.N, bs.M, bs.I
     nu = sd.nu
     Htmp = np.zeros((N, M, nu, nu))
     for i in range(M):
         W = sd.QN @ Ghat[N - 1, i]
         for k in range(N - 1, I[i], -1):
-            Htmp[k, i] = sd.Ss[k].T @ Ghat[k - 1, i] + sd.Bs[k].T @ W
+            Htmp[k, i] = sd.Bs[k].T @ W
             W = sd.Qs[k] @ Ghat[k - 1, i] + sd.As[k].T @ W
         Htmp[I[i], i] = sd.Bs[I[i]].T @ W
 
@@ -370,18 +366,18 @@ def loop_Hhat(sd, bs, Ghat):
 
 
 def column_Hhat(sd, bs, Ghat):
-    """Reduced Hessian by one backward sweep per block column (S = 0).
+    """Reduced Hessian by one backward sweep per block column.
 
     Column i runs W_k = Q_k Ghat[k-1,i] + A_k' W_{k+1} from W_N = QN Ghat[N-1,i]
     down to k = I[i]+1, one product per node; its stages k >= I[i] give
-    B_k' W_{k+1} (plus S_k' Ghat[k-1,i]) to their row block, the summed R of
-    each block joins the diagonal and the upper block triangle is mirrored.
+    B_k' W_{k+1} to their row block, the summed R of each block joins the
+    diagonal and the upper block triangle is mirrored.
     """
     from blockmpc.blocking import block_sums
 
     N, M, I = bs.N, bs.M, bs.I
     nx, nu = sd.nx, sd.nu
-    BT, ST = np.swapaxes(sd.Bs, 1, 2), np.swapaxes(sd.Ss, 1, 2)
+    BT = np.swapaxes(sd.Bs, 1, 2)
     AT = [A.T for A in sd.As]
     Htmp = np.zeros((N, M, nu, nu))
     for i in range(M):
@@ -392,12 +388,10 @@ def column_Hhat(sd, bs, Ghat):
         W = list(Ws)
         for k in range(N - 1, s, -1):
             W[k - s - 1] += AT[k].dot(W[k - s])
-        BW = BT[s:] @ Ws
-        BW[1:] += ST[s + 1:] @ Ghat[s:N - 1, i]
-        Htmp[s:, i] = BW
+        Htmp[s:, i] = BT[s:] @ Ws
 
-    H4 = block_sums(Htmp, I)
-    H4[np.diag_indices(M)] += block_sums(sd.Rs, I)
+    H4 = block_sums(Htmp, bs.sum_rows)
+    H4[np.diag_indices(M)] += block_sums(sd.Rs, bs.sum_rows)
     upper = np.triu(np.ones((M, M), dtype=bool), 1)
     H4[upper] = np.swapaxes(H4, 0, 1)[upper].swapaxes(1, 2)
     return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)
@@ -410,9 +404,9 @@ def loop_ghat(sd, bs, L):
     g = np.zeros((M, sd.nu))
     w = sd.qN + sd.QN @ L[N - 1]
     for k in range(N - 1, 0, -1):
-        g[block[k]] += sd.rs[k] + sd.Ss[k].T @ L[k - 1] + sd.Bs[k].T @ w
+        g[block[k]] += sd.rs[k] + sd.Bs[k].T @ w
         w = sd.qs[k] + sd.Qs[k] @ L[k - 1] + sd.As[k].T @ w
-    g[0] += sd.rs[0] + sd.Ss[0].T @ sd.dx0 + sd.Bs[0].T @ w
+    g[0] += sd.rs[0] + sd.Bs[0].T @ w
     return g.reshape(M * sd.nu)
 
 
@@ -460,10 +454,8 @@ def loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub):
     for k in range(N - 1, -1, -1):
         j = find_block(bs.I, k)
         Cx, Cu, _ = node_rows(sd, k)
-        g_stat[j] += (sd.rs[k] + sd.Rs[k] @ du[j] + sd.Ss[k].T @ dxs[k]
-                      + sd.Bs[k].T @ lam_next + Cu.T @ mu[k])
-        lam_next = (sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.Ss[k] @ du[j]
-                    + sd.As[k].T @ lam_next + Cx.T @ mu[k])
+        g_stat[j] += sd.rs[k] + sd.Rs[k] @ du[j] + sd.Bs[k].T @ lam_next + Cu.T @ mu[k]
+        lam_next = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam_next + Cx.T @ mu[k]
     return g_stat
 
 

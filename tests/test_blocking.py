@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from blockmpc.blocking import (
     InvalidBlockStructureError,
+    block_sums,
     build_T,
     from_block_indices,
     from_block_lengths,
-    interval_blocks,
     unit_blocks,
 )
-from oracles import find_block, kron_T
+from oracles import find_block, kron_T, random_block_structure
 
 BENCH_LENGTHS = [1, 2, 3, 4, 5, 5, 15, 15, 15, 15]
 BENCH_I = (0, 1, 3, 6, 10, 15, 20, 35, 50, 65, 80)
@@ -52,7 +52,7 @@ def test_from_indices_round_trip():
 
 
 def test_block_of_examples():
-    blocks = interval_blocks(from_block_lengths(BENCH_LENGTHS))
+    blocks = from_block_lengths(BENCH_LENGTHS).blocks
     assert len(blocks) == 80
     assert blocks[0] == 0
     assert blocks[34] == 6
@@ -64,7 +64,7 @@ def test_block_of_examples():
 def test_block_of_matches_binary_search(lengths, data):
     bs = from_block_lengths(lengths)
     k = data.draw(st.integers(0, bs.N - 1))
-    assert interval_blocks(bs)[k] == find_block(bs.I, k)
+    assert bs.blocks[k] == find_block(bs.I, k)
 
 
 def test_build_T_unit_blocks_identity():
@@ -101,7 +101,7 @@ def test_T_column_blocks_orthogonal(lengths, nu):
 def test_T_rows_select_owning_block(lengths, nu):
     bs = from_block_lengths(lengths)
     T = build_T(bs, nu)
-    blocks = interval_blocks(bs)
+    blocks = bs.blocks
     for k in range(bs.N):
         row_block = T[k * nu:(k + 1) * nu]
         j = blocks[k]
@@ -109,3 +109,42 @@ def test_T_rows_select_owning_block(lengths, nu):
         mask = np.ones(bs.M * nu, dtype=bool)
         mask[j * nu:(j + 1) * nu] = False
         assert not row_block[:, mask].any()
+
+
+def structure_constants_by_definition(bs):
+    """The cached constants of ``bs``, written out entry by entry."""
+    N, M, I = bs.N, bs.M, bs.I
+    width = max(bs.lengths)
+    blk = [find_block(I, k) for k in range(N)]
+    asc = [list(range(I[j], I[j + 1])) + [N] * (width - bs.lengths[j]) for j in range(M)]
+    desc = [[N] * (width - bs.lengths[j]) + list(range(I[j + 1] - 1, I[j] - 1, -1))
+            for j in range(M)]
+    return {
+        "blocks": np.array(blk),
+        "sum_rows": np.array(asc),
+        "sum_rows_descending": np.array(desc),
+        "started": np.array([[i <= blk[k] for i in range(M)] for k in range(N)]),
+        "upper": np.array([[i < j for j in range(M)] for i in range(M)]),
+    }
+
+
+def test_structure_constants_match_definition_and_are_read_only():
+    rng = np.random.default_rng(11)
+    cases = [[1], [9], [1] * 6] + [random_block_structure(rng, int(rng.integers(2, 20)))
+                                   for _ in range(10)]
+    for lengths in cases:  # N = 1, M = 1, unit blocks, then random partitions
+        bs = from_block_lengths(lengths)
+        for name, ref in structure_constants_by_definition(bs).items():
+            got = getattr(bs, name)
+            assert got is getattr(bs, name), name  # built once per structure
+            assert got.shape == ref.shape and np.array_equal(got, ref), name
+            with pytest.raises(ValueError):
+                got[(0,) * got.ndim] = got[(0,) * got.ndim]
+        # block_sums adds each block's rows in the gather order, like a loop from zero
+        x = rng.standard_normal((bs.N, 2))
+        for rows, order in ((bs.sum_rows, 1), (bs.sum_rows_descending, -1)):
+            ref = np.zeros((bs.M, 2))
+            for j in range(bs.M):
+                for k in range(bs.I[j], bs.I[j + 1])[::order]:
+                    ref[j] += x[k]
+            assert np.array_equal(block_sums(x, rows), ref)

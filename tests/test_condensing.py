@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockmpc.blocking import build_T, from_block_lengths, interval_blocks, unit_blocks
+from blockmpc.blocking import build_T, from_block_lengths, unit_blocks
 from blockmpc.condensing import (
     FlopCounter,
     compute_Ghat,
@@ -37,7 +37,7 @@ def scalar_chain(N, A=1.0, B=1.0, Q=1.0, R=1.0, QN=1.0):
     ones = np.ones((N, 1, 1))
     return StageData(
         As=A * ones, Bs=B * ones, ds=np.zeros((N, 1)),
-        Qs=Q * ones, Ss=np.zeros((N, 1, 1)), Rs=R * ones,
+        Qs=Q * ones, Rs=R * ones,
         qs=np.zeros((N, 1)), rs=np.zeros((N, 1)),
         QN=QN * np.ones((1, 1)), qN=np.zeros(1),
         rows=AffineRows(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0, int)),
@@ -131,7 +131,7 @@ def test_expand_satisfies_stage_recursion():
     L = compute_L(sd, bs, sd.dx0)
     du = rng.standard_normal((4, 2))
     dxs = expand(Gh, L, sd.dx0, du)
-    blocks = interval_blocks(bs)
+    blocks = bs.blocks
     for k in range(12):
         pred = sd.As[k] @ dxs[k] + sd.Bs[k] @ du[blocks[k]] + sd.ds[k]
         assert np.abs(pred - dxs[k + 1]).max() < 1e-12
@@ -297,15 +297,6 @@ def test_batched_condensing_matches_loops_on_ragged_rows(lengths):
     per_node = np.bincount(sd.rows.row_node, minlength=bs.N + 1)
     assert set(per_node[:bs.N]) == {0, 1, 2} and per_node[0] > 0
     check_against_loops(sd, bs)
-
-
-def test_hhat_rejects_nonzero_cross_term():
-    rng = np.random.default_rng(21)
-    bs = from_block_lengths([2, 4])
-    sd = rand_sd(rng, 6, 3, 2, M=2)
-    sd.Ss[3, 1, 0] = 0.5
-    with pytest.raises(ValueError, match="cross-term"):
-        compute_Hhat(sd, bs, compute_Ghat(sd, bs))
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])

@@ -330,6 +330,15 @@ def test_cli_rejects_vector_of_wrong_length(tmp_path, capsys, line):
     assert "line 2" in err and line.split()[0] in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x0", (0.0,)), ("q_diag", ()), ("u_lo", (-20.0, -20.0)), ("x_lo", (-2.0,)),
+])
+def test_direct_config_rejects_vector_of_wrong_length(field, value):
+    # SchemeConfig built in code, not read from a file: validate() checks the lengths
+    with pytest.raises(ConfigError, match=field):
+        run_closed_loop(SchemeConfig(sim_time=0.05, **{field: value}))
+
+
 @pytest.mark.parametrize("text, line", [
     ("scheme = C\nblock_indices =\n", 2),
     ("scheme = C\nN = 80\nblock_lengths = 40.5, 40.4\n", 3),

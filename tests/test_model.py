@@ -109,18 +109,17 @@ def _cost():
 
 def test_stage_cost_zero_at_reference():
     cost = _cost()
-    q, r, Qk, Sk, Rk = stage_cost_terms(np.zeros((3, 4)), np.zeros((3, 1)), cost)
+    q, r, Qk, Rk = stage_cost_terms(np.zeros((3, 4)), np.zeros((3, 1)), cost)
     assert q.shape == (3, 4) and r.shape == (3, 1)
-    assert Qk.shape == (3, 4, 4) and Sk.shape == (3, 4, 1) and Rk.shape == (3, 1, 1)
+    assert Qk.shape == (3, 4, 4) and Rk.shape == (3, 1, 1)
     assert np.allclose(q, 0) and np.allclose(r, 0)
-    assert np.allclose(Sk, 0)
 
 
 def test_stage_cost_identity_weight():
     cost = QuadraticCost(Q=np.eye(4), R=np.eye(1), QN=np.eye(4),
                          x_ref=np.zeros(4), u_ref=np.zeros(1))
     xs = np.array([[1.0, 0, 0, 0], [0, -2.0, 0, 0]])
-    q, _, _, _, _ = stage_cost_terms(xs, np.zeros((2, 1)), cost)
+    q, _, _, _ = stage_cost_terms(xs, np.zeros((2, 1)), cost)
     assert np.allclose(q, xs)
 
 
@@ -129,7 +128,7 @@ def test_stage_cost_gradient_matches_numeric():
     rng = np.random.default_rng(2)
     xs = rng.standard_normal((5, 4))
     us = rng.standard_normal((5, 1))
-    q, r, Qk, Sk, Rk = stage_cost_terms(xs, us, cost)
+    q, r, Qk, Rk = stage_cost_terms(xs, us, cost)
     # numeric gradient of 0.5||x - xref||_Q^2 + 0.5||u - uref||_R^2, node by node
     eps = 1e-7
 

@@ -7,8 +7,13 @@ silently zero a per-layer metric.  This test turns that into a failure.
 
 import importlib.util
 import os
+from collections import Counter
 
+import numpy as np
 import pytest
+
+from blockmpc.condensing import condense
+from blockmpc.harness import SchemeConfig, build_controller
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -27,3 +32,37 @@ TRACED = tracing.SPANS + tracing.COUNTERS
 @pytest.mark.parametrize("owner, attr, name", TRACED, ids=[name for *_, name in TRACED])
 def test_traced_attribute_resolves(owner, attr, name):
     assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} not found"
+
+
+def count_span_calls(monkeypatch, names):
+    """Patch the traced attributes of ``names`` with call counters, as the tracer does."""
+    counts = Counter()
+    for owner, attr, name in TRACED:
+        if name in names:
+            def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+    return counts
+
+
+CONDENSE_SPANS = ["condensing.compute_Ghat", "condensing.compute_L", "condensing.compute_Hhat",
+                  "condensing.compute_ghat", "condensing.condense_constraints"]
+STEP_SPANS = ["shooting.evaluate", "condensing.condense", "qp_solver.solve_qp",
+              "condensing.expand", "rti.kkt_residual"]
+
+
+@pytest.mark.parametrize("scheme", ["A", "C"])
+def test_traced_spans_are_reached_once_per_call(monkeypatch, scheme):
+    """A refactor that calls around a traced name would leave its span at 0."""
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    x0 = np.array([0.1, 3.0, 0.0, 0.0])
+    state = ctrl.initial_state(x0)
+    prep = ctrl.prepare(state, x0)
+    condense_counts = count_span_calls(monkeypatch, CONDENSE_SPANS)
+    condense(prep.sd, ctrl.bs)
+    assert condense_counts == dict.fromkeys(CONDENSE_SPANS, 1)
+    monkeypatch.undo()
+    step_counts = count_span_calls(monkeypatch, STEP_SPANS)
+    ctrl.step(state, x0)
+    assert step_counts == dict.fromkeys(STEP_SPANS, 1)

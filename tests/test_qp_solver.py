@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockmpc import qp_solver
 from blockmpc.qp_solver import DenseQp, WorkingSet, _inv_lower, solve_qp
 from oracles import enumerate_qp
 
@@ -162,6 +163,28 @@ def test_blocked_triangular_inverse_matches_general_inverse():
         X = _inv_lower(L)
         assert np.array_equal(X, np.tril(X))
         assert np.abs(X - np.linalg.inv(L)).max() < 1e-12 * np.abs(X).max()
+
+
+def test_feasible_unconstrained_minimizer_needs_no_factor(monkeypatch):
+    # H is factored (and L^-1 formed) only once a row enters the working set
+    def no_factor(L):
+        raise AssertionError("_inv_lower called")
+
+    monkeypatch.setattr(qp_solver, "_inv_lower", no_factor)
+    rng = np.random.default_rng(30)
+    for n, m in ((1, 0), (4, 3), (6, 5)):
+        F = rng.standard_normal((n, n))
+        H, g = F @ F.T + np.eye(n), rng.standard_normal(n)
+        z_free = np.linalg.solve(H, -g)
+        C = rng.standard_normal((m, n))
+        qp = DenseQp(H=H, g=g, Crows=C, cvec=-(C @ z_free) - 0.5,
+                     lb=z_free - 1.0, ub=z_free + 1.0)
+        sol = solve_qp(qp)
+        assert (sol.status, sol.iterations, sol.start, sol.ws.active) == ("solved", 1, "cold", ())
+        assert np.abs(sol.z - enumerate_qp(qp)).max() < 1e-12
+    # a violated row does form the factor
+    with pytest.raises(AssertionError, match="_inv_lower"):
+        solve_qp(DenseQp(H=np.eye(2), g=np.zeros(2), ub=np.array([-1.0, 1.0])))
 
 
 def test_lb_ub_must_be_ordered():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blockmpc.blocking import build_T, from_block_lengths, interval_blocks, unit_blocks
-from blockmpc.condensing import expand, naive_condense
+from blockmpc.blocking import build_T, from_block_lengths, unit_blocks
+from blockmpc.condensing import compute_Ghat, condense, expand, naive_condense
 from blockmpc.harness import synthetic_stage_data
 from blockmpc.integrator import IntegratorConfig
 from blockmpc.model import (
@@ -188,7 +188,7 @@ def test_kkt_consistency_zero_step_zero_residuals():
     sd.qs[:] = 0.0
     sd.rs[:] = 0.0
     sd.qN[:] = 0.0
-    report = kkt_residual(sd, bs, np.zeros((6, 3)), np.zeros(2), None)
+    report = kkt_residual(sd, bs, compute_Ghat(sd, bs), np.zeros((6, 3)), np.zeros(2), None)
     assert report.total == 0.0
 
 
@@ -202,9 +202,9 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
     du = rng.standard_normal((3, nu))
     rows = [node_rows(sd, k) for k in range(N + 1)]
     mu = [rng.uniform(0, 1, len(c)) for _, _, c in rows]
-    blocks = interval_blocks(bs)
+    blocks = bs.blocks
 
-    got = stationarity_blocks(sd, bs, dxs, du, np.concatenate(mu),
+    got = stationarity_blocks(sd, bs, compute_Ghat(sd, bs), dxs, du, np.concatenate(mu),
                               np.zeros(3 * nu), np.zeros(3 * nu))
 
     # unblocked stationarity components via independent costate recursion
@@ -213,10 +213,8 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
     for k in range(N - 1, -1, -1):
         uk = du[blocks[k]]
         Cx, Cu, _ = rows[k]
-        per_stage[k] = (sd.rs[k] + sd.Rs[k] @ uk + sd.Ss[k].T @ dxs[k]
-                        + sd.Bs[k].T @ lam + Cu.T @ mu[k])
-        lam = (sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.Ss[k] @ uk
-               + sd.As[k].T @ lam + Cx.T @ mu[k])
+        per_stage[k] = sd.rs[k] + sd.Rs[k] @ uk + sd.Bs[k].T @ lam + Cu.T @ mu[k]
+        lam = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam + Cx.T @ mu[k]
     T = build_T(bs, nu)
     folded = (T.T @ per_stage.reshape(N * nu)).reshape(3, nu)
     assert np.abs(got - folded).max() < 1e-12 * max(1.0, np.abs(folded).max())
@@ -233,10 +231,11 @@ def check_kkt_against_loop(sd, bs, rng):
                      ws=WorkingSet())
     g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, du, sol.lam_rows, row_node,
                                              sol.lam_lb, sol.lam_ub)
-    g_stat = stationarity_blocks(sd, bs, dxs, du, sol.lam_rows, sol.lam_lb, sol.lam_ub)
+    Ghat = compute_Ghat(sd, bs)
+    g_stat = stationarity_blocks(sd, bs, Ghat, dxs, du, sol.lam_rows, sol.lam_lb, sol.lam_ub)
     scale = np.abs(g_ref).max()
     assert np.abs(g_stat - g_ref).max() <= 1e-13 * scale
-    got = kkt_residual(sd, bs, dxs, du, sol)
+    got = kkt_residual(sd, bs, Ghat, dxs, du, sol)
     assert abs(got.stationarity - scale) <= 1e-13 * scale
     assert got.eq_residual == eq_ref
     assert abs(got.ineq_violation - viol_ref) <= 1e-13 * abs(viol_ref)
@@ -246,6 +245,20 @@ def check_kkt_against_loop(sd, bs, rng):
 def test_kkt_matches_node_loop_on_scheme_data(scheme):
     bs, sd = perturbed_scheme_stage_data(scheme)
     check_kkt_against_loop(sd, bs, np.random.default_rng(36))
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_kkt_stationarity_equals_condensed_qp_residual(scheme):
+    # after the expansion, the blocked Lagrangian gradient is the reduced one
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    qp, chain = condense(sd, bs)
+    sol = solve_qp(qp)
+    assert sol.status == "solved"
+    dxs = expand(chain.Ghat, chain.L, sd.dx0, sol.z)
+    report = kkt_residual(sd, bs, chain.Ghat, dxs, sol.z, sol)
+    residual = qp.H @ sol.z + qp.g + qp.Crows.T @ sol.lam_rows + sol.lam_ub - sol.lam_lb
+    scale = max(1.0, np.abs(qp.g).max())
+    assert abs(report.stationarity - np.abs(residual).max()) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("lengths", [[1, 2, 4, 5], [3, 1, 1, 2]])
@@ -264,7 +277,7 @@ def test_kkt_ineq_violation_reports_exact_epsilon():
                          np.array([1]))
     dxs = np.zeros((4, 2))
     dxs[1, 0] = 1.0 + eps  # row value = dxs + c = eps > 0
-    report = kkt_residual(sd, bs, dxs, np.zeros(3), None)
+    report = kkt_residual(sd, bs, compute_Ghat(sd, bs), dxs, np.zeros(3), None)
     assert report.ineq_violation == pytest.approx(eps, abs=1e-15)
 
 

@@ -75,12 +75,12 @@ def compute_Ghat(sd: StageData, bs: BlockStructure,
     return Gh
 
 
-def compute_L(sd: StageData, bs: BlockStructure, dx0: np.ndarray) -> np.ndarray:
+def compute_L(sd: StageData, dx0: np.ndarray) -> np.ndarray:
     """Residual chain: L[0] = A_0 dx0 + d_0, L[k] = A_k L[k-1] + d_k."""
-    L = sd.ds[:bs.N].copy()
+    L = sd.ds.copy()
     Lk = list(L)
     Lk[0] += sd.As[0].dot(dx0)
-    for k in range(1, bs.N):
+    for k in range(1, sd.N):
         Lk[k] += sd.As[k].dot(Lk[k - 1])
     return L
 
@@ -136,26 +136,21 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
 
 
 def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
-                         L: np.ndarray, dx0: np.ndarray,
-                         counter: FlopCounter | None = None):
-    """Condense the affine rows ``sd.rows`` and fold input boxes into simple bounds.
+                         L: np.ndarray, counter: FlopCounter | None = None):
+    """Condense the state rows ``sd.rows`` and fold input boxes into simple bounds.
 
-    A row at node k >= 1 becomes Cx_k Ghat[k-1, :] plus its direct input part
-    in column blocks[k], with constant shifted by Cx_k L[k-1]; node-0 rows
-    see only dx0 and the direct input part.  All rows are condensed in one
-    gathered product; Ghat[k-1, j] = 0 for I[j] >= k makes the blocks right
-    of a row's node exact zeros.  Returns (C, c, lb, ub), rows in the order
-    of ``sd.rows``; a terminal row with a nonzero Cu raises ValueError.
+    A row at node k in 1..N becomes Cx_k Ghat[k-1, :], with constant shifted
+    by Cx_k L[k-1]; dx0 enters only through L.  All rows are condensed in
+    one gathered product; Ghat[k-1, j] = 0 for I[j] >= k makes the blocks
+    right of a row's node exact zeros.  Returns (C, c, lb, ub), rows in the
+    order of ``sd.rows``; a row at node 0 raises ValueError.
     """
     M, nu = bs.M, sd.nu
-    Cx, Cu, c, row_node = sd.rows
-    if np.any(Cu[row_node == bs.N]):
-        raise ValueError("condense_constraints requires a zero input part on terminal rows")
-    G = np.concatenate([np.zeros((1,) + Ghat.shape[1:]), Ghat])[row_node]  # Ghat[k-1]
-    Lk = np.concatenate([dx0[None], L])[row_node]                           # L[k-1]
-    C = _mm(counter, Cx[:, None, None, :], G)[:, :, 0, :]
-    const = c + _mm(counter, Cx[:, None, :], Lk[:, :, None])[:, 0, 0]
-    C[np.arange(len(C)), np.append(bs.blocks, 0)[row_node]] += Cu
+    Cx, c, row_node = sd.rows
+    if len(row_node) and row_node[0] < 1:
+        raise ValueError("condense_constraints takes rows at nodes 1..N only, not node 0")
+    C = _mm(counter, Cx[:, None, None, :], Ghat[row_node - 1])[:, :, 0, :]
+    const = c + _mm(counter, Cx[:, None, :], L[row_node - 1, :, None])[:, 0, 0]
     lb = sd.du_lo.reshape(M * nu).copy()
     ub = sd.du_hi.reshape(M * nu).copy()
     return C.reshape(len(C), M * nu), const, lb, ub
@@ -169,10 +164,10 @@ def condense(sd: StageData, bs: BlockStructure,
     its i-th general row condenses row i of ``sd.rows``.
     """
     Ghat = compute_Ghat(sd, bs, counter)
-    L = compute_L(sd, bs, sd.dx0)
+    L = compute_L(sd, sd.dx0)
     H = compute_Hhat(sd, bs, Ghat, counter)
     g = compute_ghat(sd, bs, Ghat, L, counter)
-    C, c, lb, ub = condense_constraints(sd, bs, Ghat, L, sd.dx0, counter)
+    C, c, lb, ub = condense_constraints(sd, bs, Ghat, L, counter)
     return DenseQp(H=H, g=g, Crows=C, cvec=c, lb=lb, ub=ub), SensitivityChain(Ghat=Ghat, L=L)
 
 
@@ -224,7 +219,7 @@ def naive_condense(sd: StageData, bs: BlockStructure,
     """
     N, nu = sd.N, sd.nu
     G = _full_G(sd, counter)
-    L = compute_L(sd, BlockStructure(N=N, M=N, I=tuple(range(N + 1))), sd.dx0)
+    L = compute_L(sd, sd.dx0)
 
     Hc = np.zeros((N * nu, N * nu))
     for j in range(N):
@@ -243,18 +238,13 @@ def naive_condense(sd: StageData, bs: BlockStructure,
         w = sd.qs[k] + _mm(counter, sd.Qs[k], L[k - 1]) + _mm(counter, sd.As[k].T, w)
     gc[0] = sd.rs[0] + _mm(counter, sd.Bs[0].T, w)
 
-    Cx, Cu, c, row_node = sd.rows
+    Cx, c, row_node = sd.rows
     Cc, cc = np.zeros((len(c), N * nu)), c.copy()
     for k in np.unique(row_node):
         at = row_node == k
-        if k == 0:
-            cc[at] += Cx[at] @ sd.dx0
-        else:
-            for j in range(k):
-                Cc[at, j * nu:(j + 1) * nu] = _mm(counter, Cx[at], G[k - 1, j])
-            cc[at] += _mm(counter, Cx[at], L[k - 1])
-        if k < N:  # terminal rows have no input part
-            Cc[at, k * nu:(k + 1) * nu] += Cu[at]
+        for j in range(k):
+            Cc[at, j * nu:(j + 1) * nu] = _mm(counter, Cx[at], G[k - 1, j])
+        cc[at] += _mm(counter, Cx[at], L[k - 1])
 
     T = build_T(bs, nu)
     Hh = _mm(counter, T.T, _mm(counter, Hc, T))

@@ -362,13 +362,11 @@ def write_outputs(log: SimLog, out_dir: str) -> None:
 # --- condensing benchmark ------------------------------------------------------
 
 def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
-                         M: int | None = None, nc: int = 0, ncN: int = 0,
-                         node0_rows: bool = False) -> StageData:
+                         M: int | None = None, nc: int = 0, ncN: int = 0) -> StageData:
     """Random Gauss-Newton stage data with non-exploding sensitivities.
 
     M sizes the per-block input bounds (default unbounded).  Nodes 1..N-1
-    carry nc rows each, node 0 too when ``node0_rows`` is set, and node N
-    carries ncN terminal rows with a zero input part.
+    carry nc state rows each and node N carries ncN terminal rows.
     """
     if M is None:
         M = N
@@ -386,19 +384,17 @@ def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
         Rs[k] = m.T @ m / nu + np.eye(nu)
     m = rng.standard_normal((nx, nx))
     QN = m.T @ m / nx
-    counts = [nc if (k > 0 or node0_rows) else 0 for k in range(N)]
-    Cx, Cu, c = [], [], []
+    counts = [nc] * (N - 1)
+    Cx, c = [], []
     for nr in counts:
         Cx.append(rng.standard_normal((nr, nx)))
-        Cu.append(rng.standard_normal((nr, nu)))
         c.append(rng.standard_normal(nr))
     qs, rs = rng.standard_normal((N, nx)), rng.standard_normal((N, nu))
     qN = rng.standard_normal(nx)
     Cx.append(rng.standard_normal((ncN, nx)))
-    Cu.append(np.zeros((ncN, nu)))
     c.append(rng.standard_normal(ncN))
-    rows = AffineRows(np.concatenate(Cx), np.concatenate(Cu), np.concatenate(c),
-                      np.repeat(np.arange(N + 1), counts + [ncN]))
+    rows = AffineRows(np.concatenate(Cx), np.concatenate(c),
+                      np.repeat(np.arange(1, N + 1), counts + [ncN]))
     return StageData(
         As=As, Bs=Bs, ds=ds, Qs=Qs, Rs=Rs, qs=qs, rs=rs,
         QN=QN, qN=qN, rows=rows, dx0=rng.standard_normal(nx) * 0.1,

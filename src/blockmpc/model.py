@@ -156,20 +156,19 @@ def stage_cost_terms(xs: np.ndarray, us: np.ndarray, cost: QuadraticCost):
         np.broadcast_to(cost.R, stack + cost.R.shape)
 
 
-def state_box_rows(x_lo, x_hi, xs: np.ndarray, nu: int):
-    """Affine rows Cx*dx + Cu*du + c <= 0 encoding finite state box bounds at nodes xs (n, nx).
+def state_box_rows(x_lo, x_hi, xs: np.ndarray):
+    """Affine rows Cx*dx + c <= 0 encoding finite state box bounds at nodes xs (n, nx).
 
     Upper bound i gives row  e_i*dx + (x_k[i] - hi) <= 0, lower bound i gives
-    -e_i*dx + (lo - x_k[i]) <= 0.  Cx and Cu are the same at every node;
-    c is (n, rows).  Input parts are zero (input boxes are kept as simple
-    bounds on the blocked inputs, never as rows).
+    -e_i*dx + (lo - x_k[i]) <= 0.  Cx is the same at every node; c is
+    (n, rows).  Input boxes are simple bounds on the blocked inputs, never rows.
     """
     nx = xs.shape[-1]
     eye = np.eye(nx)
     keep = np.stack([np.isfinite(x_hi), np.isfinite(x_lo)], axis=1).reshape(2 * nx)
     Cx = np.stack([eye, -eye], axis=1).reshape(2 * nx, nx)[keep]
     c = np.stack([xs - x_hi, x_lo - xs], axis=-1).reshape(xs.shape[:-1] + (2 * nx,))[..., keep]
-    return Cx, np.zeros((Cx.shape[0], nu)), c
+    return Cx, c
 
 
 @dataclass

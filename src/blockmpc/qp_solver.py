@@ -25,7 +25,7 @@ The controller's QPs have up to 80 variables and 320 candidate rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +94,6 @@ class QpSolution:
     iterations: int
     status: str  # "solved" | "max-iterations" | "infeasible-detected"
     start: str   # "warm" | "cold": whether the warm working set was used
-    obj_history: list = field(default_factory=list)
 
 
 def _unified(qp: DenseQp):
@@ -158,9 +157,6 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         lam = -np.linalg.solve(R, np.linalg.solve(R.T, b[W]) + Q.T @ w)
         return -J @ (w + Q @ (R @ lam)), lam
 
-    def objective(v):
-        return 0.5 * v @ qp.H @ v + qp.g @ v
-
     def solution(status, it):
         lam_all = np.zeros(len(b))
         lam_all[W] = lam
@@ -168,7 +164,7 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
             lam_all[p] = u
         return QpSolution(z=z, lam_rows=lam_all[:m], lam_lb=lam_all[m + n:],
                           lam_ub=lam_all[m:m + n], ws=WorkingSet(tuple(W)), iterations=it,
-                          status=status, start=start, obj_history=obj_history)
+                          status=status, start=start)
 
     start, fac = "cold", None
     W = [] if warm is None else [i for i in warm.active if 0 <= i < len(b) and usable[i]]
@@ -187,7 +183,6 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         z, lam = z_free, np.zeros(0)
 
     p, u = -1, 0.0  # row being added and its multiplier
-    obj_history = [objective(z)]
     for it in range(1, max_iter + 1):
         Q, R = fac = factor(W) if fac is None else fac
         if p < 0:
@@ -228,6 +223,5 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
             W.pop(j)
             lam = np.delete(lam, j)
         fac = None
-        obj_history.append(objective(z))
 
     return solution("max-iterations", max_iter)

@@ -70,22 +70,17 @@ def stationarity_blocks(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     Lagrangian at node k (qN, QN and the terminal rows at k = N), the costate
     terms of block j are sum_k Ghat[k-1, j]' v_k: one product of the stacked
     v_k with Ghat, as in ``compute_ghat``.  Block j adds the sums of
-    r_k + R_k u_j + Cu_k' mu_k over its own stages, which makes the result
-    the T-transpose of the unblocked stationarity vector.
+    r_k + R_k u_j over its own stages, which makes the result the
+    T-transpose of the unblocked stationarity vector.
     """
     N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
-    Cx, Cu, _, row_node = sd.rows
-    mu = np.asarray(lam_rows, dtype=float)[:, None]
-    CxTmu = np.zeros((N + 1, nx))
-    CuTmu = np.zeros((N + 1, nu))
-    np.add.at(CxTmu, row_node, Cx * mu)
-    np.add.at(CuTmu, row_node, Cu * mu)
-
-    vs = CxTmu[1:]  # v_1, ..., v_N
+    Cx, _, row_node = sd.rows
+    vs = np.zeros((N, nx))  # v_1, ..., v_N
+    np.add.at(vs, row_node - 1, Cx * np.asarray(lam_rows, dtype=float)[:, None])
     vs[:-1] += sd.qs[1:] + (sd.Qs[1:] @ dxs[1:N, :, None])[:, :, 0]
     vs[-1] += sd.qN + sd.QN @ dxs[N]
-    stage = sd.rs + CuTmu[:N] + (sd.Rs @ du[bs.blocks][:, :, None])[:, :, 0]
+    stage = sd.rs + (sd.Rs @ du[bs.blocks][:, :, None])[:, :, 0]
     Gm = Ghat.transpose(0, 2, 1, 3).reshape(N * nx, M * nu)
     return ((lam_ub - lam_lb).reshape(M, nu) + block_sums(stage, bs.sum_rows)
             + (vs.reshape(N * nx) @ Gm).reshape(M, nu))
@@ -100,26 +95,25 @@ def kkt_residual(sd: StageData, bs: BlockStructure, Ghat: np.ndarray, dxs: np.nd
     initial-embedding residual evaluated at the point, which is
     ``dx0 - dxs[0]`` and hence vanishes after a full Newton step.  The
     inequality part evaluates ``sd.rows`` and the input bounds; the
-    multipliers of ``sol`` belong to the QP condensed from ``sd``.
-    ``sol = None`` (or a solution with a different row count than
-    ``sd.rows``) means zero multipliers.
+    multipliers of ``sol`` belong to the QP condensed from ``sd``; a
+    solution with other multiplier counts raises ValueError.  ``sol = None``
+    means zero multipliers.
     """
     M, nu = bs.M, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
-    Cx, Cu, c, nodes = sd.rows
+    Cx, c, nodes = sd.rows
 
     lam_rows, lam_lb, lam_ub = np.zeros(len(nodes)), np.zeros(M * nu), np.zeros(M * nu)
-    if sol is not None and len(sol.lam_rows) == len(nodes) \
-            and len(sol.lam_lb) == M * nu:
+    if sol is not None:
+        if (len(sol.lam_rows), len(sol.lam_lb), len(sol.lam_ub)) != (len(nodes), M * nu, M * nu):
+            raise ValueError("kkt_residual: multiplier counts differ from sd.rows and M*nu")
         lam_rows, lam_lb, lam_ub = sol.lam_rows, sol.lam_lb, sol.lam_ub
 
     g_stat = stationarity_blocks(sd, bs, Ghat, dxs, du, lam_rows, lam_lb, lam_ub)
     stationarity = float(np.abs(g_stat).max(initial=0.0))
     eq = max(float(np.abs(sd.ds).max(initial=0.0)),
              float(np.abs(sd.dx0 - dxs[0]).max(initial=0.0)))
-    row_block = np.append(bs.blocks, 0)[nodes]  # terminal rows: Cu = 0
-    rows = (np.einsum("rx,rx->r", Cx, dxs[nodes])
-            + np.einsum("ru,ru->r", Cu, du[row_block]) + c)
+    rows = np.einsum("rx,rx->r", Cx, dxs[nodes]) + c
     viol = max(float(rows.max(initial=0.0)),
                float((du - sd.du_hi.reshape(M, nu)).max(initial=0.0)),
                float((sd.du_lo.reshape(M, nu) - du).max(initial=0.0)))

@@ -33,10 +33,10 @@ class Trajectory:
             raise ValueError("trajectory entries must be finite")
 
 
-# Affine rows Cx dx_k + Cu du + c <= 0, one per QP row and in QP row order:
-# row_node (non-decreasing) is each row's shooting node k, N for the
-# terminal rows, whose input part Cu is zero.
-AffineRows = namedtuple("AffineRows", "Cx Cu c row_node")
+# Affine state rows Cx dx_k + c <= 0, one per QP row and in QP row order:
+# row_node (non-decreasing, in 1..N) is each row's shooting node k, N for
+# the terminal rows.  Node 0 carries none: dx0 is fixed by the embedding.
+AffineRows = namedtuple("AffineRows", "Cx c row_node")
 
 
 @dataclass
@@ -45,8 +45,8 @@ class StageData:
 
     Dynamic stages k = 0..N-1 carry sensitivities (A, B), shooting residual
     d_k = phi(x_k, u_block(k)) - x_{k+1}, Gauss-Newton Hessian blocks and
-    cost gradients.  ``rows`` stacks the affine constraint rows of all
-    nodes, terminal rows included, in the order of the condensed QP's rows.
+    cost gradients.  ``rows`` stacks the affine state rows of nodes 1..N,
+    terminal rows included, in the order of the condensed QP's rows.
     ``dx0`` is the initial-value embedding residual x0_measured - x_0.
     Input box bounds appear once per block as bounds on the input step.
     """
@@ -101,6 +101,7 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     Every interval in block j is integrated with u_hat_j; the residuals
     d_k close the shooting gaps, and dx0 embeds the new measurement.  The
     intervals are independent at a fixed trajectory: one batched RK4 step.
+    The finite state bounds give the same rows at each of nodes 1..N.
     """
     N, M = bs.N, bs.M
     nx, nu = problem.dims.nx, problem.dims.nu
@@ -115,10 +116,8 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     w = problem.weight_scales[:, None]
     w3 = w[:, :, None]
 
-    # dx0 is fixed by the initial-value embedding, so state rows at node 0
-    # would be constant; they are not emitted.
-    Cx, Cu, c = state_box_rows(problem.bounds.x_lo, problem.bounds.x_hi, traj.xs[1:], nu)
-    rows = AffineRows(np.tile(Cx, (N, 1)), np.tile(Cu, (N, 1)), c.reshape(-1),
+    Cx, c = state_box_rows(problem.bounds.x_lo, problem.bounds.x_hi, traj.xs[1:])
+    rows = AffineRows(np.tile(Cx, (N, 1)), c.reshape(-1),
                       np.repeat(np.arange(1, N + 1), len(Cx)))
 
     qN = problem.cost.QN @ (traj.xs[N] - problem.cost.x_ref)

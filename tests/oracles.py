@@ -83,12 +83,12 @@ def loop_evaluate(problem, bs, traj, x0_measured):
             if np.isfinite(bounds.x_lo[i]):
                 Cx.append(-np.eye(nx)[i])
                 c.append(bounds.x_lo[i] - x[i])
-        return np.array(Cx).reshape(-1, nx), np.zeros((len(c), nu)), np.array(c)
+        return np.array(Cx).reshape(-1, nx), np.array(c)
 
     As, Bs, ds = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nx))
     Qs, Rs = np.zeros((N, nx, nx)), np.zeros((N, nu, nu))
     qs, rs = np.zeros((N, nx)), np.zeros((N, nu))
-    per_node = [(np.zeros((0, nx)), np.zeros((0, nu)), np.zeros(0))]
+    per_node = []
     for k in range(N):
         x, u, w = traj.xs[k], traj.us[block[k]], problem.weight_scales[k]
         x_end, As[k], Bs[k] = rk4_step(problem.rhs, problem.jac, x, u, problem.intervals[k].h)
@@ -112,18 +112,18 @@ def find_block(I, k):
 
 
 def node_rows(sd, k):
-    """(Cx, Cu, c) of the affine rows at node k (k = N: the terminal rows)."""
+    """(Cx, c) of the state rows at node k (k = N: the terminal rows)."""
     at_k = sd.rows.row_node == k
-    return sd.rows.Cx[at_k], sd.rows.Cu[at_k], sd.rows.c[at_k]
+    return sd.rows.Cx[at_k], sd.rows.c[at_k]
 
 
 def stack_node_rows(per_node):
-    """AffineRows from one (Cx, Cu, c) per node 0..N, stacked node by node."""
+    """AffineRows from one (Cx, c) per node 1..N, stacked node by node."""
     from blockmpc.shooting import AffineRows
 
-    Cx, Cu, c = (np.concatenate(part) for part in zip(*per_node))
-    return AffineRows(Cx, Cu, c, np.repeat(np.arange(len(per_node)),
-                                           [len(rows[2]) for rows in per_node]))
+    Cx, c = (np.concatenate(part) for part in zip(*per_node))
+    return AffineRows(Cx, c, np.repeat(np.arange(1, len(per_node) + 1),
+                                       [len(rows[1]) for rows in per_node]))
 
 
 def kron_T(lengths, nu):
@@ -180,25 +180,11 @@ def dense_condense(sd):
     gc = Gm.T @ (Qt @ Lv + qt) + rt
 
     rows, consts = [], []
-    for k in range(N):
-        Cx, Cu, c = node_rows(sd, k)
-        if Cx.shape[0] == 0:
-            continue
-        row = np.zeros((Cx.shape[0], N * nu))
-        if k == 0:
-            const = c + Cx @ sd.dx0
-        else:
-            row[:, :] = Cx @ Gm[(k - 1) * nx:k * nx, :]
-            const = c + Cx @ L[k - 1]
-        row[:, k * nu:(k + 1) * nu] += Cu
-        rows.append(row)
-        consts.append(const)
-    CN, _, cN = node_rows(sd, N)
-    if CN.shape[0]:
-        rows.append(CN @ Gm[(N - 1) * nx:, :])
-        consts.append(cN + CN @ L[N - 1])
-    Cc = np.vstack(rows) if rows else np.zeros((0, N * nu))
-    cc = np.concatenate(consts) if consts else np.zeros(0)
+    for k in range(1, N + 1):
+        Cx, c = node_rows(sd, k)
+        rows.append(Cx @ Gm[(k - 1) * nx:k * nx, :])
+        consts.append(c + Cx @ L[k - 1])
+    Cc, cc = np.vstack(rows), np.concatenate(consts)
     return {"G": G, "L": L, "Hc": Hc, "gc": gc, "Cc": Cc, "cc": cc}
 
 
@@ -297,14 +283,14 @@ def perturbed_scheme_stage_data(scheme):
 
 
 def ragged_stage_data(rng, lengths, nx, nu):
-    """Synthetic stage data whose nodes carry 1, 2, 0, 1, 2, ... rows, node 0
-    included, plus two terminal rows."""
+    """Synthetic stage data whose nodes 1..N-1 carry 1, 2, 0, 1, 2, ... rows,
+    plus two terminal rows."""
     from blockmpc.blocking import from_block_lengths
     from blockmpc.harness import synthetic_stage_data
 
     bs = from_block_lengths(lengths)
-    sd = synthetic_stage_data(rng, bs.N, nx, nu, M=bs.M, nc=2, ncN=2, node0_rows=True)
-    per_node = [[part[:(k + 1) % 3] for part in node_rows(sd, k)] for k in range(bs.N)]
+    sd = synthetic_stage_data(rng, bs.N, nx, nu, M=bs.M, nc=2, ncN=2)
+    per_node = [[part[:k % 3] for part in node_rows(sd, k)] for k in range(1, bs.N)]
     sd.rows = stack_node_rows(per_node + [node_rows(sd, bs.N)])
     return bs, sd
 
@@ -410,36 +396,22 @@ def loop_ghat(sd, bs, L):
     return g.reshape(M * sd.nu)
 
 
-def loop_condense_constraints(sd, bs, Ghat, L, dx0):
+def loop_condense_constraints(sd, bs, Ghat, L):
     """Condensed rows node by node and block column by block column."""
     N, M, nu = bs.N, bs.M, sd.nu
     rows, consts, row_node = [], [], []
-    for k in range(N):
-        Cx, Cu, c = node_rows(sd, k)
+    for k in range(1, N + 1):
+        Cx, c = node_rows(sd, k)
         nr = Cx.shape[0]
         if nr == 0:
             continue
         row = np.zeros((nr, M * nu))
-        if k == 0:
-            const = c + Cx @ dx0
-        else:
-            for j in range(M):
-                if bs.I[j] < k:
-                    row[:, j * nu:(j + 1) * nu] = Cx @ Ghat[k - 1, j]
-            const = c + Cx @ L[k - 1]
-        jk = find_block(bs.I, k)
-        row[:, jk * nu:(jk + 1) * nu] += Cu
-        rows.append(row)
-        consts.append(const)
-        row_node.extend([k] * nr)
-    CN, _, cN = node_rows(sd, N)
-    if CN.shape[0] > 0:
-        row = np.zeros((CN.shape[0], M * nu))
         for j in range(M):
-            row[:, j * nu:(j + 1) * nu] = CN @ Ghat[N - 1, j]
+            if bs.I[j] < k:
+                row[:, j * nu:(j + 1) * nu] = Cx @ Ghat[k - 1, j]
         rows.append(row)
-        consts.append(cN + CN @ L[N - 1])
-        row_node.extend([N] * CN.shape[0])
+        consts.append(c + Cx @ L[k - 1])
+        row_node.extend([k] * nr)
     C = np.vstack(rows) if rows else np.zeros((0, M * nu))
     c = np.concatenate(consts) if consts else np.zeros(0)
     return C, c, np.asarray(row_node, dtype=int)
@@ -453,8 +425,8 @@ def loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub):
     lam_next = sd.qN + sd.QN @ dxs[N] + node_rows(sd, N)[0].T @ mu[N]
     for k in range(N - 1, -1, -1):
         j = find_block(bs.I, k)
-        Cx, Cu, _ = node_rows(sd, k)
-        g_stat[j] += sd.rs[k] + sd.Rs[k] @ du[j] + sd.Bs[k].T @ lam_next + Cu.T @ mu[k]
+        g_stat[j] += sd.rs[k] + sd.Rs[k] @ du[j] + sd.Bs[k].T @ lam_next
+        Cx = node_rows(sd, k)[0]  # none at node 0
         lam_next = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam_next + Cx.T @ mu[k]
     return g_stat
 
@@ -467,12 +439,9 @@ def loop_kkt_parts(sd, bs, dxs, du, lam_rows, row_node, lam_lb, lam_ub):
     g_stat = loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub)
     eq = max(np.abs(sd.ds).max(initial=0.0), np.abs(sd.dx0 - dxs[0]).max(initial=0.0))
     viol = 0.0
-    for k in range(N):
-        Cx, Cu, c = node_rows(sd, k)
+    for k in range(1, N + 1):
+        Cx, c = node_rows(sd, k)
         if Cx.shape[0]:
-            viol = max(viol, (Cx @ dxs[k] + Cu @ du[find_block(bs.I, k)] + c).max())
-    CN, _, cN = node_rows(sd, N)
-    if CN.shape[0]:
-        viol = max(viol, (CN @ dxs[N] + cN).max())
+            viol = max(viol, (Cx @ dxs[k] + c).max())
     viol = max(viol, (du - sd.du_hi.reshape(M, nu)).max(), (sd.du_lo.reshape(M, nu) - du).max())
     return g_stat, eq, viol

@@ -40,7 +40,7 @@ def scalar_chain(N, A=1.0, B=1.0, Q=1.0, R=1.0, QN=1.0):
         Qs=Q * ones, Rs=R * ones,
         qs=np.zeros((N, 1)), rs=np.zeros((N, 1)),
         QN=QN * np.ones((1, 1)), qN=np.zeros(1),
-        rows=AffineRows(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0, int)),
+        rows=AffineRows(np.zeros((0, 1)), np.zeros(0), np.zeros(0, int)),
         dx0=np.zeros(1),
         du_lo=np.full((N, 1), -np.inf), du_hi=np.full((N, 1), np.inf))
 
@@ -97,8 +97,7 @@ def test_ghat_zero_column_property():
 
 def test_L_zero_for_feasible_point():
     sd = scalar_chain(5)
-    bs = unit_blocks(5)
-    assert not compute_L(sd, bs, np.zeros(1)).any()
+    assert not compute_L(sd, np.zeros(1)).any()
 
 
 def test_L_telescopes_with_identity_A():
@@ -106,8 +105,7 @@ def test_L_telescopes_with_identity_A():
     sd = scalar_chain(N, A=1.0)
     d = 0.7
     sd.ds = d * np.ones((N, 1))
-    bs = unit_blocks(N)
-    L = compute_L(sd, bs, np.zeros(1))
+    L = compute_L(sd, np.zeros(1))
     assert np.allclose(L.ravel(), d * np.arange(1, N + 1))
 
 
@@ -115,7 +113,7 @@ def test_expand_zero_step_gives_residual_chain():
     rng = np.random.default_rng(6)
     bs = from_block_lengths([2, 3])
     sd = rand_sd(rng, 5, 3, 1, M=2)
-    L = compute_L(sd, bs, sd.dx0)
+    L = compute_L(sd, sd.dx0)
     Gh = compute_Ghat(sd, bs)
     dxs = expand(Gh, L, sd.dx0, np.zeros(2))
     assert np.allclose(dxs[0], sd.dx0)
@@ -128,7 +126,7 @@ def test_expand_satisfies_stage_recursion():
     bs = from_block_lengths(lengths)
     sd = rand_sd(rng, 12, 3, 2, M=4)
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, sd.dx0)
+    L = compute_L(sd, sd.dx0)
     du = rng.standard_normal((4, 2))
     dxs = expand(Gh, L, sd.dx0, du)
     blocks = bs.blocks
@@ -193,7 +191,7 @@ def test_ghat_gradient_zero_without_gradients_or_residuals():
     sd = scalar_chain(4)
     bs = from_block_lengths([2, 2])
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, np.zeros(1))
+    L = compute_L(sd, np.zeros(1))
     g = compute_ghat(sd, bs, Gh, L)
     assert not g.any()
 
@@ -203,7 +201,7 @@ def test_gradient_unit_blocks_matches_dense():
     sd = rand_sd(rng, 6, 3, 2, M=6)
     bs = unit_blocks(6)
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, sd.dx0)
+    L = compute_L(sd, sd.dx0)
     g = compute_ghat(sd, bs, Gh, L)
     ref = dense_condense(sd)["gc"]
     assert np.abs(g - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
@@ -215,7 +213,7 @@ def test_gradient_blocked_matches_T_transpose():
     bs = from_block_lengths(lengths)
     sd = rand_sd(rng, 6, 3, 2, M=3)
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, sd.dx0)
+    L = compute_L(sd, sd.dx0)
     g = compute_ghat(sd, bs, Gh, L)
     T = kron_T(lengths, 2)
     ref = T.T @ dense_condense(sd)["gc"]
@@ -230,8 +228,8 @@ def test_constraints_empty_without_state_rows():
     sd.du_hi = np.full((1, 1), 5.0)
     bs = from_block_lengths([3])
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, np.zeros(1))
-    C, c, lb, ub = condense_constraints(sd, bs, Gh, L, np.zeros(1))
+    L = compute_L(sd, np.zeros(1))
+    C, c, lb, ub = condense_constraints(sd, bs, Gh, L)
     assert C.shape == (0, 1) and c.size == 0
     assert lb[0] == -2.0 and ub[0] == 5.0
 
@@ -239,11 +237,11 @@ def test_constraints_empty_without_state_rows():
 def test_single_step_row_matches_Ghat_pattern():
     rng = np.random.default_rng(13)
     sd = rand_sd(rng, 2, 2, 1, M=1, nc=0, ncN=0)
-    sd.rows = AffineRows(np.eye(2), np.zeros((2, 1)), np.zeros(2), np.array([1, 1]))
+    sd.rows = AffineRows(np.eye(2), np.zeros(2), np.array([1, 1]))
     bs = from_block_lengths([2])
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, sd.dx0)
-    C, c, _, _ = condense_constraints(sd, bs, Gh, L, sd.dx0)
+    L = compute_L(sd, sd.dx0)
+    C, c, _, _ = condense_constraints(sd, bs, Gh, L)
     assert np.allclose(C[:, 0], Gh[0, 0].ravel())
     assert np.allclose(c, L[0])
 
@@ -254,8 +252,8 @@ def test_constraints_match_explicit_T_product():
     bs = from_block_lengths(lengths)
     sd = rand_sd(rng, 12, 3, 2, M=4, nc=2, ncN=2)
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, sd.dx0)
-    C, c, _, _ = condense_constraints(sd, bs, Gh, L, sd.dx0)
+    L = compute_L(sd, sd.dx0)
+    C, c, _, _ = condense_constraints(sd, bs, Gh, L)
     ref = dense_condense(sd)
     T = kron_T(lengths, 2)
     assert np.abs(C - ref["Cc"] @ T).max() < 1e-10 * max(1.0, np.abs(ref["Cc"]).max())
@@ -272,13 +270,13 @@ def assert_rel(a, b, tol=1e-13):
 
 def check_against_loops(sd, bs):
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, sd.dx0)
+    L = compute_L(sd, sd.dx0)
     assert_rel(Gh, loop_Ghat(sd, bs))
     assert_rel(L, loop_L(sd, sd.dx0))
     assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh))
     assert_rel(compute_ghat(sd, bs, Gh, L), loop_ghat(sd, bs, L))
-    C, c, _, _ = condense_constraints(sd, bs, Gh, L, sd.dx0)
-    C_ref, c_ref, nodes_ref = loop_condense_constraints(sd, bs, Gh, L, sd.dx0)
+    C, c, _, _ = condense_constraints(sd, bs, Gh, L)
+    C_ref, c_ref, nodes_ref = loop_condense_constraints(sd, bs, Gh, L)
     assert_rel(C, C_ref)
     assert_rel(c, c_ref)
     assert np.array_equal(sd.rows.row_node, nodes_ref)
@@ -295,7 +293,7 @@ def test_batched_condensing_matches_loops_on_ragged_rows(lengths):
     rng = np.random.default_rng(20)
     bs, sd = ragged_stage_data(rng, lengths, 3, 2)
     per_node = np.bincount(sd.rows.row_node, minlength=bs.N + 1)
-    assert set(per_node[:bs.N]) == {0, 1, 2} and per_node[0] > 0
+    assert per_node[0] == 0 and set(per_node[1:bs.N]) == {0, 1, 2}
     check_against_loops(sd, bs)
 
 
@@ -326,15 +324,17 @@ def test_condense_count_is_python_int(scheme):
     assert type(counter.mults) is int and counter.mults > 0
 
 
-def test_constraints_reject_terminal_input_part():
+def test_constraints_reject_node0_row():
+    # without the check, Ghat[-1] and L[-1] would condense the row as one at node N
     rng = np.random.default_rng(23)
     bs = from_block_lengths([2, 3])
     sd = rand_sd(rng, 5, 3, 1, M=2, nc=1, ncN=1)
-    sd.rows.Cu[sd.rows.row_node == bs.N] = 1.0
+    Cx, c, row_node = sd.rows
+    sd.rows = AffineRows(np.vstack([Cx[:1], Cx]), np.append(c[:1], c), np.append(0, row_node))
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, bs, sd.dx0)
-    with pytest.raises(ValueError, match="terminal"):
-        condense_constraints(sd, bs, Gh, L, sd.dx0)
+    L = compute_L(sd, sd.dx0)
+    with pytest.raises(ValueError, match="node 0"):
+        condense_constraints(sd, bs, Gh, L)
 
 
 # --- naive pipeline ----------------------------------------------------------

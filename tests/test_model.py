@@ -168,9 +168,9 @@ def test_box_rows_encode_current_point():
     x_lo = np.array([-2.0, -np.inf])
     x_hi = np.array([2.0, np.inf])
     xs = np.array([[0.5, 3.0], [-1.5, 0.0]])
-    Cx, Cu, c = state_box_rows(x_lo, x_hi, xs, nu=1)
+    Cx, c = state_box_rows(x_lo, x_hi, xs)
     # one upper and one lower row for the bounded component only, per node
-    assert Cx.shape == (2, 2) and Cu.shape == (2, 1) and c.shape == (2, 2)
+    assert Cx.shape == (2, 2) and c.shape == (2, 2)
     assert np.array_equal(Cx, [[1.0, 0.0], [-1.0, 0.0]])
     assert c[0] == pytest.approx([0.5 - 2.0, -2.0 - 0.5])
     assert c[1] == pytest.approx([-1.5 - 2.0, -2.0 + 1.5])
@@ -179,12 +179,10 @@ def test_box_rows_encode_current_point():
 def test_box_rows_order_upper_before_lower_per_component():
     x_lo = np.array([-1.0, -np.inf, -3.0])
     x_hi = np.array([1.0, 2.0, np.inf])
-    Cx, Cu, c = state_box_rows(x_lo, x_hi, np.zeros((1, 3)), nu=2)
+    Cx, c = state_box_rows(x_lo, x_hi, np.zeros((1, 3)))
     assert np.array_equal(Cx, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, -1]])
-    assert np.array_equal(Cu, np.zeros((4, 2)))
     assert np.array_equal(c, [[-1.0, -1.0, -2.0, -3.0]])
-    Cx, _, c = state_box_rows(-np.inf * np.ones(3), np.inf * np.ones(3),
-                                   np.zeros((4, 3)), nu=1)
+    Cx, c = state_box_rows(-np.inf * np.ones(3), np.inf * np.ones(3), np.zeros((4, 3)))
     assert Cx.shape == (0, 3) and c.shape == (4, 0)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ def test_unit_block_loop_matches_naive_reference():
         sol = solve_qp(naive_condense(sd, bs))
         from blockmpc.condensing import compute_Ghat, compute_L
         Gh = compute_Ghat(sd, bs)
-        L = compute_L(sd, bs, sd.dx0)
+        L = compute_L(sd, sd.dx0)
         dxs = expand(Gh, L, sd.dx0, sol.z)
         traj = Trajectory(xs=traj.xs + dxs, us=traj.us + sol.z.reshape(20, 1))
         u = traj.us[0].copy()
@@ -201,7 +203,7 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
     dxs = rng.standard_normal((N + 1, nx))
     du = rng.standard_normal((3, nu))
     rows = [node_rows(sd, k) for k in range(N + 1)]
-    mu = [rng.uniform(0, 1, len(c)) for _, _, c in rows]
+    mu = [rng.uniform(0, 1, len(c)) for _, c in rows]
     blocks = bs.blocks
 
     got = stationarity_blocks(sd, bs, compute_Ghat(sd, bs), dxs, du, np.concatenate(mu),
@@ -212,9 +214,8 @@ def test_kkt_stationarity_is_T_transpose_of_unblocked():
     per_stage = np.zeros((N, nu))
     for k in range(N - 1, -1, -1):
         uk = du[blocks[k]]
-        Cx, Cu, _ = rows[k]
-        per_stage[k] = sd.rs[k] + sd.Rs[k] @ uk + sd.Bs[k].T @ lam + Cu.T @ mu[k]
-        lam = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam + Cx.T @ mu[k]
+        per_stage[k] = sd.rs[k] + sd.Rs[k] @ uk + sd.Bs[k].T @ lam
+        lam = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam + rows[k][0].T @ mu[k]
     T = build_T(bs, nu)
     folded = (T.T @ per_stage.reshape(N * nu)).reshape(3, nu)
     assert np.abs(got - folded).max() < 1e-12 * max(1.0, np.abs(folded).max())
@@ -268,13 +269,25 @@ def test_kkt_matches_node_loop_on_ragged_rows(lengths):
     check_kkt_against_loop(sd, bs, rng)
 
 
+def test_kkt_rejects_multipliers_of_another_qp():
+    # a mismatched solution must not read as zero multipliers; None still does
+    bs, sd = perturbed_scheme_stage_data("C")
+    qp, chain = condense(sd, bs)
+    sol = solve_qp(qp)
+    dxs = expand(chain.Ghat, chain.L, sd.dx0, sol.z)
+    for field in ("lam_rows", "lam_lb", "lam_ub"):
+        short = dataclasses.replace(sol, **{field: getattr(sol, field)[1:]})
+        with pytest.raises(ValueError, match="multiplier counts"):
+            kkt_residual(sd, bs, chain.Ghat, dxs, sol.z, short)
+    assert np.isfinite(kkt_residual(sd, bs, chain.Ghat, dxs, sol.z, None).total)
+
+
 def test_kkt_ineq_violation_reports_exact_epsilon():
     rng = np.random.default_rng(35)
     bs = unit_blocks(3)
     sd = synthetic_stage_data(rng, 3, 2, 1, M=3, nc=0, ncN=0)
     eps = 0.017
-    sd.rows = AffineRows(np.array([[1.0, 0.0]]), np.zeros((1, 1)), np.array([-1.0]),
-                         np.array([1]))
+    sd.rows = AffineRows(np.array([[1.0, 0.0]]), np.array([-1.0]), np.array([1]))
     dxs = np.zeros((4, 2))
     dxs[1, 0] = 1.0 + eps  # row value = dxs + c = eps > 0
     report = kkt_residual(sd, bs, compute_Ghat(sd, bs), dxs, np.zeros(3), None)

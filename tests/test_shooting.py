@@ -189,6 +189,21 @@ def test_batched_evaluate_matches_interval_loop(scheme):
                              loop_evaluate(ctrl.problem, ctrl.bs, traj, x0_measured))
 
 
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_evaluate_rows_are_state_boxes_at_nodes_1_to_N(scheme):
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    x0 = np.array([0.1, 3.0, 0.2, -0.1])
+    sd = evaluate(ctrl.problem, ctrl.bs, ctrl.initial_state(x0).traj, x0 + 0.01)
+    N, nx, bounds = ctrl.bs.N, ctrl.problem.dims.nx, ctrl.problem.bounds
+    box = [sign * np.eye(nx)[i] for i in range(nx)
+           for sign, b in ((1.0, bounds.x_hi[i]), (-1.0, bounds.x_lo[i])) if np.isfinite(b)]
+    Cx, c, row_node = sd.rows
+    assert len(box) > 0 and len(c) == N * len(box) == len(Cx) == len(row_node)
+    assert row_node.min() == 1 and row_node.max() == N and np.all(np.diff(row_node) >= 0)
+    for k in range(1, N + 1):
+        assert np.array_equal(Cx[row_node == k], box)
+
+
 def test_batched_evaluate_matches_interval_loop_single_integrator():
     prob = integrator_problem(Ts=0.5, N=5)
     bs = from_block_lengths([2, 3])

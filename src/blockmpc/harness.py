@@ -234,8 +234,9 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
     """Simulate the configured controller against the nominal plant.
 
     Per sample: measure plant state, prepare, feedback, apply the first
-    input over Ts.  On integration divergence the partial log is returned
-    with ``aborted`` set.
+    input over Ts.  On integration divergence, or a ``LinAlgError`` inside
+    the controller (a factorization that fails), the partial log is
+    returned with ``aborted`` set.
     """
     cfg.validate()
     controller = build_controller(cfg)
@@ -269,6 +270,8 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
             x_plant = _plant_step(plant_rhs, x_plant, u, cfg.Ts, cfg.plant_substeps)
     except IntegrationDivergedError as err:
         log.aborted = str(err)
+    except np.linalg.LinAlgError as err:  # a ValueError: it must not read as a bad config
+        log.aborted = f"linear algebra failure: {err}"
     return log
 
 

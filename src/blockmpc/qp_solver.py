@@ -13,11 +13,20 @@ solve of the warm working set with its negative multipliers dropped, and
 adds the most violated row, dropping rows whose multiplier would turn
 negative on the way.  Every iterate keeps a consistent primal-dual pair, so
 no feasible start is needed, and a violated row that admits neither a
-primal nor a dual step certifies that the QP is infeasible.  The cold start
-is one linear solve with H; only once a row enters the working set (or a
-warm set is given) is H factored as H = L L' and L^-1 formed, once per
-solve.  Each iteration then takes a thin QR of L^-1 N_W, where the columns
-of N_W are the working-set rows.
+primal nor a dual step certifies that the QP is infeasible.
+
+H is factored as H = L L' and L^-1 formed once per solve, and only once a
+row enters the working set or a warm set is given; the unconstrained
+minimizer, one linear solve with H, is computed only where it is used (a
+cold start, or a working set that empties).  The solver keeps a thin QR
+factor Q R of L^-1 N_W, where the columns of N_W are the working-set rows,
+together with R^-1, in preallocated n x n buffers.  A row that enters
+appends one column to Q (its re-orthogonalized component outside Q) and to
+R^-1, in O(n k) for k active rows, so the multiplier step and the equality
+solve are products with Q and R^-1.  A dropped row, which is rare, and a
+warm set re-factor from scratch.  The bounds are never stored as rows: the
+violation check reads z against lb and ub, and a bound's row of L^-1 N_W is
+a gathered row of L^-1.
 
 The controller's QPs have up to 80 variables and 320 candidate rows
 (scheme A: 160 condensed state rows, 160 input bounds).
@@ -26,6 +35,7 @@ The controller's QPs have up to 80 variables and 320 candidate rows
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,8 +51,12 @@ class WorkingSet:
 class DenseQp:
     """Strictly convex dense QP; rows encode Crows z + cvec <= 0.
 
-    ``condense`` returns its reduced QP in this form, and ``C``/``c`` read
-    the rows under the names of the condensing equations.
+    H must be symmetric positive definite.  ``solve_qp`` checks that only
+    when it factors H, that is when a row enters the working set or a warm
+    set is given (``LinAlgError``); a solve whose unconstrained minimizer
+    violates no row accepts an indefinite H.  ``condense`` returns its
+    reduced QP in this form, and ``C``/``c`` read the rows under the names
+    of the condensing equations.
     """
 
     H: np.ndarray
@@ -96,17 +110,6 @@ class QpSolution:
     start: str   # "warm" | "cold": whether the warm working set was used
 
 
-def _unified(qp: DenseQp):
-    """All constraints as rows a_i' z <= b_i; ids of infinite bounds are excluded
-    (their rows and right-hand sides are zero)."""
-    up, lo = np.isfinite(qp.ub), np.isfinite(qp.lb)
-    A = np.concatenate([qp.Crows, np.diag(np.where(up, 1.0, 0.0)),
-                        np.diag(np.where(lo, -1.0, 0.0))])
-    b = np.concatenate([-qp.cvec, np.where(up, qp.ub, 0.0), np.where(lo, -qp.lb, 0.0)])
-    usable = np.concatenate([np.ones(qp.m, dtype=bool), up, lo])
-    return A, b, usable
-
-
 def _inv_lower(L):
     """Inverse of the lower-triangular L by forward substitution in 16-row
     blocks: a third of the flops of np.linalg.inv, which takes L as general."""
@@ -134,9 +137,14 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
     if max_iter is None:
         max_iter = 100 * (n + m)
     feas_tol = max(tol, 1e-9)
-    A, b, usable = _unified(qp)
-    z_free = np.linalg.solve(qp.H, -qp.g)  # the unconstrained minimizer
+    b = np.concatenate([-qp.cvec, qp.ub, -qp.lb])  # row i reads a_i'z <= b_i
+    # L^-1 N_W = Q R with k = len(W): Q in the first k columns, R^-1 in the leading k x k block
+    Q, Ri = np.empty((n, n)), np.empty((n, n))
     J = w = None  # H^-1 = J J', w = J'g: formed once a row is held as an equality
+
+    @cache
+    def z_free():  # the unconstrained minimizer, solved for only where it is used
+        return np.linalg.solve(qp.H, -qp.g)
 
     def inverse_factor():
         nonlocal J, w
@@ -145,17 +153,32 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
             w = J.T @ qp.g
         return J
 
-    def factor(W):
-        if not W:  # most samples end with no active row: skip the QR call's fixed cost
-            return np.zeros((n, 0)), np.zeros((0, 0))
-        return np.linalg.qr(inverse_factor().T @ A[W].T)  # thin QR of L^-1 N_W
+    def a_dot(i, X):
+        """a_i'X for row id i: Crows[i] @ X, or the gathered row +-X[j] of a bound on z_j."""
+        if i < m:
+            return qp.Crows[i] @ X
+        return X[i - m] if i < m + n else -X[i - m - n]
 
-    def eqp(Q, R):
+    def refactor():
+        """Thin QR of L^-1 N_W from scratch, and R^-1; False, with R^-1 not formed,
+        if the rows of W are dependent.  A row enters only when it passes this
+        test, and dropping rows keeps it passed, so only a warm set can fail."""
+        if not W:
+            return True
+        k, J = len(W), inverse_factor()
+        Q[:, :k], R = np.linalg.qr(np.array([a_dot(i, J) for i in W]).T)
+        if k > n or not np.all(np.abs(np.diag(R)) > 1e-10 * np.linalg.norm(R, axis=0)):
+            return False
+        Ri[:k, :k] = _inv_lower(R.T).T
+        return True
+
+    def eqp():
         """Minimizer and multipliers with the rows of W held as equalities."""
         if not W:
-            return z_free, np.zeros(0)
-        lam = -np.linalg.solve(R, np.linalg.solve(R.T, b[W]) + Q.T @ w)
-        return -J @ (w + Q @ (R @ lam)), lam
+            return z_free(), np.zeros(0)
+        k = len(W)
+        y = Ri[:k, :k].T @ b[W] + Q[:, :k].T @ w  # = -R lam
+        return -J @ (w - Q[:, :k] @ y), -Ri[:k, :k] @ y
 
     def solution(status, it):
         lam_all = np.zeros(len(b))
@@ -166,47 +189,46 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
                           lam_ub=lam_all[m:m + n], ws=WorkingSet(tuple(W)), iterations=it,
                           status=status, start=start)
 
-    start, fac = "cold", None
-    W = [] if warm is None else [i for i in warm.active if 0 <= i < len(b) and usable[i]]
+    start = "cold"
+    W = [] if warm is None else [i for i in warm.active
+                                 if 0 <= i < len(b) and (i < m or np.isfinite(b[i]))]
     if W:
-        Q, R = fac = factor(W)
-        if np.all(np.abs(np.diag(R)) > 1e-10 * np.linalg.norm(R, axis=0)):
+        if refactor():
             start = "warm"
-            z, lam = eqp(*fac)
+            z, lam = eqp()
             while np.any(lam < 0.0):
                 W = [i for i, lam_i in zip(W, lam) if lam_i >= 0.0]
-                fac = factor(W)
-                z, lam = eqp(*fac)
+                refactor()
+                z, lam = eqp()
         else:
-            W, fac = [], None
+            W = []
     if start == "cold":
-        z, lam = z_free, np.zeros(0)
+        z, lam = z_free(), np.zeros(0)
 
     p, u = -1, 0.0  # row being added and its multiplier
     for it in range(1, max_iter + 1):
-        Q, R = fac = factor(W) if fac is None else fac
         if p < 0:
-            viol = A @ z - b
-            viol[~usable] = -np.inf
+            viol = np.concatenate([qp.Crows @ z + qp.cvec, z - qp.ub, qp.lb - z])
             viol[W] = -np.inf
             worst = int(np.argmax(viol))
             if viol[worst] <= feas_tol:
-                z, lam = eqp(Q, R)
+                z, lam = eqp()
                 return solution("solved", it)
             p, u = worst, 0.0
         # as row p's multiplier grows by t, z moves by -t J vperp and lam by t dlam
-        J = inverse_factor()
-        v = J.T @ A[p]
-        Qv = Q.T @ v
-        vperp = v - Q @ Qv
-        dlam = -np.linalg.solve(R, Qv)
+        J, k = inverse_factor(), len(W)
+        Qk, Rik = Q[:, :k], Ri[:k, :k]
+        v = a_dot(p, J)
+        Qv = Qk.T @ v
+        vperp = v - Qk @ Qv
+        dlam = -Rik @ Qv
         # rates within rounding of zero must not block: they would give huge dual steps
         blocking = np.flatnonzero(dlam < -1e-12 * np.abs(dlam).max(initial=0.0))
         ratios = lam[blocking] / -dlam[blocking]
         t_dual = ratios.min(initial=np.inf)
-        t_full = np.inf
-        if np.linalg.norm(vperp) > 1e-10 * np.linalg.norm(v):
-            t_full = (A[p] @ z - b[p]) / (vperp @ vperp)
+        t_full, vv = np.inf, vperp @ vperp
+        if vv > 1e-20 * (v @ v):
+            t_full = (a_dot(p, z) - b[p]) / vv
         elif t_dual == np.inf:
             return solution("infeasible-detected", it)
         t = min(t_full, t_dual)
@@ -215,6 +237,14 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         lam = np.maximum(lam + t * dlam, 0.0)
         u += t
         if t_full <= t_dual:
+            # append column k: Q gains vperp / |vperp|, re-orthogonalized once
+            # (CGS2), and R gains r = [Qv; |vperp|], so R^-1 gains -R^-1 r / |vperp|
+            c = Qk.T @ vperp
+            vperp -= Qk @ c
+            rho = np.sqrt(vperp @ vperp)
+            Q[:, k] = vperp / rho
+            Ri[:k, k] = Rik @ (Qv + c) / -rho
+            Ri[k, :k], Ri[k, k] = 0.0, 1.0 / rho
             W.append(p)
             lam = np.append(lam, u)
             p = -1
@@ -222,6 +252,6 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
             j = int(blocking[np.argmin(ratios)])
             W.pop(j)
             lam = np.delete(lam, j)
-        fac = None
+            refactor()
 
     return solution("max-iterations", max_iter)

@@ -71,11 +71,14 @@ def stationarity_blocks(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     terms of block j are sum_k Ghat[k-1, j]' v_k: one product of the stacked
     v_k with Ghat, as in ``compute_ghat``.  Block j adds the sums of
     r_k + R_k u_j over its own stages, which makes the result the
-    T-transpose of the unblocked stationarity vector.
+    T-transpose of the unblocked stationarity vector.  A row at node 0
+    raises ValueError.
     """
     N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
     Cx, _, row_node = sd.rows
+    if len(row_node) and row_node[0] < 1:
+        raise ValueError("stationarity_blocks takes rows at nodes 1..N only, not node 0")
     vs = np.zeros((N, nx))  # v_1, ..., v_N
     np.add.at(vs, row_node - 1, Cx * np.asarray(lam_rows, dtype=float)[:, None])
     vs[:-1] += sd.qs[1:] + (sd.Qs[1:] @ dxs[1:N, :, None])[:, :, 0]

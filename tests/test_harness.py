@@ -312,6 +312,29 @@ def test_cli_simulate(tmp_path, capsys):
     assert "scheme = A" in meta
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_linalg_error_aborts_run_with_exit_1(tmp_path, capsys, monkeypatch, command):
+    # LinAlgError subclasses ValueError; it must abort the run, not read as a bad config (2)
+    calls = []
+
+    def failing(qp, **kw):
+        calls.append(len(calls))
+        if len(calls) > 3:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return qp_solver.solve_qp(qp, **kw)
+
+    monkeypatch.setattr(rti, "solve_qp", failing)
+    log = run_closed_loop(short_cfg("C", sim_time=0.25))
+    assert len(log) == 3 and log.t == [0.0, 0.025, 0.05]
+    assert log.aborted == "linear algebra failure: Matrix is not positive definite"
+    (tmp_path / "short.cfg").write_text("sim_time = 0.25\n")
+    calls.clear()
+    rc = cli_main([command, "--config", str(tmp_path / "short.cfg"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert "aborted = linear algebra failure" in out.out and "samples = 3" in out.out
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("nonsense = 1\n")

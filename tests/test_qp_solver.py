@@ -122,7 +122,7 @@ def test_infeasible_detected():
     assert sol.status == "infeasible-detected"
 
 
-def test_restoration_path_used_when_clip_start_violates_rows():
+def test_row_violated_by_unconstrained_minimizer_enters():
     # unconstrained minimum at origin violates the row z1 + z2 <= -4
     qp = DenseQp(H=np.eye(2), g=np.zeros(2),
                  Crows=np.array([[1.0, 1.0]]), cvec=np.array([4.0]))
@@ -205,6 +205,9 @@ def test_start_path_recorded():
     assert solve_qp(box, warm=WorkingSet((3,))).start == "cold"
     # the warm equality point (1, 1) violates both bounds; the dual start needs no feasibility
     assert solve_qp(box, warm=WorkingSet((0,))).start == "warm"
+    # three usable rows on two variables are dependent
+    boxed = DenseQp(H=np.eye(2), g=np.array([-1.0, -1.0]), lb=-np.ones(2), ub=np.full(2, 0.5))
+    assert solve_qp(boxed, warm=WorkingSet((0, 1, 2))).start == "cold"
     twice = DenseQp(H=np.eye(2), g=np.zeros(2), Crows=np.array([[1.0, 1.0], [2.0, 2.0]]),
                     cvec=np.array([4.0, 8.0]))
     ref = solve_qp(twice)
@@ -266,7 +269,7 @@ def test_degenerate_qps_match_enumeration():
     assert 10 < infeasible < 60
 
 
-def test_restoration_stalls_on_row_dependent_on_forced_rows():
+def test_row_dependent_on_two_violated_rows_solves():
     # Row 2 = 0.1 row 0 - 0.3 row 1, and the projection of the origin onto
     # rows 0 and 1, (-4, -1.6, -0.8), violates it: a primal restoration that
     # forces violated rows one at a time stalls here.
@@ -277,3 +280,106 @@ def test_restoration_stalls_on_row_dependent_on_forced_rows():
     assert sol.status == "solved"
     assert np.abs(sol.z - enumerate_qp(qp)).max() < 1e-8
     assert np.allclose(sol.z, [-5.0, -1.6, -0.8])
+
+
+# --- controller size --------------------------------------------------------------
+
+def controller_size_qp(rng, n=80, m=160):
+    """Scheme-A-sized QP: 80 variables, 160 rows and boxes on which 20-40 bounds end active."""
+    F = rng.standard_normal((n, n)) / np.sqrt(n)
+    C = rng.standard_normal((m, n)) / np.sqrt(n)
+    return DenseQp(H=F @ F.T + 0.1 * np.eye(n), g=2.0 * rng.standard_normal(n), Crows=C,
+                   cvec=-2.0 - np.abs(rng.standard_normal(m)), lb=np.full(n, -2.5),
+                   ub=np.full(n, 2.5))
+
+
+def assert_kkt_certificate(qp, sol, rtol=1e-8):
+    assert sol.status == "solved"
+    scale = max(1.0, np.abs(qp.g).max(), np.abs(qp.cvec).max(), np.abs(qp.ub).max())
+    rows = qp.Crows @ sol.z + qp.cvec
+    assert stationarity(qp, sol) <= rtol * scale
+    assert rows.max() <= rtol * scale
+    assert np.all(sol.z <= qp.ub + rtol * scale) and np.all(sol.z >= qp.lb - rtol * scale)
+    assert min(sol.lam_rows.min(), sol.lam_lb.min(), sol.lam_ub.min()) >= -rtol * scale
+    assert np.abs(sol.lam_rows * rows).max() <= rtol * scale ** 2
+    assert np.abs(sol.lam_ub * (sol.z - qp.ub)).max() <= rtol * scale ** 2
+    assert np.abs(sol.lam_lb * (qp.lb - sol.z)).max() <= rtol * scale ** 2
+
+
+def test_controller_size_solves_meet_kkt_and_restart_warm():
+    # long chains of appended columns, with rows dropped on the way
+    rng = np.random.default_rng(44)
+    drops = 0
+    for _ in range(4):
+        qp = controller_size_qp(rng)
+        sol = solve_qp(qp)
+        assert_kkt_certificate(qp, sol)
+        assert 20 <= sum(i >= qp.m for i in sol.ws.active) <= 40
+        drops += (sol.iterations - 1 - len(sol.ws.active)) // 2  # cold: adds + drops + 1
+        re = solve_qp(qp, warm=sol.ws)
+        assert (re.start, re.iterations, re.ws.active) == ("warm", 1, sol.ws.active)
+        assert np.abs(re.z - sol.z).max() <= 1e-10 * max(1.0, np.abs(sol.z).max())
+    assert drops > 0
+
+
+def test_entering_rows_update_the_factor_in_place(monkeypatch):
+    # only a dropped row or a warm set re-factors; only a cold start solves with H
+    calls = {"qr": 0, "solve": 0}
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rng = np.random.default_rng(44)
+    for _ in range(2):
+        qp = controller_size_qp(rng)
+        calls.update(qr=0, solve=0)
+        sol = solve_qp(qp)
+        drops = (sol.iterations - 1 - len(sol.ws.active)) // 2
+        assert sol.iterations > 30 and calls == {"qr": drops, "solve": 1}
+        calls.update(qr=0, solve=0)
+        solve_qp(qp, warm=sol.ws)
+        assert calls == {"qr": 1, "solve": 0}
+
+
+def test_controller_size_warm_chain_over_drifting_gradient():
+    # the controller's pattern: each solve starts from the previous working set
+    rng = np.random.default_rng(45)
+    qp = controller_size_qp(rng)
+    drift = 0.1 * rng.standard_normal(qp.n)
+    ws, changed = WorkingSet(), 0
+    for k in range(12):
+        step = DenseQp(H=qp.H, g=qp.g + k * drift, Crows=qp.Crows, cvec=qp.cvec, lb=qp.lb,
+                       ub=qp.ub)
+        sol = solve_qp(step, warm=ws)
+        assert_kkt_certificate(step, sol)
+        assert sol.start == ("cold" if k == 0 else "warm")
+        changed += sol.ws.active != ws.active
+        cold = solve_qp(step)
+        assert np.abs(sol.z - cold.z).max() <= 1e-10 * max(1.0, np.abs(cold.z).max())
+        re = solve_qp(step, warm=sol.ws)
+        assert re.iterations == 1 and np.abs(re.z - sol.z).max() <= 1e-10 * max(1.0, np.abs(sol.z).max())
+        ws = sol.ws
+    assert changed > 6
+
+
+def test_controller_size_infeasible_and_max_iterations():
+    rng = np.random.default_rng(46)
+    qp = controller_size_qp(rng)
+    # sum(z) >= 80 * 2.5 + 1 cannot hold inside the box: detected after many bounds enter
+    wall = DenseQp(H=qp.H, g=qp.g, Crows=np.vstack([qp.Crows, -np.ones(qp.n)]),
+                   cvec=np.append(qp.cvec, 2.5 * qp.n + 1.0), lb=qp.lb, ub=qp.ub)
+    sol = solve_qp(wall)
+    assert sol.status == "infeasible-detected" and sol.iterations > 20
+    ref = solve_qp(qp)
+    for k in (5, ref.iterations // 2, ref.iterations - 1):
+        cut = solve_qp(qp, max_iter=k)
+        assert (cut.status, cut.iterations) == ("max-iterations", k)
+        assert stationarity(qp, cut) <= 1e-8 * max(1.0, np.abs(qp.g).max())
+        assert min(cut.lam_rows.min(), cut.lam_lb.min(), cut.lam_ub.min()) >= 0.0

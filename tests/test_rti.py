@@ -282,6 +282,20 @@ def test_kkt_rejects_multipliers_of_another_qp():
     assert np.isfinite(kkt_residual(sd, bs, chain.Ghat, dxs, sol.z, None).total)
 
 
+def test_stationarity_rejects_node0_row():
+    # without the check, index -1 would count the row's multiplier at node N
+    rng = np.random.default_rng(0)
+    bs = from_block_lengths([2, 3])
+    sd = synthetic_stage_data(rng, 5, 3, 1, M=2, nc=1, ncN=1)
+    Cx, c, row_node = sd.rows
+    sd.rows = AffineRows(np.vstack([Cx[:1], Cx]), np.append(c[:1], c), np.append(0, row_node))
+    args = (sd, bs, compute_Ghat(sd, bs), np.zeros((6, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match="node 0"):
+        stationarity_blocks(*args, np.ones(len(row_node) + 1), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="node 0"):
+        kkt_residual(*args, None)
+
+
 def test_kkt_ineq_violation_reports_exact_epsilon():
     rng = np.random.default_rng(35)
     bs = unit_blocks(3)

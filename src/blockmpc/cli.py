@@ -80,13 +80,13 @@ def main(argv=None) -> int:
         if args.command == "compare":
             cfg = _load(args)
             logs = compare_schemes(cfg, args.out)
-            failed = False
             for scheme, log in logs.items():
                 print(f"--- scheme {scheme} ---")
                 for line in summary_text(log):
                     print(line)
-                failed = failed or bool(log.aborted)
-            return 1 if failed else 0
+                if log.aborted:
+                    print(f"error: scheme {scheme} run aborted: {log.aborted}", file=sys.stderr)
+            return 1 if any(log.aborted for log in logs.values()) else 0
     except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ header row, comma separators, '.' decimals, and 12 significant digits.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 import time
@@ -69,8 +70,16 @@ class SchemeConfig:
 
     def validate(self, lines: dict | None = None):
         """Check the values; ``lines`` maps a field to its config-file line."""
+        at = lambda key: f"line {lines[key]}: " if key in (lines or {}) else ""
         if self.scheme not in ("A", "B", "C"):
             raise ConfigError(f"scheme must be A, B or C, got {self.scheme!r}")
+        for key in (f.name for f in fields(self) if f.name != "scheme"):
+            value = getattr(self, key)  # NaN nowhere; an infinite value only as a bound
+            values = value if isinstance(value, tuple) else (value,)
+            if key in _BOUND_KEYS and any(map(math.isnan, values)):
+                raise ConfigError(f"{at(key)}{key} must not be NaN, got {value}")
+            if key not in _BOUND_KEYS and not all(map(math.isfinite, values)):
+                raise ConfigError(f"{at(key)}{key} must be finite, got {value}")
         if self.Ts <= 0 or self.sim_time < 0 or self.N < 1 or self.plant_substeps < 1:
             raise ConfigError("Ts, N, plant_substeps must be positive; sim_time nonnegative")
         if self.scheme == "C" and sum(self.block_lengths) != self.N:
@@ -82,8 +91,7 @@ class SchemeConfig:
         for key, dim in _MODEL_DIM.items():
             n, got = getattr(PENDULUM_DIMS, dim), len(getattr(self, key))
             if got != n:
-                at = f"line {lines[key]}: " if key in (lines or {}) else ""
-                raise ConfigError(f"{at}{key} needs {dim} = {n} values, got {got}")
+                raise ConfigError(f"{at(key)}{key} needs {dim} = {n} values, got {got}")
         return self
 
     def with_scheme(self, scheme: str) -> "SchemeConfig":
@@ -96,6 +104,7 @@ class ConfigError(ValueError):
 
 _MODEL_DIM = {"q_diag": "nx", "qn_diag": "nx", "x_lo": "nx", "x_hi": "nx", "x0": "nx",
               "r_diag": "nu", "u_lo": "nu", "u_hi": "nu"}  # float vector -> dimension of its length
+_BOUND_KEYS = {"x_lo", "x_hi", "u_lo", "u_hi"}  # the only keys that may be infinite
 _VECTOR_KEYS = {"block_lengths", "grid_lengths", "block_indices", "grid_indices"} | set(_MODEL_DIM)
 _INT_KEYS = {"N", "plant_substeps", "seed", "qp_max_iter"}
 _FLOAT_KEYS = {"Ts", "m1", "m2", "l", "g", "sim_time", "qp_tol"}
@@ -263,10 +272,11 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
             log.u.append(np.atleast_1d(u).copy())
             log.kkt.append(kkt)
             log.timings.append(dict(state.timings))
-            log.qp_iters.append(state.qp_iterations)
-            log.qp_status.append(state.qp_status)
-            log.qp_start.append(state.qp_start)
-            log.flags.append(violated or state.qp_status != "solved")
+            sol = state.sol
+            log.qp_iters.append(sol.iterations)
+            log.qp_status.append(sol.status)
+            log.qp_start.append(sol.start)
+            log.flags.append(violated or sol.status != "solved")
             x_plant = _plant_step(plant_rhs, x_plant, u, cfg.Ts, cfg.plant_substeps)
     except IntegrationDivergedError as err:
         log.aborted = str(err)

@@ -4,9 +4,9 @@ Each sampling instant performs a prepare phase (shooting linearization and
 tailored condensing) and a feedback phase (warm-started QP solve, expansion
 of the state steps, full Newton update of the trajectory).  The carried
 trajectory is the updated iterate; the initial-value embedding absorbs the
-mismatch with the next measurement, and the optimality report combines the
-post-step stationarity (one product with condensing's Ghat, no loop over the
-nodes) with the shooting gaps seen at this linearization.
+mismatch with the next measurement.  Condensing is exact, so the optimality
+report is the residual of the condensed QP at the step just taken, together
+with the shooting gaps seen at this linearization.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocking import BlockStructure, block_sums
+from .blocking import BlockStructure
 from .condensing import SensitivityChain, condense, expand
 from .integrator import IntegrationDivergedError
 from .model import OcpProblem
-from .qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
+from .qp_solver import DenseQp, QpSolution, solve_qp
 from .shooting import StageData, Trajectory, evaluate, forward_simulate
 
 
@@ -42,12 +42,9 @@ class RtiState:
     """Controller state carried between samples."""
 
     traj: Trajectory
-    ws: WorkingSet = field(default_factory=WorkingSet)
+    sol: QpSolution | None = None  # the last QP solution; its working set is the warm start
     last_kkt: KktReport | None = None
     timings: dict = field(default_factory=dict)
-    qp_iterations: int = 0
-    qp_status: str = ""
-    qp_start: str = ""
 
 
 @dataclass
@@ -60,67 +57,26 @@ class PrepareOutput:
     timings: dict
 
 
-def stationarity_blocks(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
-                        dxs: np.ndarray, du: np.ndarray, lam_rows: np.ndarray,
-                        lam_lb: np.ndarray, lam_ub: np.ndarray) -> np.ndarray:
-    """Blocked Lagrangian gradient at (dxs, du) as an (M, nu) array.
+def kkt_residual(qp: DenseQp, sol: QpSolution, ds: np.ndarray) -> KktReport:
+    """KKT condition norms at the step: the residual of the condensed QP.
 
-    ``lam_rows`` holds one multiplier per row of ``sd.rows`` (the QP's row
-    order).  With v_k = q_k + Q_k dx_k + Cx_k' mu_k the state gradient of the
-    Lagrangian at node k (qN, QN and the terminal rows at k = N), the costate
-    terms of block j are sum_k Ghat[k-1, j]' v_k: one product of the stacked
-    v_k with Ghat, as in ``compute_ghat``.  Block j adds the sums of
-    r_k + R_k u_j over its own stages, which makes the result the
-    T-transpose of the unblocked stationarity vector.  A row at node 0
-    raises ValueError.
+    ``sol`` holds the step z and the multipliers of ``qp`` (a solution with
+    other multiplier counts raises ValueError), and ``ds`` the shooting gaps
+    of the stage data ``qp`` was condensed from.  Condensing is exact: at
+    the expanded point ``expand(Ghat, L, dx0, z)`` the stage recursion holds,
+    the node rows are the condensed rows, and the blocked Lagrangian gradient
+    is H z + g + Crows' lam_rows + lam_ub - lam_lb, for any z and any
+    multipliers (a dual iterate too).  The equality residual is the gaps.
     """
-    N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
-    du = np.asarray(du, dtype=float).reshape(M, nu)
-    Cx, _, row_node = sd.rows
-    if len(row_node) and row_node[0] < 1:
-        raise ValueError("stationarity_blocks takes rows at nodes 1..N only, not node 0")
-    vs = np.zeros((N, nx))  # v_1, ..., v_N
-    np.add.at(vs, row_node - 1, Cx * np.asarray(lam_rows, dtype=float)[:, None])
-    vs[:-1] += sd.qs[1:] + (sd.Qs[1:] @ dxs[1:N, :, None])[:, :, 0]
-    vs[-1] += sd.qN + sd.QN @ dxs[N]
-    stage = sd.rs + (sd.Rs @ du[bs.blocks][:, :, None])[:, :, 0]
-    Gm = Ghat.transpose(0, 2, 1, 3).reshape(N * nx, M * nu)
-    return ((lam_ub - lam_lb).reshape(M, nu) + block_sums(stage, bs.sum_rows)
-            + (vs.reshape(N * nx) @ Gm).reshape(M, nu))
-
-
-def kkt_residual(sd: StageData, bs: BlockStructure, Ghat: np.ndarray, dxs: np.ndarray,
-                 du: np.ndarray, sol: QpSolution | None) -> KktReport:
-    """KKT condition norms of the blocked problem at the point (dxs, du).
-
-    ``Ghat`` is the blocked sensitivity chain of ``sd`` (``compute_Ghat``).
-    The equality residual reports the shooting gaps together with the
-    initial-embedding residual evaluated at the point, which is
-    ``dx0 - dxs[0]`` and hence vanishes after a full Newton step.  The
-    inequality part evaluates ``sd.rows`` and the input bounds; the
-    multipliers of ``sol`` belong to the QP condensed from ``sd``; a
-    solution with other multiplier counts raises ValueError.  ``sol = None``
-    means zero multipliers.
-    """
-    M, nu = bs.M, sd.nu
-    du = np.asarray(du, dtype=float).reshape(M, nu)
-    Cx, c, nodes = sd.rows
-
-    lam_rows, lam_lb, lam_ub = np.zeros(len(nodes)), np.zeros(M * nu), np.zeros(M * nu)
-    if sol is not None:
-        if (len(sol.lam_rows), len(sol.lam_lb), len(sol.lam_ub)) != (len(nodes), M * nu, M * nu):
-            raise ValueError("kkt_residual: multiplier counts differ from sd.rows and M*nu")
-        lam_rows, lam_lb, lam_ub = sol.lam_rows, sol.lam_lb, sol.lam_ub
-
-    g_stat = stationarity_blocks(sd, bs, Ghat, dxs, du, lam_rows, lam_lb, lam_ub)
-    stationarity = float(np.abs(g_stat).max(initial=0.0))
-    eq = max(float(np.abs(sd.ds).max(initial=0.0)),
-             float(np.abs(sd.dx0 - dxs[0]).max(initial=0.0)))
-    rows = np.einsum("rx,rx->r", Cx, dxs[nodes]) + c
-    viol = max(float(rows.max(initial=0.0)),
-               float((du - sd.du_hi.reshape(M, nu)).max(initial=0.0)),
-               float((sd.du_lo.reshape(M, nu) - du).max(initial=0.0)))
-    return KktReport(stationarity=stationarity, eq_residual=eq, ineq_violation=viol)
+    if (len(sol.lam_rows), len(sol.lam_lb), len(sol.lam_ub)) != (qp.m, qp.n, qp.n):
+        raise ValueError("kkt_residual: multiplier counts differ from the QP's rows and variables")
+    z = sol.z
+    grad = qp.H @ z + qp.g + qp.Crows.T @ sol.lam_rows + sol.lam_ub - sol.lam_lb
+    viol = max(float((qp.Crows @ z + qp.cvec).max(initial=0.0)),
+               float((z - qp.ub).max(initial=0.0)),
+               float((qp.lb - z).max(initial=0.0)))
+    return KktReport(stationarity=float(np.abs(grad).max(initial=0.0)),
+                     eq_residual=float(np.abs(ds).max(initial=0.0)), ineq_violation=viol)
 
 
 class RtiController:
@@ -163,15 +119,17 @@ class RtiController:
                  x0_measured: np.ndarray):
         """Solve the condensed QP, expand, and take the full Newton step.
 
-        The reported KKT is evaluated after the full Newton step, at the
-        updated primal-dual point: its stationarity reflects the accuracy
-        of the QP solve, its equality part the shooting gaps the step had
-        to close (the nonlinearity error of the previous iterate; the
-        measurement innovation itself is absorbed exactly and contributes
-        nothing).  ``state`` is the state ``prep`` was prepared from.
+        The reported KKT is that of the full Newton step: its stationarity
+        and inequality parts are the condensed QP's residual at the solution,
+        which reflect the accuracy of the QP solve, and its equality part
+        the shooting gaps the step had to close (the nonlinearity error of
+        the previous iterate; the measurement innovation itself is absorbed
+        exactly and contributes nothing).  ``state`` is the state ``prep``
+        was prepared from.
         """
         t0 = time.perf_counter()
-        sol = solve_qp(prep.qp, warm=state.ws, tol=self.qp_tol, max_iter=self.qp_max_iter)
+        warm = state.sol.ws if state.sol is not None else None
+        sol = solve_qp(prep.qp, warm=warm, tol=self.qp_tol, max_iter=self.qp_max_iter)
         t_qp = time.perf_counter() - t0
         du = sol.z
         dxs = expand(prep.chain.Ghat, prep.chain.L, prep.sd.dx0, du)
@@ -179,14 +137,12 @@ class RtiController:
             raise IntegrationDivergedError("trajectory update diverged")
         traj = Trajectory(xs=state.traj.xs + dxs,
                           us=state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu))
-        kkt = kkt_residual(prep.sd, self.bs, prep.chain.Ghat, dxs, du, sol)
+        kkt = kkt_residual(prep.qp, sol, prep.sd.ds)
         t_total = prep.timings["prepare_total"] + (time.perf_counter() - t0)
         timings = {"shooting": prep.timings["shooting"],
                    "condensing": prep.timings["condensing"],
                    "qp": t_qp, "total": t_total}
-        new_state = RtiState(traj=traj, ws=sol.ws, last_kkt=kkt, timings=timings,
-                             qp_iterations=sol.iterations, qp_status=sol.status,
-                             qp_start=sol.start)
+        new_state = RtiState(traj=traj, sol=sol, last_kkt=kkt, timings=timings)
         u_applied = traj.us[0].copy()
         return u_applied, new_state
 

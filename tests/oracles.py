@@ -297,9 +297,10 @@ def ragged_stage_data(rng, lengths, nx, nu):
 
 # --- per-column / per-node loops of the tailored condensing and KKT report ----
 #
-# These are the loop forms of the batched routines in ``condensing`` and
-# ``rti``: one 4x4-sized product per Python iteration, written out stage by
-# stage.  The batched routes must reproduce them to rounding.
+# These are the loop forms of the batched routines in ``condensing``, and the
+# stage-wise form of ``rti``'s KKT report (which reads the condensed QP): one
+# 4x4-sized product per Python iteration, written out stage by stage.  The
+# batched and condensed routes must reproduce them to rounding.
 
 def loop_Ghat(sd, bs):
     """Blocked sensitivity chain, one block product per (row, column)."""

@@ -333,6 +333,8 @@ def test_linalg_error_aborts_run_with_exit_1(tmp_path, capsys, monkeypatch, comm
     assert rc == 1
     out = capsys.readouterr()
     assert "aborted = linear algebra failure" in out.out and "samples = 3" in out.out
+    prefix = "error: run aborted" if command == "simulate" else "error: scheme A run aborted"
+    assert f"{prefix}: linear algebra failure: Matrix is not positive definite" in out.err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -351,6 +353,23 @@ def test_cli_rejects_vector_of_wrong_length(tmp_path, capsys, line):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line 2" in err and line.split()[0] in err
+
+
+@pytest.mark.parametrize("line", ["sim_time = inf", "x0 = nan, 0, 0, 0", "m1 = nan",
+                                  "qp_tol = nan", "Ts = nan"])
+def test_cli_rejects_non_finite_value(tmp_path, capsys, line):
+    # each used to run on: an OverflowError, a "diverged" exit 3 or 1, or a message naming no key
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scheme = C\n{line}\n")
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"line 2: {line.split()[0]} must be finite" in capsys.readouterr().err
+
+
+def test_config_bounds_may_be_infinite_but_not_nan():
+    assert SchemeConfig(u_hi=(np.inf,)).validate()
+    with pytest.raises(ConfigError, match="u_hi must not be NaN"):
+        SchemeConfig(u_hi=(np.nan,)).validate()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blockmpc.blocking import build_T, from_block_lengths, unit_blocks
-from blockmpc.condensing import compute_Ghat, condense, expand, naive_condense
+from blockmpc.blocking import from_block_lengths, unit_blocks
+from blockmpc.condensing import condense, expand, naive_condense
 from blockmpc.harness import synthetic_stage_data
 from blockmpc.integrator import IntegratorConfig
 from blockmpc.model import (
@@ -15,12 +15,11 @@ from blockmpc.model import (
     StageBounds,
     make_pendulum_problem,
 )
-from blockmpc.qp_solver import QpSolution, WorkingSet, solve_qp
-from blockmpc.rti import RtiController, kkt_residual, stationarity_blocks
-from blockmpc.shooting import AffineRows, Trajectory, evaluate
+from blockmpc.qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
+from blockmpc.rti import RtiController, kkt_residual
+from blockmpc.shooting import Trajectory, evaluate
 from oracles import (
     loop_kkt_parts,
-    node_rows,
     perturbed_scheme_stage_data,
     ragged_stage_data,
     riccati_first_gain,
@@ -181,6 +180,14 @@ def test_kkt_zero_at_lq_optimum():
     assert new_state.last_kkt.total < 1e-8
 
 
+def qp_point(qp, z, rng=None):
+    """A QpSolution of ``qp`` at z: zero multipliers, or uniform ones drawn from rng."""
+    draw = (lambda k: np.zeros(k)) if rng is None else (lambda k: rng.uniform(0, 1, k))
+    return QpSolution(z=np.asarray(z, dtype=float), lam_rows=draw(qp.m), lam_lb=draw(qp.n),
+                      lam_ub=draw(qp.n), ws=WorkingSet(), iterations=1, status="solved",
+                      start="cold")
+
+
 def test_kkt_consistency_zero_step_zero_residuals():
     rng = np.random.default_rng(33)
     bs = from_block_lengths([2, 3])
@@ -190,122 +197,79 @@ def test_kkt_consistency_zero_step_zero_residuals():
     sd.qs[:] = 0.0
     sd.rs[:] = 0.0
     sd.qN[:] = 0.0
-    report = kkt_residual(sd, bs, compute_Ghat(sd, bs), np.zeros((6, 3)), np.zeros(2), None)
+    qp, _ = condense(sd, bs)
+    report = kkt_residual(qp, qp_point(qp, np.zeros(2)), sd.ds)
     assert report.total == 0.0
 
 
-def test_kkt_stationarity_is_T_transpose_of_unblocked():
-    rng = np.random.default_rng(34)
-    lengths = [2, 1, 3]
-    bs = from_block_lengths(lengths)
-    N, nx, nu = 6, 3, 2
-    sd = synthetic_stage_data(rng, N, nx, nu, M=3, nc=2, ncN=1)
-    dxs = rng.standard_normal((N + 1, nx))
-    du = rng.standard_normal((3, nu))
-    rows = [node_rows(sd, k) for k in range(N + 1)]
-    mu = [rng.uniform(0, 1, len(c)) for _, c in rows]
-    blocks = bs.blocks
-
-    got = stationarity_blocks(sd, bs, compute_Ghat(sd, bs), dxs, du, np.concatenate(mu),
-                              np.zeros(3 * nu), np.zeros(3 * nu))
-
-    # unblocked stationarity components via independent costate recursion
-    lam = sd.qN + sd.QN @ dxs[N] + rows[N][0].T @ mu[N]
-    per_stage = np.zeros((N, nu))
-    for k in range(N - 1, -1, -1):
-        uk = du[blocks[k]]
-        per_stage[k] = sd.rs[k] + sd.Rs[k] @ uk + sd.Bs[k].T @ lam
-        lam = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam + rows[k][0].T @ mu[k]
-    T = build_T(bs, nu)
-    folded = (T.T @ per_stage.reshape(N * nu)).reshape(3, nu)
-    assert np.abs(got - folded).max() < 1e-12 * max(1.0, np.abs(folded).max())
-
-
-def check_kkt_against_loop(sd, bs, rng):
-    M, nu = bs.M, sd.nu
-    row_node = sd.rows.row_node
-    dxs = rng.standard_normal((bs.N + 1, sd.nx))
-    du = rng.standard_normal(M * nu)
-    sol = QpSolution(z=du, status="solved", start="cold", iterations=1,
-                     lam_rows=rng.uniform(0, 1, len(row_node)),
-                     lam_lb=rng.uniform(0, 1, M * nu), lam_ub=rng.uniform(0, 1, M * nu),
-                     ws=WorkingSet())
-    g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, du, sol.lam_rows, row_node,
+def check_kkt_against_loop(sd, bs, sol=None, rng=None):
+    """The report at the expanded step of ``sol`` (a random point and random
+    multipliers if None) against the stage-wise node loop of the oracles."""
+    qp, chain = condense(sd, bs)
+    if sol is None:
+        sol = qp_point(qp, rng.standard_normal(qp.n), rng)
+    dxs = expand(chain.Ghat, chain.L, sd.dx0, sol.z)
+    g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, sol.z, sol.lam_rows, sd.rows.row_node,
                                              sol.lam_lb, sol.lam_ub)
-    Ghat = compute_Ghat(sd, bs)
-    g_stat = stationarity_blocks(sd, bs, Ghat, dxs, du, sol.lam_rows, sol.lam_lb, sol.lam_ub)
-    scale = np.abs(g_ref).max()
-    assert np.abs(g_stat - g_ref).max() <= 1e-13 * scale
-    got = kkt_residual(sd, bs, Ghat, dxs, du, sol)
-    assert abs(got.stationarity - scale) <= 1e-13 * scale
+    got = kkt_residual(qp, sol, sd.ds)
+    # at a solved point the gradient cancels to rounding: measure against its largest term
+    scale = max(np.abs(g_ref).max(), np.abs(qp.g).max(), np.abs(qp.H @ sol.z).max(),
+                np.abs(qp.Crows.T @ sol.lam_rows).max())
+    assert abs(got.stationarity - np.abs(g_ref).max()) <= 1e-13 * scale
     assert got.eq_residual == eq_ref
-    assert abs(got.ineq_violation - viol_ref) <= 1e-13 * abs(viol_ref)
+    row_scale = max(1.0, np.abs(dxs).max(), np.abs(sd.rows.c).max(initial=0.0))
+    assert abs(got.ineq_violation - viol_ref) <= 1e-15 * row_scale
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
 def test_kkt_matches_node_loop_on_scheme_data(scheme):
     bs, sd = perturbed_scheme_stage_data(scheme)
-    check_kkt_against_loop(sd, bs, np.random.default_rng(36))
-
-
-@pytest.mark.parametrize("scheme", ["A", "B", "C"])
-def test_kkt_stationarity_equals_condensed_qp_residual(scheme):
-    # after the expansion, the blocked Lagrangian gradient is the reduced one
-    bs, sd = perturbed_scheme_stage_data(scheme)
-    qp, chain = condense(sd, bs)
-    sol = solve_qp(qp)
-    assert sol.status == "solved"
-    dxs = expand(chain.Ghat, chain.L, sd.dx0, sol.z)
-    report = kkt_residual(sd, bs, chain.Ghat, dxs, sol.z, sol)
-    residual = qp.H @ sol.z + qp.g + qp.Crows.T @ sol.lam_rows + sol.lam_ub - sol.lam_lb
-    scale = max(1.0, np.abs(qp.g).max())
-    assert abs(report.stationarity - np.abs(residual).max()) <= 1e-9 * scale
+    check_kkt_against_loop(sd, bs, rng=np.random.default_rng(36))
 
 
 @pytest.mark.parametrize("lengths", [[1, 2, 4, 5], [3, 1, 1, 2]])
 def test_kkt_matches_node_loop_on_ragged_rows(lengths):
     rng = np.random.default_rng(37)
     bs, sd = ragged_stage_data(rng, lengths, 3, 2)
-    check_kkt_against_loop(sd, bs, rng)
+    check_kkt_against_loop(sd, bs, rng=rng)
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C", "ragged"])
+def test_kkt_matches_node_loop_at_solved_and_truncated_steps(scheme):
+    # a max_iter exit reports the dual iterate, with the partial multiplier of the entering row
+    if scheme == "ragged":
+        bs, sd = ragged_stage_data(np.random.default_rng(37), [1, 2, 4, 5], 3, 2)
+    else:
+        bs, sd = perturbed_scheme_stage_data(scheme)
+    qp, _ = condense(sd, bs)
+    sol = solve_qp(qp)
+    assert sol.status == "solved" and sol.iterations >= 2
+    check_kkt_against_loop(sd, bs, sol)
+    cut = solve_qp(qp, max_iter=sol.iterations - 1)
+    assert cut.status == "max-iterations"
+    check_kkt_against_loop(sd, bs, cut)
 
 
 def test_kkt_rejects_multipliers_of_another_qp():
-    # a mismatched solution must not read as zero multipliers; None still does
+    # a mismatched solution must not read as zero multipliers
     bs, sd = perturbed_scheme_stage_data("C")
-    qp, chain = condense(sd, bs)
+    qp, _ = condense(sd, bs)
     sol = solve_qp(qp)
-    dxs = expand(chain.Ghat, chain.L, sd.dx0, sol.z)
     for field in ("lam_rows", "lam_lb", "lam_ub"):
         short = dataclasses.replace(sol, **{field: getattr(sol, field)[1:]})
         with pytest.raises(ValueError, match="multiplier counts"):
-            kkt_residual(sd, bs, chain.Ghat, dxs, sol.z, short)
-    assert np.isfinite(kkt_residual(sd, bs, chain.Ghat, dxs, sol.z, None).total)
-
-
-def test_stationarity_rejects_node0_row():
-    # without the check, index -1 would count the row's multiplier at node N
-    rng = np.random.default_rng(0)
-    bs = from_block_lengths([2, 3])
-    sd = synthetic_stage_data(rng, 5, 3, 1, M=2, nc=1, ncN=1)
-    Cx, c, row_node = sd.rows
-    sd.rows = AffineRows(np.vstack([Cx[:1], Cx]), np.append(c[:1], c), np.append(0, row_node))
-    args = (sd, bs, compute_Ghat(sd, bs), np.zeros((6, 3)), np.zeros(2))
-    with pytest.raises(ValueError, match="node 0"):
-        stationarity_blocks(*args, np.ones(len(row_node) + 1), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError, match="node 0"):
-        kkt_residual(*args, None)
+            kkt_residual(qp, short, sd.ds)
 
 
 def test_kkt_ineq_violation_reports_exact_epsilon():
-    rng = np.random.default_rng(35)
-    bs = unit_blocks(3)
-    sd = synthetic_stage_data(rng, 3, 2, 1, M=3, nc=0, ncN=0)
     eps = 0.017
-    sd.rows = AffineRows(np.array([[1.0, 0.0]]), np.array([-1.0]), np.array([1]))
-    dxs = np.zeros((4, 2))
-    dxs[1, 0] = 1.0 + eps  # row value = dxs + c = eps > 0
-    report = kkt_residual(sd, bs, compute_Ghat(sd, bs), dxs, np.zeros(3), None)
-    assert report.ineq_violation == pytest.approx(eps, abs=1e-15)
+    qp = DenseQp(H=np.eye(3), g=np.zeros(3), Crows=np.array([[1.0, 0.0, 0.0]]),
+                 cvec=np.array([-1.0]), lb=np.full(3, -5.0), ub=np.full(3, 5.0))
+    report = kkt_residual(qp, qp_point(qp, [1.0 + eps, 0.0, 0.0]), np.zeros(2))
+    assert report.ineq_violation == pytest.approx(eps, abs=1e-15)  # row value = z + c = eps > 0
+    for z in ([0.0, 5.0 + eps, 0.0], [0.0, 0.0, -5.0 - eps]):  # an upper and a lower bound
+        report = kkt_residual(qp, qp_point(qp, z), np.zeros(2))
+        assert report.ineq_violation == pytest.approx(eps, abs=1e-15)
 
 
 def test_warm_start_single_iteration_at_steady_state():
@@ -314,4 +278,4 @@ def test_warm_start_single_iteration_at_steady_state():
     state = ctrl.initial_state(x_eq)
     _, state = ctrl.feedback(state, ctrl.prepare(state, x_eq), x_eq)
     _, state2 = ctrl.feedback(state, ctrl.prepare(state, x_eq), x_eq)
-    assert state2.qp_iterations <= 1
+    assert state2.sol.iterations <= 1

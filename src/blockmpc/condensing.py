@@ -6,8 +6,8 @@ steps:
 * the tailored route works directly on the blocked stage data and costs
   O(N*M) block operations (the fast path used by the controller).  Python
   loops remain only for the recurrences (the Ghat columns, the Hhat sweep
-  over all block columns at once, L): one product and one add per step.
-  Every other term, the gradient included, is one stacked product;
+  over all block columns at once, L): at most one product and one add per
+  step.  Every other term, the gradient included, is one stacked product;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
   and as the baseline for the complexity benchmark).
@@ -68,7 +68,7 @@ def compute_Ghat(sd: StageData, bs: BlockStructure,
         for k in range(s + 1, e):
             g[k - s] += As[k].dot(g[k - s - 1])
         for k in range(e, N):
-            np.dot(As[k], g[k - s - 1], out=g[k - s])
+            As[k].dot(g[k - s - 1], out=g[k - s])
         if counter is not None:  # the recurrence's products, made one at a time
             counter.mults += (N - 1 - s) * sd.nx * sd.nx * sd.nu
         Gh[s:, i] = col
@@ -76,13 +76,20 @@ def compute_Ghat(sd: StageData, bs: BlockStructure,
 
 
 def compute_L(sd: StageData, dx0: np.ndarray) -> np.ndarray:
-    """Residual chain: L[0] = A_0 dx0 + d_0, L[k] = A_k L[k-1] + d_k."""
-    L = sd.ds.copy()
-    Lk = list(L)
-    Lk[0] += sd.As[0].dot(dx0)
-    for k in range(1, sd.N):
-        Lk[k] += sd.As[k].dot(Lk[k - 1])
-    return L
+    """Residual chain: L[0] = A_0 dx0 + d_0, L[k] = A_k L[k-1] + d_k.
+
+    d_k rides as a last column of A_k against a trailing 1, so each node is
+    one product [A_k | d_k] [L[k-1]; 1] into row k of an (N, nx+1) buffer
+    whose last column stays 1.  Returns the (N, nx) view of the L part.
+    """
+    N, nx = sd.N, sd.nx
+    Ad = np.concatenate([sd.As, sd.ds[:, :, None]], axis=2)  # [A_k | d_k]
+    Lb = np.ones((N, nx + 1))  # row k: [L[k]; 1]
+    Ads, rows, outs = list(Ad), list(Lb), list(Lb[:, :nx])
+    Ads[0].dot(np.append(dx0, 1.0), out=outs[0])
+    for k in range(1, N):
+        Ads[k].dot(rows[k - 1], out=outs[k])
+    return Lb[:, :nx]
 
 
 def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,

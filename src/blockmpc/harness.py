@@ -92,6 +92,12 @@ class SchemeConfig:
             n, got = getattr(PENDULUM_DIMS, dim), len(getattr(self, key))
             if got != n:
                 raise ConfigError(f"{at(key)}{key} needs {dim} = {n} values, got {got}")
+        for lo, hi in (("x_lo", "x_hi"), ("u_lo", "u_hi")):  # the line of lo, else of hi
+            for i, (a, b) in enumerate(zip(getattr(self, lo), getattr(self, hi))):
+                if a > b:
+                    where = at(lo) or at(hi)
+                    raise ConfigError(f"{where}{lo} must not exceed {hi}, "
+                                      f"got {a} > {b} in component {i}")
         return self
 
     def with_scheme(self, scheme: str) -> "SchemeConfig":
@@ -258,15 +264,14 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
     x_plant = np.array(cfg.x0, dtype=float)
     state = controller.initial_state(x_plant)
     u_tol = 1e-6
+    x_lo, x_hi = np.array(cfg.x_lo) - u_tol, np.array(cfg.x_hi) + u_tol
+    u_lo, u_hi = np.array(cfg.u_lo) - u_tol, np.array(cfg.u_hi) + u_tol
     try:
         for i in range(n_samples):
             u, state = controller.step(state, x_plant)
             kkt: KktReport = state.last_kkt
-            violated = bool(
-                np.any(x_plant < np.array(cfg.x_lo) - u_tol)
-                or np.any(x_plant > np.array(cfg.x_hi) + u_tol)
-                or np.any(u < np.array(cfg.u_lo) - u_tol)
-                or np.any(u > np.array(cfg.u_hi) + u_tol))
+            violated = bool(np.any(x_plant < x_lo) or np.any(x_plant > x_hi)
+                            or np.any(u < u_lo) or np.any(u > u_hi))
             log.t.append(i * cfg.Ts)
             log.x.append(x_plant.copy())
             log.u.append(np.atleast_1d(u).copy())

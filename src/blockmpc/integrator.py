@@ -7,6 +7,7 @@ with the states the shooting step actually produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,22 +52,24 @@ def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h):
     as (n, nx, nx) and (n, nx, nu) stacks.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    h2, h6 = 0.5 * h, h / 6.0
     hm = np.asarray(h)[..., None, None]  # step lengths against matrix stacks
+    hm2, hm6 = 0.5 * hm, hm / 6.0
     I = np.eye(x.shape[0])
 
     k1 = rhs(x, u)
     J1x, J1u = jac(x, u)
-    x2 = x + 0.5 * h * k1
+    x2 = x + h2 * k1
     k2 = rhs(x2, u)
     J2x_loc, J2u_loc = jac(x2, u)
-    k2x = J2x_loc @ (I + 0.5 * hm * J1x)
-    k2u = J2x_loc @ (0.5 * hm * J1u) + J2u_loc
+    k2x = J2x_loc @ (I + hm2 * J1x)
+    k2u = J2x_loc @ (hm2 * J1u) + J2u_loc
 
-    x3 = x + 0.5 * h * k2
+    x3 = x + h2 * k2
     k3 = rhs(x3, u)
     J3x_loc, J3u_loc = jac(x3, u)
-    k3x = J3x_loc @ (I + 0.5 * hm * k2x)
-    k3u = J3x_loc @ (0.5 * hm * k2u) + J3u_loc
+    k3x = J3x_loc @ (I + hm2 * k2x)
+    k3u = J3x_loc @ (hm2 * k2u) + J3u_loc
 
     x4 = x + h * k3
     k4 = rhs(x4, u)
@@ -74,14 +77,17 @@ def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h):
     k4x = J4x_loc @ (I + hm * k3x)
     k4u = J4x_loc @ (hm * k3u) + J4u_loc
 
-    x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    A_step = I + (hm / 6.0) * (J1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    B_step = (hm / 6.0) * (J1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    x_next = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    A_step = I + hm6 * (J1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    B_step = hm6 * (J1u + 2.0 * k2u + 2.0 * k3u + k4u)
 
-    finite = (np.isfinite(x_next).all(axis=0) & np.isfinite(A_step).all(axis=(-2, -1))
-              & np.isfinite(B_step).all(axis=(-2, -1)))
-    if not finite.all():
-        raise IntegrationDivergedError(node=int(np.argmin(finite)) if x.ndim == 2 else None)
+    # One sum is finite exactly when every entry is, unless finite entries
+    # overflow it; only then are the columns scanned, for the first bad one.
+    if not math.isfinite(x_next.sum() + A_step.sum() + B_step.sum()):
+        finite = (np.isfinite(x_next).all(axis=0) & np.isfinite(A_step).all(axis=(-2, -1))
+                  & np.isfinite(B_step).all(axis=(-2, -1)))
+        if not finite.all():
+            raise IntegrationDivergedError(node=int(np.argmin(finite)) if x.ndim == 2 else None)
     return x_next, A_step, B_step
 
 

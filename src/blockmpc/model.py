@@ -8,7 +8,9 @@ the input is the horizontal force u on the cart.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,46 +116,49 @@ def pendulum_rhs(x: np.ndarray, u, params: PendulumParams) -> np.ndarray:
 
 
 def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
-    """Analytic (d f/d x, d f/d u) of the cart-pole dynamics; (n, 4, 4)/(n, 4, 1) stacks for columns."""
+    """Analytic (d f/d x, d f/d u) of the cart-pole dynamics; (n, 4, 4)/(n, 4, 1) stacks for columns.
+
+    With den = m2 + m1 - m1 c^2 the accelerations are n2/den and
+    n3/(l den); their theta derivatives are (dn/dtheta - n dden/den)/den.
+    """
     _, theta, _, theta_dot = x
     f = u[0] if np.ndim(u) else u
     s, c = np.sin(theta), np.cos(theta)
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
-    den = m2 + m1 - m1 * c * c
-    dden = 2.0 * m1 * s * c
+    cs, w2, cc = c * s, theta_dot * theta_dot, c * c
+    inv = 1.0 / ((m2 + m1) - m1 * cc)
+    inv_l = inv / l
+    r = (2.0 * m1) * cs * inv  # dden/den
+    c2 = cc - s * s
 
-    n2 = -m1 * l * s * (theta_dot * theta_dot) + m1 * g * c * s + f
-    dn2_dth = -m1 * l * c * (theta_dot * theta_dot) + m1 * g * (c * c - s * s)
-    n3 = f * c - m1 * l * c * s * (theta_dot * theta_dot) + (m2 + m1) * g * s
-    dn3_dth = -f * s - m1 * l * (c * c - s * s) * (theta_dot * theta_dot) + (m2 + m1) * g * c
+    n2 = (-m1 * l) * s * w2 + (m1 * g) * cs + f
+    dn2_dth = (-m1 * l) * c * w2 + (m1 * g) * c2
+    n3 = f * c + (-m1 * l) * cs * w2 + ((m2 + m1) * g) * s
+    dn3_dth = ((m2 + m1) * g) * c - f * s - (m1 * l) * c2 * w2
+    td_inv = theta_dot * inv
 
     stack = np.shape(theta)
     A = np.zeros(stack + (4, 4))
     A[..., 0, 2] = 1.0
     A[..., 1, 3] = 1.0
-    A[..., 2, 1] = (dn2_dth * den - n2 * dden) / (den * den)
-    A[..., 2, 3] = -2.0 * m1 * l * s * theta_dot / den
-    A[..., 3, 1] = (dn3_dth * den - n3 * dden) / (l * (den * den))
-    A[..., 3, 3] = -2.0 * m1 * c * s * theta_dot / den
+    A[..., 2, 1] = (dn2_dth - n2 * r) * inv
+    A[..., 2, 3] = (-2.0 * m1 * l) * s * td_inv
+    A[..., 3, 1] = (dn3_dth - n3 * r) * inv_l
+    A[..., 3, 3] = (-2.0 * m1) * cs * td_inv
 
     B = np.zeros(stack + (4, 1))
-    B[..., 2, 0] = 1.0 / den
-    B[..., 3, 0] = c / (l * den)
+    B[..., 2, 0] = inv
+    B[..., 3, 0] = c * inv_l
     return A, B
 
 
 def stage_cost_terms(xs: np.ndarray, us: np.ndarray, cost: QuadraticCost):
-    """Gradient/Hessian blocks of the stage cost at node stacks xs (n, nx), us (n, nu).
+    """Gradients (q, r) of the stage cost at node stacks xs (n, nx), us (n, nu).
 
-    Returns (q, r, Q, R), each stacked over the nodes (Q and R as read-only
-    views).  The Hessian is the Gauss-Newton one of the quadratic tracking
-    cost, so Q and R exactly, with no state-input cross term.
+    The Hessians are Q and R exactly (Gauss-Newton on the quadratic tracking
+    cost, no state-input cross term); ``OcpProblem.constants`` holds them.
     """
-    stack = xs.shape[:-1]
-    q = (xs - cost.x_ref) @ cost.Q.T
-    r = (us - cost.u_ref) @ cost.R.T
-    return q, r, np.broadcast_to(cost.Q, stack + cost.Q.shape), \
-        np.broadcast_to(cost.R, stack + cost.R.shape)
+    return (xs - cost.x_ref) @ cost.Q.T, (us - cost.u_ref) @ cost.R.T
 
 
 def state_box_rows(x_lo, x_hi, xs: np.ndarray):
@@ -169,6 +174,10 @@ def state_box_rows(x_lo, x_hi, xs: np.ndarray):
     Cx = np.stack([eye, -eye], axis=1).reshape(2 * nx, nx)[keep]
     c = np.stack([xs - x_hi, x_lo - xs], axis=-1).reshape(xs.shape[:-1] + (2 * nx,))[..., keep]
     return Cx, c
+
+
+# Per-problem constants of the stage data (see ``OcpProblem.constants``).
+StageConstants = namedtuple("StageConstants", "Qs Rs QN Cx row_node c_gather")
 
 
 @dataclass
@@ -205,6 +214,28 @@ class OcpProblem:
     @property
     def N(self) -> int:
         return len(self.intervals)
+
+    @cached_property
+    def constants(self) -> StageConstants:
+        """The stage data's per-problem constants, built once and read-only.
+
+        Qs (N, nx, nx) and Rs (N, nu, nu) are the stage Hessians scaled by
+        ``weight_scales``; QN is unscaled.  The state-box rows of nodes 1..N
+        are ``state_box_rows``'s Cx tiled over the nodes, with row_node; the
+        flat gather ``c_gather`` of the (N, 2 nx) stack [x_k - x_hi | x_lo - x_k]
+        of nodes k = 1..N gives their constants, in the same order.
+        """
+        N, nx = self.N, self.dims.nx
+        Cx, _ = state_box_rows(self.bounds.x_lo, self.bounds.x_hi, np.zeros((0, nx)))
+        cols = np.abs(Cx).argmax(axis=1) + nx * (Cx.sum(axis=1) < 0)  # -e_i: a lower bound
+        w3 = self.weight_scales[:, None, None]
+        consts = StageConstants(
+            Qs=w3 * self.cost.Q, Rs=w3 * self.cost.R, QN=self.cost.QN.copy(),
+            Cx=np.tile(Cx, (N, 1)), row_node=np.repeat(np.arange(1, N + 1), len(Cx)),
+            c_gather=(2 * nx * np.arange(N)[:, None] + cols).reshape(-1))
+        for a in consts:
+            a.flags.writeable = False
+        return consts
 
 
 def make_pendulum_problem(

@@ -29,7 +29,9 @@ violation check reads z against lb and ub, and a bound's row of L^-1 N_W is
 a gathered row of L^-1.
 
 The controller's QPs have up to 80 variables and 320 candidate rows
-(scheme A: 160 condensed state rows, 160 input bounds).
+(scheme A: 160 condensed state rows, 160 input bounds).  At these sizes a
+mat-vec costs about as much as its call, so they use the ``ndarray.dot``
+method, the cheapest entry point (``@`` costs about twice as much per call).
 """
 
 from __future__ import annotations
@@ -150,13 +152,13 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         nonlocal J, w
         if J is None:
             J = _inv_lower(np.linalg.cholesky(qp.H)).T
-            w = J.T @ qp.g
+            w = J.T.dot(qp.g)
         return J
 
     def a_dot(i, X):
         """a_i'X for row id i: Crows[i] @ X, or the gathered row +-X[j] of a bound on z_j."""
         if i < m:
-            return qp.Crows[i] @ X
+            return qp.Crows[i].dot(X)
         return X[i - m] if i < m + n else -X[i - m - n]
 
     def refactor():
@@ -177,8 +179,8 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         if not W:
             return z_free(), np.zeros(0)
         k = len(W)
-        y = Ri[:k, :k].T @ b[W] + Q[:, :k].T @ w  # = -R lam
-        return -J @ (w - Q[:, :k] @ y), -Ri[:k, :k] @ y
+        y = Ri[:k, :k].T.dot(b[W]) + Q[:, :k].T.dot(w)  # = -R lam
+        return -J.dot(w - Q[:, :k].dot(y)), -Ri[:k, :k].dot(y)
 
     def solution(status, it):
         lam_all = np.zeros(len(b))
@@ -208,7 +210,7 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
     p, u = -1, 0.0  # row being added and its multiplier
     for it in range(1, max_iter + 1):
         if p < 0:
-            viol = np.concatenate([qp.Crows @ z + qp.cvec, z - qp.ub, qp.lb - z])
+            viol = np.concatenate([qp.Crows.dot(z) + qp.cvec, z - qp.ub, qp.lb - z])
             viol[W] = -np.inf
             worst = int(np.argmax(viol))
             if viol[worst] <= feas_tol:
@@ -219,31 +221,31 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         J, k = inverse_factor(), len(W)
         Qk, Rik = Q[:, :k], Ri[:k, :k]
         v = a_dot(p, J)
-        Qv = Qk.T @ v
-        vperp = v - Qk @ Qv
-        dlam = -Rik @ Qv
+        Qv = Qk.T.dot(v)
+        vperp = v - Qk.dot(Qv)
+        dlam = -Rik.dot(Qv)
         # rates within rounding of zero must not block: they would give huge dual steps
         blocking = np.flatnonzero(dlam < -1e-12 * np.abs(dlam).max(initial=0.0))
         ratios = lam[blocking] / -dlam[blocking]
         t_dual = ratios.min(initial=np.inf)
-        t_full, vv = np.inf, vperp @ vperp
-        if vv > 1e-20 * (v @ v):
+        t_full, vv = np.inf, vperp.dot(vperp)
+        if vv > 1e-20 * v.dot(v):
             t_full = (a_dot(p, z) - b[p]) / vv
         elif t_dual == np.inf:
             return solution("infeasible-detected", it)
         t = min(t_full, t_dual)
         if t_full < np.inf:
-            z = z - t * (J @ vperp)
+            z = z - t * J.dot(vperp)
         lam = np.maximum(lam + t * dlam, 0.0)
         u += t
         if t_full <= t_dual:
             # append column k: Q gains vperp / |vperp|, re-orthogonalized once
             # (CGS2), and R gains r = [Qv; |vperp|], so R^-1 gains -R^-1 r / |vperp|
-            c = Qk.T @ vperp
-            vperp -= Qk @ c
-            rho = np.sqrt(vperp @ vperp)
+            c = Qk.T.dot(vperp)
+            vperp -= Qk.dot(c)
+            rho = np.sqrt(vperp.dot(vperp))
             Q[:, k] = vperp / rho
-            Ri[:k, k] = Rik @ (Qv + c) / -rho
+            Ri[:k, k] = Rik.dot(Qv + c) / -rho
             Ri[k, :k], Ri[k, k] = 0.0, 1.0 / rho
             W.append(p)
             lam = np.append(lam, u)

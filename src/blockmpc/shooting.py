@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocking import BlockStructure
 from .integrator import IntegrationDivergedError, integrate_interval, rk4_state_step
-from .model import OcpProblem, stage_cost_terms, state_box_rows
+from .model import OcpProblem, stage_cost_terms
 
 
 @dataclass
@@ -49,6 +49,8 @@ class StageData:
     terminal rows included, in the order of the condensed QP's rows.
     ``dx0`` is the initial-value embedding residual x0_measured - x_0.
     Input box bounds appear once per block as bounds on the input step.
+    From ``evaluate``, Qs, Rs, QN and the rows' Cx and row_node are the
+    problem's shared read-only ``constants``.
     """
 
     As: np.ndarray
@@ -101,30 +103,25 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     Every interval in block j is integrated with u_hat_j; the residuals
     d_k close the shooting gaps, and dx0 embeds the new measurement.  The
     intervals are independent at a fixed trajectory: one batched RK4 step.
-    The finite state bounds give the same rows at each of nodes 1..N.
+    The finite state bounds give the same rows at each of nodes 1..N.  The
+    Hessians, QN and the rows' Cx and row_node are the problem's read-only
+    ``constants``, shared by every call.
     """
     N, M = bs.N, bs.M
     nx, nu = problem.dims.nx, problem.dims.nu
-    if traj.xs.shape != (N + 1, nx) or traj.us.shape != (M, nu):
+    xs = traj.xs
+    if xs.shape != (N + 1, nx) or traj.us.shape != (M, nu):
         raise ValueError("trajectory shape inconsistent with problem/blocking")
     us = traj.us[bs.blocks]  # (N, nu): the input of each interval
+    consts, bounds, cost = problem.constants, problem.bounds, problem.cost
 
-    x_end, As, Bs = integrate_interval(problem.hs, problem.rhs, problem.jac,
-                                       traj.xs[:N].T, us.T)
-    ds = x_end.T - traj.xs[1:]
-    q, r, Q, R = stage_cost_terms(traj.xs[:N], us, problem.cost)
+    x_end, As, Bs = integrate_interval(problem.hs, problem.rhs, problem.jac, xs[:N].T, us.T)
+    q, r = stage_cost_terms(xs[:N], us, cost)
     w = problem.weight_scales[:, None]
-    w3 = w[:, :, None]
+    c = np.concatenate([xs[1:] - bounds.x_hi, bounds.x_lo - xs[1:]], axis=1).take(consts.c_gather)
 
-    Cx, c = state_box_rows(problem.bounds.x_lo, problem.bounds.x_hi, traj.xs[1:])
-    rows = AffineRows(np.tile(Cx, (N, 1)), c.reshape(-1),
-                      np.repeat(np.arange(1, N + 1), len(Cx)))
-
-    qN = problem.cost.QN @ (traj.xs[N] - problem.cost.x_ref)
-    du_lo = problem.bounds.u_lo - traj.us
-    du_hi = problem.bounds.u_hi - traj.us
-
-    return StageData(As=As, Bs=Bs, ds=ds, Qs=w3 * Q, Rs=w3 * R,
-                     qs=w * q, rs=w * r, QN=problem.cost.QN.copy(), qN=qN, rows=rows,
-                     dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
-                     du_lo=du_lo, du_hi=du_hi)
+    return StageData(As=As, Bs=Bs, ds=x_end.T - xs[1:], Qs=consts.Qs, Rs=consts.Rs,
+                     qs=w * q, rs=w * r, QN=consts.QN, qN=cost.QN.dot(xs[N] - cost.x_ref),
+                     rows=AffineRows(consts.Cx, c, consts.row_node),
+                     dx0=np.asarray(x0_measured, dtype=float) - xs[0],
+                     du_lo=bounds.u_lo - traj.us, du_hi=bounds.u_hi - traj.us)

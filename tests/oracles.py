@@ -33,6 +33,40 @@ def fd_input_jacobian(f, x, u, eps=1e-6):
     return J
 
 
+def pendulum_jacobians_quotient_rule(x, u, params):
+    """Cart-pole (d f/d x, d f/d u) by the quotient rule, term by term.
+
+    The textbook form of ``model.pendulum_jacobians``, which shares its
+    subexpressions instead: the accelerations n2/den and n3/(l den) are
+    differentiated as (dn den - n dden) / den^2.
+    """
+    _, theta, _, theta_dot = x
+    f = u[0] if np.ndim(u) else u
+    s, c = np.sin(theta), np.cos(theta)
+    m1, m2, l, g = params.m1, params.m2, params.l, params.g
+    den = m2 + m1 - m1 * c * c
+    dden = 2.0 * m1 * s * c
+
+    n2 = -m1 * l * s * (theta_dot * theta_dot) + m1 * g * c * s + f
+    dn2_dth = -m1 * l * c * (theta_dot * theta_dot) + m1 * g * (c * c - s * s)
+    n3 = f * c - m1 * l * c * s * (theta_dot * theta_dot) + (m2 + m1) * g * s
+    dn3_dth = -f * s - m1 * l * (c * c - s * s) * (theta_dot * theta_dot) + (m2 + m1) * g * c
+
+    stack = np.shape(theta)
+    A = np.zeros(stack + (4, 4))
+    A[..., 0, 2] = 1.0
+    A[..., 1, 3] = 1.0
+    A[..., 2, 1] = (dn2_dth * den - n2 * dden) / (den * den)
+    A[..., 2, 3] = -2.0 * m1 * l * s * theta_dot / den
+    A[..., 3, 1] = (dn3_dth * den - n3 * dden) / (l * (den * den))
+    A[..., 3, 3] = -2.0 * m1 * c * s * theta_dot / den
+
+    B = np.zeros(stack + (4, 1))
+    B[..., 2, 0] = 1.0 / den
+    B[..., 3, 0] = c / (l * den)
+    return A, B
+
+
 def rk4_linear_closed_form(Ac, Bc, h):
     """Exact discrete matrices of the RK4 map for xdot = Ac x + Bc u.
 

@@ -366,6 +366,17 @@ def test_cli_rejects_non_finite_value(tmp_path, capsys, line):
     assert f"line 2: {line.split()[0]} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["u_lo = 30", "u_lo = inf", "x_lo = 3, -inf, -inf, -inf"])
+def test_cli_rejects_crossed_bounds(tmp_path, capsys, line):
+    # each used to pass validate() and exit 2 with a message naming neither key nor line
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"scheme = C\n{line}\n")
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    key = line.split()[0]
+    assert f"line 2: {key} must not exceed {key[0]}_hi" in capsys.readouterr().err
+
+
 def test_config_bounds_may_be_infinite_but_not_nan():
     assert SchemeConfig(u_hi=(np.inf,)).validate()
     with pytest.raises(ConfigError, match="u_hi must not be NaN"):

@@ -158,6 +158,49 @@ def test_batched_divergence_reports_first_failing_column():
     assert info.value.node == 2
 
 
+def _column_of(value, j, n=5, nx=2):
+    """(nx, n) zeros with ``value`` in column j."""
+    a = np.zeros((nx, n))
+    a[:, j] = value
+    return a
+
+
+# A bad value in one column of a batch that reaches only x_next (the rhs is
+# NaN there), only A (a huge finite d f/d x overflows A; with d f/d u = 0 the
+# B products stay 0) or only B (a huge d f/d u with d f/d x = 0).
+ONE_BAD_OUTPUT = {
+    "x_next": (lambda x, u: _column_of(np.nan, 3),
+               lambda x, u: (np.zeros((2, 2)), np.zeros((2, 1)))),
+    "A": (lambda x, u: np.zeros_like(x),
+          lambda x, u: (_column_of(1e308, 3).T[:, :, None] * np.ones(2), np.zeros((5, 2, 1)))),
+    "B": (lambda x, u: np.zeros_like(x),
+          lambda x, u: (np.zeros((2, 2)), _column_of(1e308, 3).T[:, :, None])),
+}
+
+
+@pytest.mark.parametrize("where", ONE_BAD_OUTPUT)
+def test_batched_divergence_in_one_output_reports_its_column(where):
+    rhs, jac = ONE_BAD_OUTPUT[where]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationDivergedError) as info:
+            rk4_step(rhs, jac, np.ones((2, 5)), np.zeros((1, 5)), np.full(5, 0.01))
+    assert info.value.node == 3
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_batched_step_with_overflowing_sum_but_finite_entries_passes(sign):
+    # the quick check sums x_next, A and B; a sum that overflows on finite
+    # entries must fall through to the entry-wise scan, which finds none
+    rhs = lambda x, u: np.zeros_like(x)
+    jac = lambda x, u: (np.zeros((2, 2)), np.zeros((2, 1)))
+    xs = np.full((2, 6), sign * 1.7e308)
+    with np.errstate(over="ignore"):
+        x_next, A, B = rk4_step(rhs, jac, xs, np.zeros((1, 6)), np.full(6, 0.01))
+        assert not math.isfinite(x_next.sum() + A.sum() + B.sum())
+    assert np.array_equal(x_next, xs)
+    assert np.array_equal(A, np.broadcast_to(np.eye(2), (6, 2, 2))) and not B.any()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.0)

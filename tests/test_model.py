@@ -13,7 +13,7 @@ from blockmpc.model import (
     stage_cost_terms,
     state_box_rows,
 )
-from oracles import fd_input_jacobian, fd_state_jacobian
+from oracles import fd_input_jacobian, fd_state_jacobian, pendulum_jacobians_quotient_rule
 
 PARAMS = PendulumParams(m1=0.1, m2=1.0, l=0.8, g=9.81)
 
@@ -109,9 +109,8 @@ def _cost():
 
 def test_stage_cost_zero_at_reference():
     cost = _cost()
-    q, r, Qk, Rk = stage_cost_terms(np.zeros((3, 4)), np.zeros((3, 1)), cost)
+    q, r = stage_cost_terms(np.zeros((3, 4)), np.zeros((3, 1)), cost)
     assert q.shape == (3, 4) and r.shape == (3, 1)
-    assert Qk.shape == (3, 4, 4) and Rk.shape == (3, 1, 1)
     assert np.allclose(q, 0) and np.allclose(r, 0)
 
 
@@ -119,7 +118,7 @@ def test_stage_cost_identity_weight():
     cost = QuadraticCost(Q=np.eye(4), R=np.eye(1), QN=np.eye(4),
                          x_ref=np.zeros(4), u_ref=np.zeros(1))
     xs = np.array([[1.0, 0, 0, 0], [0, -2.0, 0, 0]])
-    q, _, _, _ = stage_cost_terms(xs, np.zeros((2, 1)), cost)
+    q, _ = stage_cost_terms(xs, np.zeros((2, 1)), cost)
     assert np.allclose(q, xs)
 
 
@@ -128,7 +127,7 @@ def test_stage_cost_gradient_matches_numeric():
     rng = np.random.default_rng(2)
     xs = rng.standard_normal((5, 4))
     us = rng.standard_normal((5, 1))
-    q, r, Qk, Rk = stage_cost_terms(xs, us, cost)
+    q, r = stage_cost_terms(xs, us, cost)
     # numeric gradient of 0.5||x - xref||_Q^2 + 0.5||u - uref||_R^2, node by node
     eps = 1e-7
 
@@ -144,8 +143,6 @@ def test_stage_cost_gradient_matches_numeric():
             assert num == pytest.approx(q[k, i], rel=1e-6, abs=1e-8)
         num = (J(x, u + eps) - J(x, u - eps)) / (2 * eps)
         assert num == pytest.approx(r[k, 0], rel=1e-6, abs=1e-8)
-        assert np.allclose(Qk[k], Qk[k].T) and np.allclose(Rk[k], Rk[k].T)
-        np.linalg.cholesky(Rk[k])
 
 
 def test_cost_requires_spd_R():
@@ -184,6 +181,26 @@ def test_box_rows_order_upper_before_lower_per_component():
     assert np.array_equal(c, [[-1.0, -1.0, -2.0, -3.0]])
     Cx, c = state_box_rows(-np.inf * np.ones(3), np.inf * np.ones(3), np.zeros((4, 3)))
     assert Cx.shape == (0, 3) and c.shape == (4, 0)
+
+
+@pytest.mark.parametrize("params", [PARAMS, PendulumParams(m1=2.0, m2=0.5, l=0.3, g=9.81)])
+def test_jacobians_match_quotient_rule_to_rounding(params):
+    # the finite-difference check resolves about 1e-6; this one the rewritten expressions
+    rng = np.random.default_rng(21)
+    n = 400
+    theta = np.concatenate([rng.uniform(-np.pi, np.pi, n),
+                            [np.pi / 2, -np.pi / 2, 0.0, np.pi, -np.pi]])
+    xs = np.stack([rng.uniform(-2, 2, len(theta)), theta,
+                   rng.uniform(-5, 5, len(theta)), rng.uniform(-20, 20, len(theta))])
+    us = rng.uniform(-20, 20, (1, len(theta)))
+    A, B = pendulum_jacobians(xs, us, params)
+    A_ref, B_ref = pendulum_jacobians_quotient_rule(xs, us, params)
+    for got, want in ((A, A_ref), (B, B_ref)):
+        scale = np.abs(want).max(axis=(1, 2))  # per node
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
+    for k in (0, n, n + 3):  # a single point agrees with its column
+        A_k, B_k = pendulum_jacobians(xs[:, k], us[:, k], params)
+        assert np.array_equal(A_k, A[k]) and np.array_equal(B_k, B[k])
 
 
 def test_dynamics_broadcast_over_columns():

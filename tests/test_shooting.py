@@ -233,3 +233,32 @@ def test_divergence_reports_interval():
         with pytest.raises(IntegrationDivergedError) as info:
             evaluate(prob, bs, traj, np.ones(1))
         assert info.value.node == 3
+
+
+def _shared_constants(sd):
+    return {"Qs": sd.Qs, "Rs": sd.Rs, "QN": sd.QN, "Cx": sd.rows.Cx, "row_node": sd.rows.row_node}
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_evaluate_constants_are_shared_read_only_and_survive_a_closed_loop(scheme):
+    from blockmpc.harness import _plant_step
+    from blockmpc.model import pendulum_rhs
+
+    cfg = SchemeConfig(scheme=scheme).validate()
+    ctrl = build_controller(cfg)
+    x = np.array(cfg.x0)
+    state = ctrl.initial_state(x)
+    first = _shared_constants(evaluate(ctrl.problem, ctrl.bs, state.traj, x))
+    again = _shared_constants(evaluate(ctrl.problem, ctrl.bs, state.traj, x + 0.01))
+    assert all(again[name] is a for name, a in first.items())  # built once per problem
+    saved = {name: a.tobytes() for name, a in first.items()}
+
+    plant = lambda xv, uv: pendulum_rhs(xv, uv, PendulumParams())
+    for _ in range(20):
+        u, state = ctrl.step(state, x)
+        x = _plant_step(plant, x, u, cfg.Ts, cfg.plant_substeps)
+    sd = evaluate(ctrl.problem, ctrl.bs, state.traj, x)
+    for name, a in _shared_constants(sd).items():
+        assert a is first[name] and a.tobytes() == saved[name], name
+        with pytest.raises(ValueError, match="read-only"):  # a write cannot reach the next sample
+            a[(0,) * a.ndim] = 1

@@ -236,13 +236,14 @@ class SimLog:
 
 
 def _plant_step(rhs, x, u, Ts, substeps):
-    """Plant propagation over one sample: plain RK4 sub-steps, no sensitivities."""
+    """Plant propagation over one sample: plain RK4 sub-steps in float arithmetic."""
     h = Ts / substeps
+    x = x.tolist()
     for _ in range(substeps):
         x = rk4_state_step(rhs, x, u, h)
-    if not np.all(np.isfinite(x)):
+    if not all(map(math.isfinite, x)):
         raise IntegrationDivergedError("plant state diverged")
-    return x
+    return np.array(x)
 
 
 def run_closed_loop(cfg: SchemeConfig) -> SimLog:

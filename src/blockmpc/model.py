@@ -8,6 +8,7 @@ the input is the horizontal force u on the cart.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -103,16 +104,32 @@ class StageBounds:
                            -inf * np.ones(nu), inf * np.ones(nu))
 
 
-def pendulum_rhs(x: np.ndarray, u, params: PendulumParams) -> np.ndarray:
-    """Cart-pole state derivative [p_dot, theta_dot, p_ddot, theta_ddot] at x (4,) or columns (4, n)."""
+def pendulum_rhs(x, u, params: PendulumParams):
+    """Cart-pole state derivative [p_dot, theta_dot, p_ddot, theta_ddot].
+
+    An ndarray x (4,) or columns (4, n) gives an array of the same shape.  A
+    single state as a sequence of floats (u a sequence of one force) gives a
+    tuple by the same float operations, with ``math.sin``/``math.cos``; sin
+    and cos of +-inf are nan there, as in NumPy.
+    """
     _, theta, p_dot, theta_dot = x
-    f = u[0] if np.ndim(u) else u
-    s, c = np.sin(theta), np.cos(theta)
+    array = isinstance(x, np.ndarray)
+    if array:
+        f = u[0] if np.ndim(u) else u
+        s, c = np.sin(theta), np.cos(theta)
+    else:
+        f = float(u[0])
+        try:
+            s, c = math.sin(theta), math.cos(theta)
+        except ValueError:  # theta is +-inf
+            s = c = math.nan
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     den = m2 + m1 - m1 * c * c
     p_dd = (-m1 * l * s * (theta_dot * theta_dot) + m1 * g * c * s + f) / den
     th_dd = (f * c - m1 * l * c * s * (theta_dot * theta_dot) + (m2 + m1) * g * s) / (l * den)
-    return np.array([p_dot, theta_dot, p_dd, th_dd])
+    if array:
+        return np.array([p_dot, theta_dot, p_dd, th_dd])
+    return p_dot, theta_dot, p_dd, th_dd
 
 
 def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):

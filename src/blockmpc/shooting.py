@@ -9,6 +9,7 @@ coarsening the grid.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -82,18 +83,24 @@ class StageData:
 
 def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
                      us: np.ndarray) -> Trajectory:
-    """Simulate the shooting nodes forward from x0 under blocked inputs us, in order."""
+    """Simulate the shooting nodes forward from x0 under blocked inputs us, in order.
+
+    The nodes are stepped one by one in float arithmetic (``rk4_state_step``),
+    each input an (nu,) row of ``us``; the first non-finite node raises.
+    """
     us = np.atleast_2d(np.asarray(us, dtype=float))
-    if us.shape[0] != bs.M:
-        raise ValueError(f"expected {bs.M} blocked inputs, got {us.shape[0]}")
-    blocks = bs.blocks
-    xs = np.zeros((bs.N + 1, len(x0)))
-    xs[0] = x0
+    if us.shape != (bs.M, problem.dims.nu):
+        raise ValueError(f"expected {bs.M} blocked inputs of width {problem.dims.nu}, "
+                         f"got shape {us.shape}")
+    blocks, hs = bs.blocks.tolist(), problem.hs.tolist()
+    x = np.asarray(x0, dtype=float).tolist()
+    xs = [x]
     for k in range(bs.N):
-        xs[k + 1] = rk4_state_step(problem.rhs, xs[k], us[blocks[k]], problem.hs[k])
-        if not np.isfinite(xs[k + 1]).all():
+        x = rk4_state_step(problem.rhs, x, us[blocks[k]], hs[k])
+        if not all(map(math.isfinite, x)):
             raise IntegrationDivergedError(node=k)
-    return Trajectory(xs=xs, us=us)
+        xs.append(x)
+    return Trajectory(xs=np.array(xs), us=us)
 
 
 def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,

@@ -93,6 +93,44 @@ def rk4_linear_closed_form(Ac, Bc, h):
     return Ad, Bd
 
 
+def seeded_pendulum_states(seed, n):
+    """n cart-pole states; the first five have theta = -pi, -pi/2, 0, pi/2 and pi."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform([-1.0, -4.0, -2.0, -6.0], [1.0, 4.0, 2.0, 6.0], size=(n, 4))
+    xs[:5, 1] = [-np.pi, -np.pi / 2, 0.0, np.pi / 2, np.pi]
+    return xs
+
+
+def numpy_rk4_state_step(rhs, x, u, h):
+    """One RK4 step of a single state x (nx,) in array arithmetic.
+
+    The array form that ``integrator.rk4_state_step`` computes in floats;
+    with the same rhs operations the two must agree bit for bit.
+    """
+    k1 = rhs(x, u)
+    k2 = rhs(x + 0.5 * h * k1, u)
+    k3 = rhs(x + 0.5 * h * k2, u)
+    k4 = rhs(x + h * k3, u)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def numpy_forward_simulate(problem, bs, x0, us):
+    """Node states (N+1, nx) of ``shooting.forward_simulate``, stepped as arrays."""
+    xs = np.zeros((bs.N + 1, len(x0)))
+    xs[0] = x0
+    for k in range(bs.N):
+        xs[k + 1] = numpy_rk4_state_step(problem.rhs, xs[k], us[bs.blocks[k]], problem.hs[k])
+    return xs
+
+
+def numpy_plant_step(rhs, x, u, Ts, substeps):
+    """The state after ``harness._plant_step``'s sample, stepped as arrays."""
+    h = Ts / substeps
+    for _ in range(substeps):
+        x = numpy_rk4_state_step(rhs, x, u, h)
+    return x
+
+
 def loop_evaluate(problem, bs, traj, x0_measured):
     """Shooting linearization one interval at a time, with point-wise RK4 steps.
 

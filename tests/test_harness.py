@@ -16,7 +16,11 @@ from blockmpc.harness import (
     summary_text,
     timing_summary,
     write_outputs,
+    _plant_step,
 )
+from blockmpc.integrator import IntegrationDivergedError
+from blockmpc.model import PendulumParams, pendulum_rhs
+from oracles import numpy_plant_step, seeded_pendulum_states
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(ROOT, "configs", "pendulum.cfg")
@@ -335,6 +339,33 @@ def test_linalg_error_aborts_run_with_exit_1(tmp_path, capsys, monkeypatch, comm
     assert "aborted = linear algebra failure" in out.out and "samples = 3" in out.out
     prefix = "error: run aborted" if command == "simulate" else "error: scheme A run aborted"
     assert f"{prefix}: linear algebra failure: Matrix is not positive definite" in out.err
+
+
+PLANT = lambda x, u: pendulum_rhs(x, u, PendulumParams())
+
+
+def test_plant_step_matches_numpy_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for x in seeded_pendulum_states(22, 40):
+        u = rng.uniform(-20.0, 20.0, size=1)
+        assert np.array_equal(_plant_step(PLANT, x, u, 0.025, 10),
+                              numpy_plant_step(PLANT, x, u, 0.025, 10)), \
+            "math.sin/math.cos (libm) and np.sin/np.cos round differently on this machine"
+
+
+def test_plant_divergence_raises_integration_error():
+    # theta_dot = 1e160 overflows to inf, and math.sin(inf) raises ValueError
+    x = np.array([0.0, np.pi, 0.0, 1e160])
+    with pytest.raises(IntegrationDivergedError, match="plant state diverged"):
+        _plant_step(PLANT, x, np.zeros(1), 0.025, 10)
+
+
+def test_cli_diverging_initial_trajectory_exits_3(tmp_path, capsys):
+    cfg_file = tmp_path / "diverge.cfg"
+    cfg_file.write_text("x0 = 0, 3.14, 0, 1e160\n")
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "error: integration diverged at shooting node 0" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -12,10 +12,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from blockmpc import harness
 from blockmpc.condensing import condense
 from blockmpc.harness import SchemeConfig, build_controller
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+DEFAULT_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "pendulum.cfg")
 
 
 def load_tracing():
@@ -66,3 +68,26 @@ def test_traced_spans_are_reached_once_per_call(monkeypatch, scheme):
     step_counts = count_span_calls(monkeypatch, STEP_SPANS)
     ctrl.step(state, x0)
     assert step_counts == dict.fromkeys(STEP_SPANS, 1)
+
+
+STEP_COUNTS = {"integrator.integrate_interval.calls": 1, "model.rhs.calls": 4,
+               "model.jac.calls": 4}
+
+
+@pytest.mark.parametrize("scheme", ["A", "C"])
+def test_traced_counters_read_one_batched_rk4_step_per_step(monkeypatch, scheme):
+    """One step is one batched RK4 step: 1 interval call, 4 rhs and 4 Jacobian calls."""
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    x0 = np.array([0.1, 3.0, 0.0, 0.0])
+    state = ctrl.initial_state(x0)
+    counts = count_span_calls(monkeypatch, STEP_COUNTS)
+    ctrl.step(state, x0)
+    assert counts == STEP_COUNTS
+
+
+def test_setup_reaches_initial_state_once(monkeypatch):
+    """A set-up as the benchmark times it: build_controller, then initial_state."""
+    counts = count_span_calls(monkeypatch, ["harness.build_controller", "rti.initial_state"])
+    cfg = harness.load_config(DEFAULT_CFG)
+    harness.build_controller(cfg).initial_state(np.array(cfg.x0))
+    assert counts == {"harness.build_controller": 1, "rti.initial_state": 1}

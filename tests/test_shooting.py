@@ -13,7 +13,7 @@ from blockmpc.model import (
     make_pendulum_problem,
 )
 from blockmpc.shooting import Trajectory, evaluate, forward_simulate
-from oracles import loop_evaluate
+from oracles import loop_evaluate, numpy_forward_simulate, seeded_pendulum_states
 
 
 def integrator_problem(Ts=1.0, N=3):
@@ -147,6 +147,40 @@ def test_weight_scales_applied():
     assert np.allclose(sd.QN, np.eye(4))  # terminal weight unscaled
     # nonuniform interval spans its full length in one step
     assert prob.intervals[1].h == pytest.approx(3 * 0.025)
+
+
+SIN_COS = ("the float step takes math.sin/math.cos (libm) where the array form takes "
+           "np.sin/np.cos; they round differently on this machine")
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_forward_simulate_matches_numpy_loop_bit_for_bit(scheme):
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    if scheme == "B":
+        assert len(set(ctrl.problem.hs)) > 1
+    rng = np.random.default_rng(12)
+    for x0 in seeded_pendulum_states(11, 8):
+        us = rng.uniform(-5.0, 5.0, size=(ctrl.bs.M, 1))
+        got = forward_simulate(ctrl.problem, ctrl.bs, x0, us).xs
+        assert np.array_equal(got, numpy_forward_simulate(ctrl.problem, ctrl.bs, x0, us)), SIN_COS
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_initial_trajectory_has_exactly_zero_shooting_gaps(scheme):
+    # forward_simulate steps in floats, evaluate in batched arrays: the same bits
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    rng = np.random.default_rng(13)
+    for i, x0 in enumerate(seeded_pendulum_states(14, 8)):
+        us0 = None if i % 2 else rng.uniform(-5.0, 5.0, size=(ctrl.bs.M, 1))
+        traj = ctrl.initial_state(x0, us0).traj
+        ds = evaluate(ctrl.problem, ctrl.bs, traj, x0).ds
+        assert np.all(ds == 0.0), f"max |ds| {np.abs(ds).max():.3g}: {SIN_COS}"
+
+
+def test_forward_simulate_rejects_inputs_of_the_wrong_width():
+    prob = pendulum_problem(N=4)
+    with pytest.raises(ValueError, match=r"4 blocked inputs of width 1, got shape \(4, 2\)"):
+        forward_simulate(prob, unit_blocks(4), np.zeros(4), np.zeros((4, 2)))
 
 
 def test_dimension_mismatch_rejected():

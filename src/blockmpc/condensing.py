@@ -144,23 +144,24 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
 
 def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
                          L: np.ndarray, counter: FlopCounter | None = None):
-    """Condense the state rows ``sd.rows`` and fold input boxes into simple bounds.
+    """Condense the state rows and fold input boxes into simple bounds.
 
-    A row at node k in 1..N becomes Cx_k Ghat[k-1, :], with constant shifted
-    by Cx_k L[k-1]; dx0 enters only through L.  All rows are condensed in
-    one gathered product; Ghat[k-1, j] = 0 for I[j] >= k makes the blocks
-    right of a row's node exact zeros.  Returns (C, c, lb, ub), rows in the
-    order of ``sd.rows``; a row at node 0 raises ValueError.
+    A row Cx_k dx_k + c_k <= 0 at node k in 1..N becomes Cx_k Ghat[k-1, :],
+    with constant c_k + Cx_k L[k-1]; dx0 enters only through L.  With Ghat
+    viewed as (N, nx, M*nu), the stage rows are one batched product
+    ``sd.Cx @ Ghat[:-1]`` and the terminal rows one ``sd.CxN @ Ghat[-1]``;
+    Ghat[k-1, j] = 0 for I[j] >= k makes the blocks right of a row's node
+    exact zeros.  Returns (C, c, lb, ub), rows node by node, terminal last.
     """
-    M, nu = bs.M, sd.nu
-    Cx, c, row_node = sd.rows
-    if len(row_node) and row_node[0] < 1:
-        raise ValueError("condense_constraints takes rows at nodes 1..N only, not node 0")
-    C = _mm(counter, Cx[:, None, None, :], Ghat[row_node - 1])[:, :, 0, :]
-    const = c + _mm(counter, Cx[:, None, :], L[row_node - 1, :, None])[:, 0, 0]
+    N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
+    G = np.ascontiguousarray(Ghat.transpose(0, 2, 1, 3)).reshape(N, nx, M * nu)  # BLAS-ready
+    C = np.concatenate([_mm(counter, sd.Cx, G[:-1]).reshape(-1, M * nu),
+                        _mm(counter, sd.CxN, G[-1])])
+    const = np.concatenate([(sd.c + _mm(counter, sd.Cx, L[:-1, :, None])[:, :, 0]).reshape(-1),
+                            sd.cN + _mm(counter, sd.CxN, L[-1])])
     lb = sd.du_lo.reshape(M * nu).copy()
     ub = sd.du_hi.reshape(M * nu).copy()
-    return C.reshape(len(C), M * nu), const, lb, ub
+    return C, const, lb, ub
 
 
 def condense(sd: StageData, bs: BlockStructure,
@@ -168,7 +169,7 @@ def condense(sd: StageData, bs: BlockStructure,
     """Tailored pipeline: stage data -> (DenseQp, SensitivityChain).
 
     The QP is the one ``solve_qp`` takes, over the M*nu blocked input steps;
-    its i-th general row condenses row i of ``sd.rows``.
+    its general rows condense the state rows node by node, terminal rows last.
     """
     Ghat = compute_Ghat(sd, bs, counter)
     L = compute_L(sd, sd.dx0)
@@ -245,13 +246,13 @@ def naive_condense(sd: StageData, bs: BlockStructure,
         w = sd.qs[k] + _mm(counter, sd.Qs[k], L[k - 1]) + _mm(counter, sd.As[k].T, w)
     gc[0] = sd.rs[0] + _mm(counter, sd.Bs[0].T, w)
 
-    Cx, c, row_node = sd.rows
-    Cc, cc = np.zeros((len(c), N * nu)), c.copy()
-    for k in np.unique(row_node):
-        at = row_node == k
+    cc = np.concatenate([sd.c.reshape(-1), sd.cN])
+    Cc, r = np.zeros((len(cc), N * nu)), 0
+    for k, Cx in enumerate(list(sd.Cx) + [sd.CxN], start=1):  # the rows of node k
+        at, r = slice(r, r + len(Cx)), r + len(Cx)
         for j in range(k):
-            Cc[at, j * nu:(j + 1) * nu] = _mm(counter, Cx[at], G[k - 1, j])
-        cc[at] += _mm(counter, Cx[at], L[k - 1])
+            Cc[at, j * nu:(j + 1) * nu] = _mm(counter, Cx, G[k - 1, j])
+        cc[at] += _mm(counter, Cx, L[k - 1])
 
     T = build_T(bs, nu)
     Hh = _mm(counter, T.T, _mm(counter, Hc, T))

@@ -34,7 +34,7 @@ from .model import (
     pendulum_rhs,
 )
 from .rti import KktReport, RtiController
-from .shooting import AffineRows, StageData
+from .shooting import StageData
 
 _PKG_NAME = "blockmpc"
 
@@ -80,8 +80,10 @@ class SchemeConfig:
                 raise ConfigError(f"{at(key)}{key} must not be NaN, got {value}")
             if key not in _BOUND_KEYS and not all(map(math.isfinite, values)):
                 raise ConfigError(f"{at(key)}{key} must be finite, got {value}")
-        if self.Ts <= 0 or self.sim_time < 0 or self.N < 1 or self.plant_substeps < 1:
-            raise ConfigError("Ts, N, plant_substeps must be positive; sim_time nonnegative")
+            if key in _POSITIVE_KEYS and not all(v > 0 for v in values):
+                raise ConfigError(f"{at(key)}{key} must be positive, got {value}")
+            if key in _NONNEGATIVE_KEYS and not all(v >= 0 for v in values):
+                raise ConfigError(f"{at(key)}{key} must be nonnegative, got {value}")
         if self.scheme == "C" and sum(self.block_lengths) != self.N:
             raise ConfigError(
                 f"block_lengths sum to {sum(self.block_lengths)}, expected N = {self.N}")
@@ -111,6 +113,8 @@ class ConfigError(ValueError):
 _MODEL_DIM = {"q_diag": "nx", "qn_diag": "nx", "x_lo": "nx", "x_hi": "nx", "x0": "nx",
               "r_diag": "nu", "u_lo": "nu", "u_hi": "nu"}  # float vector -> dimension of its length
 _BOUND_KEYS = {"x_lo", "x_hi", "u_lo", "u_hi"}  # the only keys that may be infinite
+_POSITIVE_KEYS = {"Ts", "N", "plant_substeps", "m1", "m2", "l", "g", "r_diag", "qp_tol"}
+_NONNEGATIVE_KEYS = {"sim_time", "q_diag", "qn_diag", "qp_max_iter"}  # qp_max_iter 0: the default
 _VECTOR_KEYS = {"block_lengths", "grid_lengths", "block_indices", "grid_indices"} | set(_MODEL_DIM)
 _INT_KEYS = {"N", "plant_substeps", "seed", "qp_max_iter"}
 _FLOAT_KEYS = {"Ts", "m1", "m2", "l", "g", "sim_time", "qp_tol"}
@@ -403,20 +407,16 @@ def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
         Rs[k] = m.T @ m / nu + np.eye(nu)
     m = rng.standard_normal((nx, nx))
     QN = m.T @ m / nx
-    counts = [nc] * (N - 1)
-    Cx, c = [], []
-    for nr in counts:
-        Cx.append(rng.standard_normal((nr, nx)))
-        c.append(rng.standard_normal(nr))
+    Cx, c = np.zeros((N - 1, nc, nx)), np.zeros((N - 1, nc))
+    for k in range(N - 1):
+        Cx[k] = rng.standard_normal((nc, nx))
+        c[k] = rng.standard_normal(nc)
     qs, rs = rng.standard_normal((N, nx)), rng.standard_normal((N, nu))
     qN = rng.standard_normal(nx)
-    Cx.append(rng.standard_normal((ncN, nx)))
-    c.append(rng.standard_normal(ncN))
-    rows = AffineRows(np.concatenate(Cx), np.concatenate(c),
-                      np.repeat(np.arange(1, N + 1), counts + [ncN]))
+    CxN, cN = rng.standard_normal((ncN, nx)), rng.standard_normal(ncN)
     return StageData(
-        As=As, Bs=Bs, ds=ds, Qs=Qs, Rs=Rs, qs=qs, rs=rs,
-        QN=QN, qN=qN, rows=rows, dx0=rng.standard_normal(nx) * 0.1,
+        As=As, Bs=Bs, ds=ds, Qs=Qs, Rs=Rs, qs=qs, rs=rs, QN=QN, qN=qN,
+        Cx=Cx, c=c, CxN=CxN, cN=cN, dx0=rng.standard_normal(nx) * 0.1,
         du_lo=np.full((M, nu), -np.inf), du_hi=np.full((M, nu), np.inf))
 
 
@@ -424,9 +424,13 @@ def bench_condensing(nx: int, nu: int, M_fixed: int, N_list, reps: int,
                      seed: int = 0) -> list[dict]:
     """Tailored vs naive condensing on synthetic data: times and multiply counts.
 
-    Every N must divide into M_fixed equal-length blocks.  Reported times
-    are medians over ``reps`` runs; multiply counts are deterministic.
+    nx, nu, M_fixed and reps must be at least 1, and every N must divide
+    into M_fixed equal-length blocks.  Reported times are medians over
+    ``reps`` runs; multiply counts are deterministic.
     """
+    for name, value in (("nx", nx), ("nu", nu), ("M", M_fixed), ("reps", reps)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
     rows = []
     for N in N_list:

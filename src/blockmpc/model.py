@@ -194,7 +194,7 @@ def state_box_rows(x_lo, x_hi, xs: np.ndarray):
 
 
 # Per-problem constants of the stage data (see ``OcpProblem.constants``).
-StageConstants = namedtuple("StageConstants", "Qs Rs QN Cx row_node c_gather")
+StageConstants = namedtuple("StageConstants", "Qs Rs QN Cx CxN box_cols")
 
 
 @dataclass
@@ -237,19 +237,18 @@ class OcpProblem:
         """The stage data's per-problem constants, built once and read-only.
 
         Qs (N, nx, nx) and Rs (N, nu, nu) are the stage Hessians scaled by
-        ``weight_scales``; QN is unscaled.  The state-box rows of nodes 1..N
-        are ``state_box_rows``'s Cx tiled over the nodes, with row_node; the
-        flat gather ``c_gather`` of the (N, 2 nx) stack [x_k - x_hi | x_lo - x_k]
-        of nodes k = 1..N gives their constants, in the same order.
+        ``weight_scales``; QN is unscaled.  Every node 1..N carries the same
+        state-box rows, ``state_box_rows``'s (nr, nx) block: CxN is that
+        block and Cx its (N-1, nr, nx) broadcast view over nodes 1..N-1.
+        Row i reads column ``box_cols[i]`` of [x_k - x_hi | x_lo - x_k].
         """
-        N, nx = self.N, self.dims.nx
-        Cx, _ = state_box_rows(self.bounds.x_lo, self.bounds.x_hi, np.zeros((0, nx)))
-        cols = np.abs(Cx).argmax(axis=1) + nx * (Cx.sum(axis=1) < 0)  # -e_i: a lower bound
+        nx = self.dims.nx
+        box, _ = state_box_rows(self.bounds.x_lo, self.bounds.x_hi, np.zeros((0, nx)))
         w3 = self.weight_scales[:, None, None]
         consts = StageConstants(
             Qs=w3 * self.cost.Q, Rs=w3 * self.cost.R, QN=self.cost.QN.copy(),
-            Cx=np.tile(Cx, (N, 1)), row_node=np.repeat(np.arange(1, N + 1), len(Cx)),
-            c_gather=(2 * nx * np.arange(N)[:, None] + cols).reshape(-1))
+            Cx=np.broadcast_to(box, (self.N - 1,) + box.shape), CxN=box,
+            box_cols=np.abs(box).argmax(axis=1) + nx * (box.sum(axis=1) < 0))  # -e_i: a lower bound
         for a in consts:
             a.flags.writeable = False
         return consts

@@ -21,7 +21,7 @@ from .condensing import SensitivityChain, condense, expand
 from .integrator import IntegrationDivergedError
 from .model import OcpProblem
 from .qp_solver import DenseQp, QpSolution, solve_qp
-from .shooting import StageData, Trajectory, evaluate, forward_simulate
+from .shooting import StageData, Trajectory, check_grid, evaluate, forward_simulate
 
 
 @dataclass
@@ -84,8 +84,7 @@ class RtiController:
 
     def __init__(self, problem: OcpProblem, bs: BlockStructure, qp_tol: float = 1e-8,
                  qp_max_iter: int | None = None):
-        if problem.N != bs.N:
-            raise ValueError("problem grid and block structure disagree on N")
+        check_grid(problem, bs)
         self.problem = problem
         self.bs = bs
         self.qp_tol = qp_tol

@@ -10,7 +10,6 @@ coarsening the grid.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,24 +33,18 @@ class Trajectory:
             raise ValueError("trajectory entries must be finite")
 
 
-# Affine state rows Cx dx_k + c <= 0, one per QP row and in QP row order:
-# row_node (non-decreasing, in 1..N) is each row's shooting node k, N for
-# the terminal rows.  Node 0 carries none: dx0 is fixed by the embedding.
-AffineRows = namedtuple("AffineRows", "Cx c row_node")
-
-
 @dataclass
 class StageData:
     """Per-node linearization data of the blocked stage-wise QP.
 
     Dynamic stages k = 0..N-1 carry sensitivities (A, B), shooting residual
     d_k = phi(x_k, u_block(k)) - x_{k+1}, Gauss-Newton Hessian blocks and
-    cost gradients.  ``rows`` stacks the affine state rows of nodes 1..N,
-    terminal rows included, in the order of the condensed QP's rows.
-    ``dx0`` is the initial-value embedding residual x0_measured - x_0.
+    cost gradients.  Like Qs and QN, the affine state rows Cx dx_k + c <= 0
+    are stage rows Cx (N-1, nc, nx), c (N-1, nc) of node k = 1..N-1 at k-1
+    and terminal rows CxN (ncN, nx), cN (ncN,); node 0, fixed by the
+    embedding, has none.  ``dx0`` is the embedding residual x0_measured - x_0.
     Input box bounds appear once per block as bounds on the input step.
-    From ``evaluate``, Qs, Rs, QN and the rows' Cx and row_node are the
-    problem's shared read-only ``constants``.
+    From ``evaluate``, Qs, Rs, QN, Cx and CxN are shared read-only ``constants``.
     """
 
     As: np.ndarray
@@ -63,7 +56,10 @@ class StageData:
     rs: np.ndarray
     QN: np.ndarray
     qN: np.ndarray
-    rows: AffineRows
+    Cx: np.ndarray
+    c: np.ndarray
+    CxN: np.ndarray
+    cN: np.ndarray
     dx0: np.ndarray
     du_lo: np.ndarray
     du_hi: np.ndarray
@@ -81,6 +77,12 @@ class StageData:
         return self.Bs.shape[2]
 
 
+def check_grid(problem: OcpProblem, bs: BlockStructure) -> None:
+    """Raise ValueError unless the problem and the block structure have the same N."""
+    if problem.N != bs.N:
+        raise ValueError("problem grid and block structure disagree on N")
+
+
 def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
                      us: np.ndarray) -> Trajectory:
     """Simulate the shooting nodes forward from x0 under blocked inputs us, in order.
@@ -88,6 +90,7 @@ def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
     The nodes are stepped one by one in float arithmetic (``rk4_state_step``),
     each input an (nu,) row of ``us``; the first non-finite node raises.
     """
+    check_grid(problem, bs)
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if us.shape != (bs.M, problem.dims.nu):
         raise ValueError(f"expected {bs.M} blocked inputs of width {problem.dims.nu}, "
@@ -111,9 +114,10 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     d_k close the shooting gaps, and dx0 embeds the new measurement.  The
     intervals are independent at a fixed trajectory: one batched RK4 step.
     The finite state bounds give the same rows at each of nodes 1..N.  The
-    Hessians, QN and the rows' Cx and row_node are the problem's read-only
-    ``constants``, shared by every call.
+    Hessians, QN, Cx and CxN are the problem's read-only ``constants``,
+    shared by every call.
     """
+    check_grid(problem, bs)
     N, M = bs.N, bs.M
     nx, nu = problem.dims.nx, problem.dims.nu
     xs = traj.xs
@@ -125,10 +129,10 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     x_end, As, Bs = integrate_interval(problem.hs, problem.rhs, problem.jac, xs[:N].T, us.T)
     q, r = stage_cost_terms(xs[:N], us, cost)
     w = problem.weight_scales[:, None]
-    c = np.concatenate([xs[1:] - bounds.x_hi, bounds.x_lo - xs[1:]], axis=1).take(consts.c_gather)
+    c = np.concatenate([xs[1:] - bounds.x_hi, bounds.x_lo - xs[1:]], axis=1)[:, consts.box_cols]
 
     return StageData(As=As, Bs=Bs, ds=x_end.T - xs[1:], Qs=consts.Qs, Rs=consts.Rs,
                      qs=w * q, rs=w * r, QN=consts.QN, qN=cost.QN.dot(xs[N] - cost.x_ref),
-                     rows=AffineRows(consts.Cx, c, consts.row_node),
+                     Cx=consts.Cx, c=c[:-1], CxN=consts.CxN, cN=c[-1],
                      dx0=np.asarray(x0_measured, dtype=float) - xs[0],
                      du_lo=bounds.u_lo - traj.us, du_hi=bounds.u_hi - traj.us)

@@ -160,7 +160,7 @@ def loop_evaluate(problem, bs, traj, x0_measured):
     As, Bs, ds = np.zeros((N, nx, nx)), np.zeros((N, nx, nu)), np.zeros((N, nx))
     Qs, Rs = np.zeros((N, nx, nx)), np.zeros((N, nu, nu))
     qs, rs = np.zeros((N, nx)), np.zeros((N, nu))
-    per_node = []
+    Cx, c = [], []
     for k in range(N):
         x, u, w = traj.xs[k], traj.us[block[k]], problem.weight_scales[k]
         x_end, As[k], Bs[k] = rk4_step(problem.rhs, problem.jac, x, u, problem.intervals[k].h)
@@ -168,11 +168,14 @@ def loop_evaluate(problem, bs, traj, x0_measured):
         Qs[k], Rs[k] = w * cost.Q, w * cost.R
         qs[k], rs[k] = w * (cost.Q @ (x - cost.x_ref)), w * (cost.R @ (u - cost.u_ref))
         if k > 0:
-            per_node.append(box_rows(x))
-    per_node.append(box_rows(traj.xs[N]))
+            Cx_k, c_k = box_rows(x)
+            Cx.append(Cx_k)
+            c.append(c_k)
+    CxN, cN = box_rows(traj.xs[N])
     return StageData(As=As, Bs=Bs, ds=ds, Qs=Qs, Rs=Rs, qs=qs, rs=rs,
                      QN=cost.QN.copy(), qN=cost.QN @ (traj.xs[N] - cost.x_ref),
-                     rows=stack_node_rows(per_node),
+                     Cx=np.array(Cx).reshape(N - 1, len(cN), nx),
+                     c=np.array(c).reshape(N - 1, len(cN)), CxN=CxN, cN=cN,
                      dx0=np.asarray(x0_measured, dtype=float) - traj.xs[0],
                      du_lo=np.array([bounds.u_lo] * M) - traj.us,
                      du_hi=np.array([bounds.u_hi] * M) - traj.us)
@@ -184,18 +187,8 @@ def find_block(I, k):
 
 
 def node_rows(sd, k):
-    """(Cx, c) of the state rows at node k (k = N: the terminal rows)."""
-    at_k = sd.rows.row_node == k
-    return sd.rows.Cx[at_k], sd.rows.c[at_k]
-
-
-def stack_node_rows(per_node):
-    """AffineRows from one (Cx, c) per node 1..N, stacked node by node."""
-    from blockmpc.shooting import AffineRows
-
-    Cx, c = (np.concatenate(part) for part in zip(*per_node))
-    return AffineRows(Cx, c, np.repeat(np.arange(1, len(per_node) + 1),
-                                       [len(rows[1]) for rows in per_node]))
+    """(Cx, c) of the state rows at node k in 1..N (k = N: the terminal rows)."""
+    return (sd.Cx[k - 1], sd.c[k - 1]) if k < sd.N else (sd.CxN, sd.cN)
 
 
 def kron_T(lengths, nu):
@@ -354,17 +347,13 @@ def perturbed_scheme_stage_data(scheme):
     return ctrl.bs, evaluate(ctrl.problem, ctrl.bs, traj, x0 + 0.01)
 
 
-def ragged_stage_data(rng, lengths, nx, nu):
-    """Synthetic stage data whose nodes 1..N-1 carry 1, 2, 0, 1, 2, ... rows,
-    plus two terminal rows."""
+def ragged_stage_data(rng, lengths, nx, nu, nc=1, ncN=2):
+    """Synthetic stage data whose stage and terminal row counts differ."""
     from blockmpc.blocking import from_block_lengths
     from blockmpc.harness import synthetic_stage_data
 
     bs = from_block_lengths(lengths)
-    sd = synthetic_stage_data(rng, bs.N, nx, nu, M=bs.M, nc=2, ncN=2)
-    per_node = [[part[:k % 3] for part in node_rows(sd, k)] for k in range(1, bs.N)]
-    sd.rows = stack_node_rows(per_node + [node_rows(sd, bs.N)])
-    return bs, sd
+    return bs, synthetic_stage_data(rng, bs.N, nx, nu, M=bs.M, nc=nc, ncN=ncN)
 
 
 # --- per-column / per-node loops of the tailored condensing and KKT report ----
@@ -472,22 +461,16 @@ def loop_ghat(sd, bs, L):
 def loop_condense_constraints(sd, bs, Ghat, L):
     """Condensed rows node by node and block column by block column."""
     N, M, nu = bs.N, bs.M, sd.nu
-    rows, consts, row_node = [], [], []
+    rows, consts = [np.zeros((0, M * nu))], [np.zeros(0)]
     for k in range(1, N + 1):
         Cx, c = node_rows(sd, k)
-        nr = Cx.shape[0]
-        if nr == 0:
-            continue
-        row = np.zeros((nr, M * nu))
+        row = np.zeros((Cx.shape[0], M * nu))
         for j in range(M):
             if bs.I[j] < k:
                 row[:, j * nu:(j + 1) * nu] = Cx @ Ghat[k - 1, j]
         rows.append(row)
         consts.append(c + Cx @ L[k - 1])
-        row_node.extend([k] * nr)
-    C = np.vstack(rows) if rows else np.zeros((0, M * nu))
-    c = np.concatenate(consts) if consts else np.zeros(0)
-    return C, c, np.asarray(row_node, dtype=int)
+    return np.vstack(rows), np.concatenate(consts)
 
 
 def loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub):
@@ -499,16 +482,18 @@ def loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub):
     for k in range(N - 1, -1, -1):
         j = find_block(bs.I, k)
         g_stat[j] += sd.rs[k] + sd.Rs[k] @ du[j] + sd.Bs[k].T @ lam_next
-        Cx = node_rows(sd, k)[0]  # none at node 0
-        lam_next = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam_next + Cx.T @ mu[k]
+        lam_next = sd.qs[k] + sd.Qs[k] @ dxs[k] + sd.As[k].T @ lam_next
+        if k > 0:  # node 0 carries no rows
+            lam_next += node_rows(sd, k)[0].T @ mu[k]
     return g_stat
 
 
-def loop_kkt_parts(sd, bs, dxs, du, lam_rows, row_node, lam_lb, lam_ub):
-    """(blocked stationarity vector, eq_residual, ineq_violation), multipliers split by node masks."""
+def loop_kkt_parts(sd, bs, dxs, du, lam_rows, lam_lb, lam_ub):
+    """(blocked stationarity vector, eq_residual, ineq_violation), multipliers split by node."""
     N, M, nu = bs.N, bs.M, sd.nu
     du = np.asarray(du, dtype=float).reshape(M, nu)
-    mu = [lam_rows[row_node == k] for k in range(N + 1)]
+    ends = np.cumsum([0] + [len(node_rows(sd, k)[1]) for k in range(1, N + 1)])
+    mu = [None] + [lam_rows[a:b] for a, b in zip(ends[:-1], ends[1:])]
     g_stat = loop_stationarity_blocks(sd, bs, dxs, du, mu, lam_lb, lam_ub)
     eq = max(np.abs(sd.ds).max(initial=0.0), np.abs(sd.dx0 - dxs[0]).max(initial=0.0))
     viol = 0.0

@@ -16,7 +16,7 @@ from blockmpc.condensing import (
 )
 from blockmpc.harness import synthetic_stage_data
 from blockmpc.model import ProblemDims
-from blockmpc.shooting import AffineRows, StageData
+from blockmpc.shooting import StageData
 from oracles import (
     column_Hhat,
     dense_condense,
@@ -40,7 +40,7 @@ def scalar_chain(N, A=1.0, B=1.0, Q=1.0, R=1.0, QN=1.0):
         Qs=Q * ones, Rs=R * ones,
         qs=np.zeros((N, 1)), rs=np.zeros((N, 1)),
         QN=QN * np.ones((1, 1)), qN=np.zeros(1),
-        rows=AffineRows(np.zeros((0, 1)), np.zeros(0), np.zeros(0, int)),
+        Cx=np.zeros((N - 1, 0, 1)), c=np.zeros((N - 1, 0)), CxN=np.zeros((0, 1)), cN=np.zeros(0),
         dx0=np.zeros(1),
         du_lo=np.full((N, 1), -np.inf), du_hi=np.full((N, 1), np.inf))
 
@@ -237,7 +237,7 @@ def test_constraints_empty_without_state_rows():
 def test_single_step_row_matches_Ghat_pattern():
     rng = np.random.default_rng(13)
     sd = rand_sd(rng, 2, 2, 1, M=1, nc=0, ncN=0)
-    sd.rows = AffineRows(np.eye(2), np.zeros(2), np.array([1, 1]))
+    sd.Cx, sd.c = np.eye(2)[None], np.zeros((1, 2))  # two rows at node 1, none at node 2
     bs = from_block_lengths([2])
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, sd.dx0)
@@ -276,10 +276,9 @@ def check_against_loops(sd, bs):
     assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh))
     assert_rel(compute_ghat(sd, bs, Gh, L), loop_ghat(sd, bs, L))
     C, c, _, _ = condense_constraints(sd, bs, Gh, L)
-    C_ref, c_ref, nodes_ref = loop_condense_constraints(sd, bs, Gh, L)
+    C_ref, c_ref = loop_condense_constraints(sd, bs, Gh, L)
     assert_rel(C, C_ref)
     assert_rel(c, c_ref)
-    assert np.array_equal(sd.rows.row_node, nodes_ref)
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
@@ -290,11 +289,12 @@ def test_batched_condensing_matches_loops_on_scheme_data(scheme):
 
 @pytest.mark.parametrize("lengths", [[1, 2, 4, 5], [3, 1, 1, 2], [7]])
 def test_batched_condensing_matches_loops_on_ragged_rows(lengths):
+    # stage and terminal nodes carry different row counts, stage nodes none at all too
     rng = np.random.default_rng(20)
-    bs, sd = ragged_stage_data(rng, lengths, 3, 2)
-    per_node = np.bincount(sd.rows.row_node, minlength=bs.N + 1)
-    assert per_node[0] == 0 and set(per_node[1:bs.N]) == {0, 1, 2}
-    check_against_loops(sd, bs)
+    for nc in (1, 0):
+        bs, sd = ragged_stage_data(rng, lengths, 3, 2, nc=nc, ncN=2)
+        assert sd.Cx.shape == (bs.N - 1, nc, 3) and sd.CxN.shape == (2, 3)
+        check_against_loops(sd, bs)
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
@@ -322,19 +322,6 @@ def test_condense_count_is_python_int(scheme):
     counter = FlopCounter()
     condense(sd, bs, counter)
     assert type(counter.mults) is int and counter.mults > 0
-
-
-def test_constraints_reject_node0_row():
-    # without the check, Ghat[-1] and L[-1] would condense the row as one at node N
-    rng = np.random.default_rng(23)
-    bs = from_block_lengths([2, 3])
-    sd = rand_sd(rng, 5, 3, 1, M=2, nc=1, ncN=1)
-    Cx, c, row_node = sd.rows
-    sd.rows = AffineRows(np.vstack([Cx[:1], Cx]), np.append(c[:1], c), np.append(0, row_node))
-    Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, sd.dx0)
-    with pytest.raises(ValueError, match="node 0"):
-        condense_constraints(sd, bs, Gh, L)
 
 
 # --- naive pipeline ----------------------------------------------------------

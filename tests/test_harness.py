@@ -386,15 +386,20 @@ def test_cli_rejects_vector_of_wrong_length(tmp_path, capsys, line):
     assert "line 2" in err and line.split()[0] in err
 
 
-@pytest.mark.parametrize("line", ["sim_time = inf", "x0 = nan, 0, 0, 0", "m1 = nan",
-                                  "qp_tol = nan", "Ts = nan"])
-def test_cli_rejects_non_finite_value(tmp_path, capsys, line):
-    # each used to run on: an OverflowError, a "diverged" exit 3 or 1, or a message naming no key
+@pytest.mark.parametrize("line, rule", [pytest.param(line, rule, id=line) for line, rule in [
+    ("sim_time = inf", "finite"), ("x0 = nan, 0, 0, 0", "finite"), ("m1 = nan", "finite"),
+    ("qp_tol = nan", "finite"), ("Ts = nan", "finite"),
+    ("m1 = -0.1", "positive"), ("l = 0", "positive"), ("r_diag = 0", "positive"),
+    ("qp_tol = -1", "positive"), ("q_diag = -1, 10, 0.1, 0.1", "nonnegative"),
+    ("qn_diag = 10, 10, -0.1, 0.1", "nonnegative"), ("qp_max_iter = -5", "nonnegative")]])
+def test_cli_rejects_non_finite_value(tmp_path, capsys, line, rule):
+    # each used to run on: an OverflowError, a "diverged" exit 3 or 1, or a message naming no key;
+    # out-of-range values exited 2 naming no key, 1 as an aborted run, or ran on with defaults
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"scheme = C\n{line}\n")
     rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert f"line 2: {line.split()[0]} must be finite" in capsys.readouterr().err
+    assert f"line 2: {line.split()[0]} must be {rule}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["u_lo = 30", "u_lo = inf", "x_lo = 3, -inf, -inf, -inf"])
@@ -443,6 +448,18 @@ def test_cli_bench(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "bench.csv").exists()
     assert "N=20" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--nx", "--nu", "--M", "--reps"])
+def test_cli_bench_rejects_argument_below_one(tmp_path, capsys, flag):
+    # --M 0 used to end in a ZeroDivisionError traceback, --nx 0 in a 0-multiply report
+    args = {"--nx": "3", "--nu": "1", "--M": "5", "--reps": "1"}
+    args[flag] = "0"
+    rc = cli_main(["bench-condense", "--N", "10", "--out", str(tmp_path)]
+                  + [tok for item in args.items() for tok in item])
+    assert rc == 2
+    assert f"error: {flag[2:]} must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_cli_compare(tmp_path):

@@ -209,7 +209,7 @@ def check_kkt_against_loop(sd, bs, sol=None, rng=None):
     if sol is None:
         sol = qp_point(qp, rng.standard_normal(qp.n), rng)
     dxs = expand(chain.Ghat, chain.L, sd.dx0, sol.z)
-    g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, sol.z, sol.lam_rows, sd.rows.row_node,
+    g_ref, eq_ref, viol_ref = loop_kkt_parts(sd, bs, dxs, sol.z, sol.lam_rows,
                                              sol.lam_lb, sol.lam_ub)
     got = kkt_residual(qp, sol, sd.ds)
     # at a solved point the gradient cancels to rounding: measure against its largest term
@@ -217,7 +217,8 @@ def check_kkt_against_loop(sd, bs, sol=None, rng=None):
                 np.abs(qp.Crows.T @ sol.lam_rows).max())
     assert abs(got.stationarity - np.abs(g_ref).max()) <= 1e-13 * scale
     assert got.eq_residual == eq_ref
-    row_scale = max(1.0, np.abs(dxs).max(), np.abs(sd.rows.c).max(initial=0.0))
+    row_scale = max(1.0, np.abs(dxs).max(), np.abs(sd.c).max(initial=0.0),
+                    np.abs(sd.cN).max(initial=0.0))
     assert abs(got.ineq_violation - viol_ref) <= 1e-15 * row_scale
 
 
@@ -230,8 +231,9 @@ def test_kkt_matches_node_loop_on_scheme_data(scheme):
 @pytest.mark.parametrize("lengths", [[1, 2, 4, 5], [3, 1, 1, 2]])
 def test_kkt_matches_node_loop_on_ragged_rows(lengths):
     rng = np.random.default_rng(37)
-    bs, sd = ragged_stage_data(rng, lengths, 3, 2)
-    check_kkt_against_loop(sd, bs, rng=rng)
+    for nc in (1, 0):
+        bs, sd = ragged_stage_data(rng, lengths, 3, 2, nc=nc, ncN=2)
+        check_kkt_against_loop(sd, bs, rng=rng)
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C", "ragged"])

@@ -126,10 +126,12 @@ def test_state_box_rows_at_interior_nodes_only():
     traj = forward_simulate(prob, bs, x0, np.zeros((4, 1)))
     sd = evaluate(prob, bs, traj, x0)
     # none at node 0 (its state is fixed by the embedding), two at nodes 1..4
-    assert list(sd.rows.row_node) == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert sd.Cx.shape == (3, 2, 4) and sd.c.shape == (3, 2)
+    assert sd.CxN.shape == (2, 4) and sd.cN.shape == (2,)
     # row values reproduce p - hi and lo - p at the linearization point
-    assert sd.rows.c[0] == pytest.approx(traj.xs[1][0] - 2.0)
-    assert sd.rows.c[1] == pytest.approx(-2.0 - traj.xs[1][0])
+    assert sd.c[0, 0] == pytest.approx(traj.xs[1][0] - 2.0)
+    assert sd.c[0, 1] == pytest.approx(-2.0 - traj.xs[1][0])
+    assert sd.cN[0] == pytest.approx(traj.xs[4][0] - 2.0)
 
 
 def test_weight_scales_applied():
@@ -183,6 +185,18 @@ def test_forward_simulate_rejects_inputs_of_the_wrong_width():
         forward_simulate(prob, unit_blocks(4), np.zeros(4), np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("N", [6, 3])
+def test_grid_and_blocks_of_another_N_rejected(N):
+    # used to return a 5-node trajectory (N = 6) or raise a bare IndexError (N = 3)
+    prob = pendulum_problem(N=N)
+    bs = unit_blocks(4)
+    with pytest.raises(ValueError, match="disagree on N"):
+        forward_simulate(prob, bs, np.zeros(4), np.zeros((4, 1)))
+    traj = forward_simulate(pendulum_problem(N=4), bs, np.zeros(4), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="disagree on N"):
+        evaluate(prob, bs, traj, np.zeros(4))
+
+
 def test_dimension_mismatch_rejected():
     prob = pendulum_problem(N=4)
     bs = unit_blocks(4)
@@ -194,18 +208,14 @@ def test_dimension_mismatch_rejected():
 
 
 def _assert_stage_data_match(sd, ref):
-    for name, got in vars(sd).items():
-        want = getattr(ref, name)
-        pairs = zip(got, want) if isinstance(want, tuple) else [(got, want)]
-        if isinstance(want, tuple):
-            assert len(got) == len(want), name
-        for a, b in pairs:
-            assert np.shape(a) == np.shape(b), name
-            fin = np.isfinite(b)  # du bounds of an unbounded input are infinite
-            assert np.array_equal(a[~fin], b[~fin]), name
-            if fin.any():
-                err = np.abs(a[fin] - b[fin]).max()
-                assert err <= 1e-14 * max(1e-300, np.abs(b[fin]).max()), name
+    for name, a in vars(sd).items():
+        b = getattr(ref, name)
+        assert np.shape(a) == np.shape(b), name
+        fin = np.isfinite(b)  # du bounds of an unbounded input are infinite
+        assert np.array_equal(a[~fin], b[~fin]), name
+        if fin.any():
+            err = np.abs(a[fin] - b[fin]).max()
+            assert err <= 1e-14 * max(1e-300, np.abs(b[fin]).max()), name
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
@@ -231,11 +241,10 @@ def test_evaluate_rows_are_state_boxes_at_nodes_1_to_N(scheme):
     N, nx, bounds = ctrl.bs.N, ctrl.problem.dims.nx, ctrl.problem.bounds
     box = [sign * np.eye(nx)[i] for i in range(nx)
            for sign, b in ((1.0, bounds.x_hi[i]), (-1.0, bounds.x_lo[i])) if np.isfinite(b)]
-    Cx, c, row_node = sd.rows
-    assert len(box) > 0 and len(c) == N * len(box) == len(Cx) == len(row_node)
-    assert row_node.min() == 1 and row_node.max() == N and np.all(np.diff(row_node) >= 0)
-    for k in range(1, N + 1):
-        assert np.array_equal(Cx[row_node == k], box)
+    assert len(box) > 0 and sd.c.shape == (N - 1, len(box)) and sd.cN.shape == (len(box),)
+    assert sd.Cx.shape == (N - 1, len(box), nx)
+    for Cx in list(sd.Cx) + [sd.CxN]:
+        assert np.array_equal(Cx, box)
 
 
 def test_batched_evaluate_matches_interval_loop_single_integrator():
@@ -270,7 +279,7 @@ def test_divergence_reports_interval():
 
 
 def _shared_constants(sd):
-    return {"Qs": sd.Qs, "Rs": sd.Rs, "QN": sd.QN, "Cx": sd.rows.Cx, "row_node": sd.rows.row_node}
+    return {"Qs": sd.Qs, "Rs": sd.Rs, "QN": sd.QN, "Cx": sd.Cx, "CxN": sd.CxN}
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
@@ -285,6 +294,8 @@ def test_evaluate_constants_are_shared_read_only_and_survive_a_closed_loop(schem
     first = _shared_constants(evaluate(ctrl.problem, ctrl.bs, state.traj, x))
     again = _shared_constants(evaluate(ctrl.problem, ctrl.bs, state.traj, x + 0.01))
     assert all(again[name] is a for name, a in first.items())  # built once per problem
+    # the stage rows are a view of the one box block, not a copy per node
+    assert first["Cx"].strides[0] == 0 and np.shares_memory(first["Cx"], first["CxN"])
     saved = {name: a.tobytes() for name, a in first.items()}
 
     plant = lambda xv, uv: pendulum_rhs(xv, uv, PendulumParams())

@@ -7,7 +7,7 @@ steps:
   O(N*M) block operations (the fast path used by the controller).  Python
   loops remain only for the recurrences (the Ghat columns, the Hhat sweep
   over all block columns at once, L): at most one product and one add per
-  step.  Every other term, the gradient included, is one stacked product;
+  step.  Every other term is one stacked product that reads Ghat in place;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
   and as the baseline for the complexity benchmark).
@@ -44,9 +44,9 @@ def _mm(counter: FlopCounter | None, A: np.ndarray, B: np.ndarray) -> np.ndarray
 
 @dataclass
 class SensitivityChain:
-    """Ghat[k, j] = d x_{k+1} / d u_hat_j and residual chain L with dx_{k+1} = sum_j Ghat[k,j] du_j + L[k]."""
+    """Ghat[k] = d x_{k+1} / d u_hat and residual chain L with dx_{k+1} = Ghat[k] du + L[k]."""
 
-    Ghat: np.ndarray  # (N, M, nx, nu), zero for k < I[j]
+    Ghat: np.ndarray  # (N, nx, M*nu), columns (block j, input); block j zero for k < I[j]
     L: np.ndarray     # (N, nx)
 
 
@@ -56,10 +56,11 @@ def compute_Ghat(sd: StageData, bs: BlockStructure,
 
     Column j starts at row I[j] with B_{I[j]}; inside block j each row adds
     the direct B term, after the block it only propagates through A.
+    Returns a C-contiguous (N, nx, M*nu) array, the layout every consumer reads.
     """
     N, M, I = bs.N, bs.M, bs.I
     As = list(sd.As)
-    Gh = np.zeros((N, M, sd.nx, sd.nu))
+    Gh = np.zeros((N, sd.nx, M, sd.nu))
     for i in range(M):
         s, e = I[i], I[i + 1]
         col = np.empty((N - s, sd.nx, sd.nu))  # rows s..N-1 of column i
@@ -71,8 +72,8 @@ def compute_Ghat(sd: StageData, bs: BlockStructure,
             As[k].dot(g[k - s - 1], out=g[k - s])
         if counter is not None:  # the recurrence's products, made one at a time
             counter.mults += (N - 1 - s) * sd.nx * sd.nx * sd.nu
-        Gh[s:, i] = col
-    return Gh
+        Gh[s:, :, i] = col
+    return Gh.reshape(N, sd.nx, M * sd.nu)
 
 
 def compute_L(sd: StageData, dx0: np.ndarray) -> np.ndarray:
@@ -105,7 +106,7 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     """
     N, M = bs.N, bs.M
     nx, nu = sd.nx, sd.nu
-    GT = Ghat.transpose(0, 1, 3, 2).reshape(N, M * nu, nx)  # Ghat[k]'
+    GT = Ghat.transpose(0, 2, 1)  # Ghat[k]'
     WT = np.empty((N, M * nu, nx))  # W_1', ..., W_N'
     WT[:-1] = _mm(counter, GT[:-1], np.swapaxes(sd.Qs[1:], 1, 2))
     WT[-1] = _mm(counter, GT[-1], sd.QN.T)
@@ -128,17 +129,17 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     """Reduced gradient at the zero input step, one stacked product with Ghat.
 
     With v_k = q_k + Q_k L[k-1] the state gradient at node k (qN, QN at
-    k = N), block j collects sum_k Ghat[k-1, j]' v_k plus the r_k of its own
-    stages, summed from the last stage of the block down to the first.
+    k = N), block j collects its columns of sum_k Ghat[k-1]' v_k plus the r_k
+    of its own stages, summed from the last stage of the block down to the first.
     """
     N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
-    if Ghat.shape[:2] != (N, M):
+    if Ghat.shape != (N, nx, M * nu):
         raise ValueError("Ghat inconsistent with block structure")
     vs = np.empty((N, nx))  # v_1, ..., v_N
     vs[:-1] = sd.qs[1:] + _mm(counter, sd.Qs[1:], L[:-1, :, None])[:, :, 0]
     vs[-1] = sd.qN + _mm(counter, sd.QN, L[N - 1])
     own = block_sums(sd.rs, bs.sum_rows_descending).reshape(M * nu)
-    Gm = Ghat.transpose(0, 2, 1, 3).reshape(N * nx, M * nu)  # rows (k, x), columns (j, u)
+    Gm = Ghat.reshape(N * nx, M * nu)  # rows (k, x), columns (j, u)
     return own + _mm(counter, vs.reshape(N * nx), Gm)
 
 
@@ -146,17 +147,16 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
                          L: np.ndarray, counter: FlopCounter | None = None):
     """Condense the state rows and fold input boxes into simple bounds.
 
-    A row Cx_k dx_k + c_k <= 0 at node k in 1..N becomes Cx_k Ghat[k-1, :],
-    with constant c_k + Cx_k L[k-1]; dx0 enters only through L.  With Ghat
-    viewed as (N, nx, M*nu), the stage rows are one batched product
-    ``sd.Cx @ Ghat[:-1]`` and the terminal rows one ``sd.CxN @ Ghat[-1]``;
-    Ghat[k-1, j] = 0 for I[j] >= k makes the blocks right of a row's node
-    exact zeros.  Returns (C, c, lb, ub), rows node by node, terminal last.
+    A row Cx_k dx_k + c_k <= 0 at node k in 1..N becomes Cx_k Ghat[k-1],
+    with constant c_k + Cx_k L[k-1]; dx0 enters only through L.  The stage
+    rows are one batched product ``sd.Cx @ Ghat[:-1]`` and the terminal rows
+    one ``sd.CxN @ Ghat[-1]``; block j of Ghat[k-1] is zero for I[j] >= k,
+    which makes the blocks right of a row's node exact zeros.  Returns
+    (C, c, lb, ub), rows node by node, terminal last.
     """
-    N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
-    G = np.ascontiguousarray(Ghat.transpose(0, 2, 1, 3)).reshape(N, nx, M * nu)  # BLAS-ready
-    C = np.concatenate([_mm(counter, sd.Cx, G[:-1]).reshape(-1, M * nu),
-                        _mm(counter, sd.CxN, G[-1])])
+    M, nu = bs.M, sd.nu
+    C = np.concatenate([_mm(counter, sd.Cx, Ghat[:-1]).reshape(-1, M * nu),
+                        _mm(counter, sd.CxN, Ghat[-1])])
     const = np.concatenate([(sd.c + _mm(counter, sd.Cx, L[:-1, :, None])[:, :, 0]).reshape(-1),
                             sd.cN + _mm(counter, sd.CxN, L[-1])])
     lb = sd.du_lo.reshape(M * nu).copy()
@@ -183,14 +183,13 @@ def expand(Ghat: np.ndarray, L: np.ndarray, dx0: np.ndarray,
            du: np.ndarray) -> np.ndarray:
     """Recover the state steps from the blocked input step.
 
-    Returns dxs with dxs[0] = dx0 and dxs[k+1] = sum_j Ghat[k,j] du_j + L[k];
+    Returns dxs with dxs[0] = dx0 and dxs[k+1] = Ghat[k] du + L[k];
     the result satisfies the stage recursion of the blocked QP exactly.
     """
-    N, M, nx, nu = Ghat.shape
-    du = np.asarray(du, dtype=float).reshape(M, nu)
+    N, nx, _ = Ghat.shape
     dxs = np.zeros((N + 1, nx))
     dxs[0] = dx0
-    dxs[1:] = np.einsum("kjxy,jy->kx", Ghat, du) + L
+    dxs[1:] = Ghat.dot(np.asarray(du, dtype=float).reshape(-1)) + L
     return dxs
 
 

@@ -127,7 +127,7 @@ def _parse_vector(text: str, kind=float):
 
 
 def load_config(path: str) -> SchemeConfig:
-    """Parse the flat key-value schema; unknown keys and bad values are rejected."""
+    """Parse the flat key-value schema; unknown or repeated keys and bad values are rejected."""
     cfg = SchemeConfig()
     seen: dict[str, tuple] = {}
     with open(path) as fh:
@@ -140,6 +140,8 @@ def load_config(path: str) -> SchemeConfig:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in _ALL_KEYS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"line {line_no}: key {key!r} repeats line {seen[key][1]}")
             try:
                 if key in ("block_lengths", "grid_lengths"):
                     parsed = from_block_lengths(_parse_vector(value, int)).lengths
@@ -424,11 +426,13 @@ def bench_condensing(nx: int, nu: int, M_fixed: int, N_list, reps: int,
                      seed: int = 0) -> list[dict]:
     """Tailored vs naive condensing on synthetic data: times and multiply counts.
 
-    nx, nu, M_fixed and reps must be at least 1, and every N must divide
-    into M_fixed equal-length blocks.  Reported times are medians over
-    ``reps`` runs; multiply counts are deterministic.
+    nx, nu, M_fixed, reps and each N of the non-empty ``N_list`` must be at
+    least 1, and every N must divide into M_fixed equal-length blocks.
+    Reported times are medians over ``reps`` runs; multiply counts are deterministic.
     """
-    for name, value in (("nx", nx), ("nu", nu), ("M", M_fixed), ("reps", reps)):
+    if not N_list:
+        raise ValueError("N must list at least one interval count")
+    for name, value in (("nx", nx), ("nu", nu), ("M", M_fixed), ("reps", reps), ("N", min(N_list))):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
@@ -481,11 +485,13 @@ def write_bench(rows: list[dict], out_dir: str) -> None:
 def compare_schemes(cfg: SchemeConfig, out_dir: str) -> dict:
     """Run schemes A, B and C with one tuning and write per-scheme outputs.
 
-    Returns {scheme: SimLog}; a summary table lands in out_dir/summary.csv.
+    All three configs are validated before any run, so a bad one writes
+    nothing.  Returns {scheme: SimLog}; a summary table lands in out_dir/summary.csv.
     """
+    cfgs = {scheme: cfg.with_scheme(scheme) for scheme in ("A", "B", "C")}
     logs = {}
-    for scheme in ("A", "B", "C"):
-        log = run_closed_loop(cfg.with_scheme(scheme))
+    for scheme, scheme_cfg in cfgs.items():
+        log = run_closed_loop(scheme_cfg)
         write_outputs(log, os.path.join(out_dir, f"scheme_{scheme}"))
         logs[scheme] = log
 

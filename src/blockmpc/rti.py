@@ -63,7 +63,7 @@ def kkt_residual(qp: DenseQp, sol: QpSolution, ds: np.ndarray) -> KktReport:
     ``sol`` holds the step z and the multipliers of ``qp`` (a solution with
     other multiplier counts raises ValueError), and ``ds`` the shooting gaps
     of the stage data ``qp`` was condensed from.  Condensing is exact: at
-    the expanded point ``expand(Ghat, L, dx0, z)`` the stage recursion holds,
+    the expanded point dx_{k+1} = Ghat[k] z + L[k] the stage recursion holds,
     the node rows are the condensed rows, and the blocked Lagrangian gradient
     is H z + g + Crows' lam_rows + lam_ub - lam_lb, for any z and any
     multipliers (a dual iterate too).  The equality residual is the gaps.

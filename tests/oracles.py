@@ -363,8 +363,14 @@ def ragged_stage_data(rng, lengths, nx, nu, nc=1, ncN=2):
 # 4x4-sized product per Python iteration, written out stage by stage.  The
 # batched and condensed routes must reproduce them to rounding.
 
+def ghat_blocks(Ghat, nu):
+    """``condensing``'s Ghat (N, nx, M*nu) viewed as (N, M, nx, nu), the loop oracles' layout."""
+    N, nx, Mnu = Ghat.shape
+    return Ghat.reshape(N, nx, Mnu // nu, nu).transpose(0, 2, 1, 3)
+
+
 def loop_Ghat(sd, bs):
-    """Blocked sensitivity chain, one block product per (row, column)."""
+    """Blocked sensitivity chain, one block product per (row, column): (N, M, nx, nu)."""
     N, M, I = bs.N, bs.M, bs.I
     Gh = np.zeros((N, M, sd.nx, sd.nu))
     for i in range(M):

@@ -20,6 +20,7 @@ from blockmpc.shooting import StageData
 from oracles import (
     column_Hhat,
     dense_condense,
+    ghat_blocks,
     kron_T,
     loop_condense_constraints,
     loop_Ghat,
@@ -55,7 +56,7 @@ def test_ghat_scalar_chain_hand_values():
     h = 0.3
     sd = scalar_chain(2, A=1.0, B=h)
     bs = from_block_lengths([2])
-    Gh = compute_Ghat(sd, bs)
+    Gh = ghat_blocks(compute_Ghat(sd, bs), 1)
     assert Gh[0, 0, 0, 0] == pytest.approx(h)
     assert Gh[1, 0, 0, 0] == pytest.approx(2 * h)
 
@@ -64,7 +65,7 @@ def test_ghat_unit_blocks_equals_unblocked_G():
     rng = np.random.default_rng(3)
     sd = rand_sd(rng, 7, 3, 2, M=7)
     bs = unit_blocks(7)
-    Gh = compute_Ghat(sd, bs)
+    Gh = ghat_blocks(compute_Ghat(sd, bs), 2)
     ref = dense_condense(sd)["G"]
     assert np.abs(Gh - ref).max() < 1e-12
 
@@ -78,8 +79,22 @@ def test_ghat_matches_explicit_GT_product():
     G = dense_condense(sd)["G"]
     Gmat = G.transpose(0, 2, 1, 3).reshape(12 * 3, 12 * 2)
     GT = Gmat @ kron_T(lengths, 2)
-    Gh_mat = Gh.transpose(0, 2, 1, 3).reshape(12 * 3, 4 * 2)
+    Gh_mat = Gh.reshape(12 * 3, 4 * 2)
     assert np.abs(Gh_mat - GT).max() < 1e-10 * max(1.0, np.abs(GT).max())
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_ghat_layout_contiguous_with_block_major_columns(nu):
+    # every consumer reads Ghat in place: column j*nu + u is input u of block j
+    rng = np.random.default_rng(30 + nu)
+    bs = from_block_lengths([1, 3, 2, 5])
+    sd = rand_sd(rng, bs.N, 3, nu, M=bs.M)
+    _, chain = condense(sd, bs)
+    Gh, ref = chain.Ghat, loop_Ghat(sd, bs)
+    assert Gh.shape == (bs.N, 3, bs.M * nu) and Gh.flags.c_contiguous
+    for j in range(bs.M):
+        for u in range(nu):
+            assert np.abs(Gh[:, :, j * nu + u] - ref[:, j, :, u]).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_ghat_zero_column_property():
@@ -87,7 +102,7 @@ def test_ghat_zero_column_property():
     lengths = [3, 2, 5]
     bs = from_block_lengths(lengths)
     sd = rand_sd(rng, 10, 2, 1, M=3)
-    Gh = compute_Ghat(sd, bs)
+    Gh = ghat_blocks(compute_Ghat(sd, bs), 1)
     for j in range(bs.M):
         for k in range(bs.I[j]):
             assert not Gh[k, j].any()
@@ -124,15 +139,16 @@ def test_expand_satisfies_stage_recursion():
     rng = np.random.default_rng(7)
     lengths = [1, 2, 4, 5]
     bs = from_block_lengths(lengths)
-    sd = rand_sd(rng, 12, 3, 2, M=4)
-    Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, sd.dx0)
-    du = rng.standard_normal((4, 2))
-    dxs = expand(Gh, L, sd.dx0, du)
-    blocks = bs.blocks
-    for k in range(12):
-        pred = sd.As[k] @ dxs[k] + sd.Bs[k] @ du[blocks[k]] + sd.ds[k]
-        assert np.abs(pred - dxs[k + 1]).max() < 1e-12
+    for nu in (2, 3):
+        sd = rand_sd(rng, 12, 3, nu, M=4)
+        Gh = compute_Ghat(sd, bs)
+        L = compute_L(sd, sd.dx0)
+        du = rng.standard_normal((4, nu))
+        dxs = expand(Gh, L, sd.dx0, du)
+        blocks = bs.blocks
+        for k in range(12):
+            pred = sd.As[k] @ dxs[k] + sd.Bs[k] @ du[blocks[k]] + sd.ds[k]
+            assert np.abs(pred - dxs[k + 1]).max() < 1e-12
 
 
 # --- Hhat --------------------------------------------------------------------
@@ -242,7 +258,7 @@ def test_single_step_row_matches_Ghat_pattern():
     Gh = compute_Ghat(sd, bs)
     L = compute_L(sd, sd.dx0)
     C, c, _, _ = condense_constraints(sd, bs, Gh, L)
-    assert np.allclose(C[:, 0], Gh[0, 0].ravel())
+    assert np.allclose(C[:, 0], ghat_blocks(Gh, 1)[0, 0].ravel())
     assert np.allclose(c, L[0])
 
 
@@ -270,13 +286,14 @@ def assert_rel(a, b, tol=1e-13):
 
 def check_against_loops(sd, bs):
     Gh = compute_Ghat(sd, bs)
+    Gh4 = ghat_blocks(Gh, sd.nu)
     L = compute_L(sd, sd.dx0)
-    assert_rel(Gh, loop_Ghat(sd, bs))
+    assert_rel(Gh4, loop_Ghat(sd, bs))
     assert_rel(L, loop_L(sd, sd.dx0))
-    assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh))
+    assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh4))
     assert_rel(compute_ghat(sd, bs, Gh, L), loop_ghat(sd, bs, L))
     C, c, _, _ = condense_constraints(sd, bs, Gh, L)
-    C_ref, c_ref = loop_condense_constraints(sd, bs, Gh, L)
+    C_ref, c_ref = loop_condense_constraints(sd, bs, Gh4, L)
     assert_rel(C, C_ref)
     assert_rel(c, c_ref)
 
@@ -301,7 +318,7 @@ def test_batched_condensing_matches_loops_on_ragged_rows(lengths):
 def test_hhat_matches_column_sweep_on_scheme_data(scheme):
     bs, sd = perturbed_scheme_stage_data(scheme)
     Gh = compute_Ghat(sd, bs)
-    assert_rel(compute_Hhat(sd, bs, Gh), column_Hhat(sd, bs, Gh), tol=1e-12)
+    assert_rel(compute_Hhat(sd, bs, Gh), column_Hhat(sd, bs, ghat_blocks(Gh, sd.nu)), tol=1e-12)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
@@ -313,7 +330,7 @@ def test_hhat_matches_column_sweep_on_random_blocks(nu):
         bs = from_block_lengths(lengths)
         sd = rand_sd(rng, bs.N, 3, nu, M=bs.M)
         Gh = compute_Ghat(sd, bs)
-        assert_rel(compute_Hhat(sd, bs, Gh), column_Hhat(sd, bs, Gh), tol=1e-12)
+        assert_rel(compute_Hhat(sd, bs, Gh), column_Hhat(sd, bs, ghat_blocks(Gh, nu)), tol=1e-12)
 
 
 @pytest.mark.parametrize("scheme", ["A", "C"])

@@ -73,6 +73,20 @@ def test_conflicting_indices_and_lengths(tmp_path):
         load_config(str(p))
 
 
+def test_cli_rejects_repeated_key(tmp_path, capsys):
+    # the last of the repeated lines used to win, and the run exited 0
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("sim_time = 0.25\nscheme = C\nsim_time = 0.5\n")
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: line 3: key 'sim_time' repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the two spellings of one block partition are no repeat when they agree
+    cfg_file.write_text("scheme = C\nblock_lengths = 1,2,3,4,5,5,15,15,15,15\n"
+                        "block_indices = 0,1,3,6,10,15,20,35,50,65,80\n")
+    assert load_config(str(cfg_file)).block_lengths == BENCH_LENGTHS
+
+
 def test_lengths_must_sum_to_N(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("scheme = C\nN = 80\nblock_lengths = 1,2,3,4,5,5,15,15,15,14\n")
@@ -450,16 +464,30 @@ def test_cli_bench(tmp_path, capsys):
     assert "N=20" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--nx", "--nu", "--M", "--reps"])
-def test_cli_bench_rejects_argument_below_one(tmp_path, capsys, flag):
-    # --M 0 used to end in a ZeroDivisionError traceback, --nx 0 in a 0-multiply report
-    args = {"--nx": "3", "--nu": "1", "--M": "5", "--reps": "1"}
-    args[flag] = "0"
-    rc = cli_main(["bench-condense", "--N", "10", "--out", str(tmp_path)]
+@pytest.mark.parametrize("flag, value, message", [
+    *(pytest.param(flag, "0", f"{flag[2:]} must be at least 1, got 0", id=flag)
+      for flag in ("--nx", "--nu", "--M", "--reps", "--N")),
+    pytest.param("--N", ",", "N must list at least one interval count", id="--N-empty")])
+def test_cli_bench_rejects_argument_below_one(tmp_path, capsys, flag, value, message):
+    # --M 0 used to end in a ZeroDivisionError traceback, --nx 0 in a 0-multiply report,
+    # --N 0 in a message naming no N, and --N , in a bench.csv of only its header
+    args = {"--nx": "3", "--nu": "1", "--M": "5", "--reps": "1", "--N": "10"}
+    args[flag] = value
+    rc = cli_main(["bench-condense", "--out", str(tmp_path)]
                   + [tok for item in args.items() for tok in item])
     assert rc == 2
-    assert f"error: {flag[2:]} must be at least 1, got 0" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "bench.csv").exists()
+
+
+def test_cli_compare_validates_every_scheme_before_running(tmp_path, capsys):
+    # scheme A used to run and write scheme_A/ before B's grid_lengths were rejected
+    cfg_file = tmp_path / "n40.cfg"
+    cfg_file.write_text("scheme = A\nN = 40\nsim_time = 0.25\n")
+    rc = cli_main(["compare", "--config", str(cfg_file), "--out", str(tmp_path / "cmp")])
+    assert rc == 2
+    assert "error: grid_lengths sum to 80, expected N = 40" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_cli_compare(tmp_path):

@@ -45,6 +45,16 @@ class BlockStructure:
         return _frozen(np.repeat(np.arange(self.M), self.lengths))
 
     @cached_property
+    def long_starts(self) -> frozenset:
+        """First intervals of the blocks after block 0 that are longer than one interval."""
+        return frozenset(s for s, n in zip(self.I[1:], self.lengths[1:]) if n > 1)
+
+    @cached_property
+    def unit_nodes(self) -> np.ndarray:
+        """Intervals that form a block of their own."""
+        return _frozen(np.flatnonzero(np.asarray(self.lengths)[self.blocks] == 1))
+
+    @cached_property
     def sum_rows(self) -> np.ndarray:
         """(M, max length) gather rows of ``block_sums``, padded with N (a zero row)."""
         pos = np.arange(max(self.lengths))

@@ -74,7 +74,8 @@ def main(argv=None) -> int:
                 print(f"N={row['N']} tailored={row['tailored_ms']:.3f}ms "
                       f"naive={row['naive_ms']:.3f}ms "
                       f"tailored_mults={row['tailored_mults']} "
-                      f"naive_mults={row['naive_mults']}")
+                      f"naive_mults={row['naive_mults']} "
+                      f"hhat_mults={row['hhat_mults']}")
             return 0
 
         if args.command == "compare":

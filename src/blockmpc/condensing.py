@@ -5,9 +5,12 @@ steps:
 
 * the tailored route works directly on the blocked stage data and costs
   O(N*M) block operations (the fast path used by the controller).  Python
-  loops remain only for the recurrences (the Ghat columns, the Hhat sweep
-  over all block columns at once, L): at most one product and one add per
-  step.  Every other term is one stacked product that reads Ghat in place;
+  loops remain only for the recurrences, at most one product and one add
+  per step: the forward chain (``compute_L``: Phi, the residual chain,
+  Ghat's column 0 and every block's own rows, one product per node), the
+  rows of Ghat's later columns after their blocks, and the Hhat sweep over
+  all block columns at once.  Every other term is one stacked product that
+  reads Ghat in place;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
   and as the baseline for the complexity benchmark).
@@ -50,47 +53,91 @@ class SensitivityChain:
     L: np.ndarray     # (N, nx)
 
 
-def compute_Ghat(sd: StageData, bs: BlockStructure,
-                 counter: FlopCounter | None = None) -> np.ndarray:
-    """Blocked sensitivity chain by forward recursion, O(N*M) block products.
+@dataclass
+class ForwardChain:
+    """The products of :func:`compute_L`; all but L are views of its buffer.
 
-    Column j starts at row I[j] with B_{I[j]}; inside block j each row adds
-    the direct B term, after the block it only propagates through A.
-    Returns a C-contiguous (N, nx, M*nu) array, the layout every consumer reads.
+    P[k] = [Phi_k | L_d[k]] with Phi_k = A_k...A_0 and L_d the residual chain
+    at dx0 = 0, so L = Phi dx0 + L_d; G0[k] = Ghat[k]'s block column 0, and
+    own[k] = Ghat[k]'s block column blocks[k], the block interval k is in.
     """
+
+    P: np.ndarray    # (N, nx, nx+1)
+    G0: np.ndarray   # (N, nx, nu)
+    own: np.ndarray  # (N, nx, nu)
+    L: np.ndarray    # (N, nx)
+
+
+def compute_L(sd: StageData, bs: BlockStructure,
+              counter: FlopCounter | None = None) -> ForwardChain:
+    """The forward chain: Phi, L_d, Ghat's column 0 and every block's own rows.
+
+    Node k is one product X_k = [A_k | B_k | d_k] [X_{k-1}; S_k] with
+    X_k = [Phi_k | L_d[k] | g0_k | c_k] and X_{-1} = [I | 0 | 0 | 0]; the
+    constant selector rows S_k route B_k into c, and into g0 inside block 0
+    only, and d_k into L_d.  c is the sensitivity to the current block's
+    input.  It restarts from zero at the first node of each block longer
+    than one interval: that node reads a copy of X_{k-1} with c zeroed, so
+    the previous block's last row stays in the buffer.  A unit block takes
+    B_k instead.  Node k writes row k+1 of an (N+1, nx+nu+1, nx+1+2nu)
+    buffer whose selector rows are filled once, so the chain is N products
+    plus a copy and a zeroing per restart, and L is the one stacked product
+    P [dx0; 1].  Everything but L is independent of dx0.
+    """
+    N, nx, nu = sd.N, sd.nx, sd.nu
+    g0, c = slice(nx + 1, nx + 1 + nu), slice(nx + 1 + nu, nx + 1 + 2 * nu)
+    ABd = np.concatenate([sd.As, sd.Bs, sd.ds[:, :, None]], axis=2)  # [A_k | B_k | d_k]
+    Y = np.zeros((N + 1, nx + nu + 1, c.stop))  # Y[k] = [X_{k-1}; S_k]
+    Y[0, :nx, :nx] = np.eye(nx)
+    Y[:, nx + nu, nx] = 1.0
+    Y[:, nx:nx + nu, c] = np.eye(nu)
+    Y[:bs.I[1], nx:nx + nu, g0] = np.eye(nu)
+    ABds, Ys, outs = list(ABd), list(Y), list(Y[1:, :nx])
+    restarts = bs.long_starts
+    for k in range(N):
+        y = Ys[k]
+        if k in restarts:
+            y = y.copy()
+            y[:nx, c] = 0.0
+        ABds[k].dot(y, out=outs[k])
+    X = Y[1:, :nx]
+    own = X[:, :, c]
+    own[bs.unit_nodes] = sd.Bs[bs.unit_nodes]
+    P = X[:, :, :nx + 1]
+    L = P.dot(np.append(sd.dx0, 1.0))
+    if counter is not None:
+        counter.mults += N * nx * ((nx + nu + 1) * c.stop + nx + 1)
+    return ForwardChain(P=P, G0=X[:, :, g0], own=own, L=L)
+
+
+def compute_Ghat(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
+                 chain: ForwardChain | None = None) -> np.ndarray:
+    """Blocked sensitivity chain, O(N*M) block products.
+
+    Column 0, and each column's rows inside its own block, are read from the
+    forward chain (``chain``, or ``compute_L`` run here when it is None).  The
+    loop is left with the rows after the block of columns 1..M-2, where a
+    column only propagates through A: N - I[j+1] products for column j, made
+    into one reused buffer.  Returns a C-contiguous (N, nx, M*nu) array, the
+    layout every consumer reads.
+    """
+    if chain is None:
+        chain = compute_L(sd, bs, counter)
     N, M, I = bs.N, bs.M, bs.I
-    As = list(sd.As)
     Gh = np.zeros((N, sd.nx, M, sd.nu))
-    for i in range(M):
-        s, e = I[i], I[i + 1]
-        col = np.empty((N - s, sd.nx, sd.nu))  # rows s..N-1 of column i
-        col[:e - s] = sd.Bs[s:e]
-        g = list(col)
-        for k in range(s + 1, e):
-            g[k - s] += As[k].dot(g[k - s - 1])
-        for k in range(e, N):
-            As[k].dot(g[k - s - 1], out=g[k - s])
+    Gh[np.arange(N), :, bs.blocks] = chain.own
+    Gh[:, :, 0] = chain.G0
+    buf = np.empty((N, sd.nx, sd.nu))  # one column's rows after its block
+    As, g = list(sd.As), list(buf)
+    for i in range(1, M - 1):  # the last block ends at N
+        e = I[i + 1]
+        As[e].dot(chain.own[e - 1], out=g[e])
+        for k in range(e + 1, N):
+            As[k].dot(g[k - 1], out=g[k])
         if counter is not None:  # the recurrence's products, made one at a time
-            counter.mults += (N - 1 - s) * sd.nx * sd.nx * sd.nu
-        Gh[s:, :, i] = col
+            counter.mults += (N - e) * sd.nx * sd.nx * sd.nu
+        Gh[e:, :, i] = buf[e:]
     return Gh.reshape(N, sd.nx, M * sd.nu)
-
-
-def compute_L(sd: StageData, dx0: np.ndarray) -> np.ndarray:
-    """Residual chain: L[0] = A_0 dx0 + d_0, L[k] = A_k L[k-1] + d_k.
-
-    d_k rides as a last column of A_k against a trailing 1, so each node is
-    one product [A_k | d_k] [L[k-1]; 1] into row k of an (N, nx+1) buffer
-    whose last column stays 1.  Returns the (N, nx) view of the L part.
-    """
-    N, nx = sd.N, sd.nx
-    Ad = np.concatenate([sd.As, sd.ds[:, :, None]], axis=2)  # [A_k | d_k]
-    Lb = np.ones((N, nx + 1))  # row k: [L[k]; 1]
-    Ads, rows, outs = list(Ad), list(Lb), list(Lb[:, :nx])
-    Ads[0].dot(np.append(dx0, 1.0), out=outs[0])
-    for k in range(1, N):
-        Ads[k].dot(rows[k - 1], out=outs[k])
-    return Lb[:, :nx]
 
 
 def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
@@ -171,8 +218,9 @@ def condense(sd: StageData, bs: BlockStructure,
     The QP is the one ``solve_qp`` takes, over the M*nu blocked input steps;
     its general rows condense the state rows node by node, terminal rows last.
     """
-    Ghat = compute_Ghat(sd, bs, counter)
-    L = compute_L(sd, sd.dx0)
+    fwd = compute_L(sd, bs, counter)
+    Ghat = compute_Ghat(sd, bs, counter, chain=fwd)
+    L = fwd.L
     H = compute_Hhat(sd, bs, Ghat, counter)
     g = compute_ghat(sd, bs, Ghat, L, counter)
     C, c, lb, ub = condense_constraints(sd, bs, Ghat, L, counter)
@@ -226,7 +274,9 @@ def naive_condense(sd: StageData, bs: BlockStructure,
     """
     N, nu = sd.N, sd.nu
     G = _full_G(sd, counter)
-    L = compute_L(sd, sd.dx0)
+    L = np.empty((N, sd.nx))  # the residual chain, node by node
+    for k in range(N):
+        L[k] = _mm(counter, sd.As[k], L[k - 1] if k else sd.dx0) + sd.ds[k]
 
     Hc = np.zeros((N * nu, N * nu))
     for j in range(N):

@@ -390,6 +390,14 @@ def loop_L(sd, dx0):
     return L
 
 
+def loop_Phi(sd):
+    """State transition products Phi_k = A_k ... A_0, one node at a time: (N, nx, nx)."""
+    Phi = np.zeros((sd.N, sd.nx, sd.nx))
+    for k in range(sd.N):
+        Phi[k] = sd.As[k] @ (Phi[k - 1] if k else np.eye(sd.nx))
+    return Phi
+
+
 def loop_Hhat(sd, bs, Ghat):
     """Reduced Hessian: per-column backward sweep, row accumulation, mirror."""
     N, M, I = bs.N, bs.M, bs.I

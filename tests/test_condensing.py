@@ -27,6 +27,7 @@ from oracles import (
     loop_ghat,
     loop_Hhat,
     loop_L,
+    loop_Phi,
     perturbed_scheme_stage_data,
     ragged_stage_data,
     random_block_structure,
@@ -112,7 +113,7 @@ def test_ghat_zero_column_property():
 
 def test_L_zero_for_feasible_point():
     sd = scalar_chain(5)
-    assert not compute_L(sd, np.zeros(1)).any()
+    assert not compute_L(sd, from_block_lengths([5])).L.any()
 
 
 def test_L_telescopes_with_identity_A():
@@ -120,7 +121,7 @@ def test_L_telescopes_with_identity_A():
     sd = scalar_chain(N, A=1.0)
     d = 0.7
     sd.ds = d * np.ones((N, 1))
-    L = compute_L(sd, np.zeros(1))
+    L = compute_L(sd, unit_blocks(N)).L
     assert np.allclose(L.ravel(), d * np.arange(1, N + 1))
 
 
@@ -128,7 +129,7 @@ def test_expand_zero_step_gives_residual_chain():
     rng = np.random.default_rng(6)
     bs = from_block_lengths([2, 3])
     sd = rand_sd(rng, 5, 3, 1, M=2)
-    L = compute_L(sd, sd.dx0)
+    L = compute_L(sd, bs).L
     Gh = compute_Ghat(sd, bs)
     dxs = expand(Gh, L, sd.dx0, np.zeros(2))
     assert np.allclose(dxs[0], sd.dx0)
@@ -142,13 +143,41 @@ def test_expand_satisfies_stage_recursion():
     for nu in (2, 3):
         sd = rand_sd(rng, 12, 3, nu, M=4)
         Gh = compute_Ghat(sd, bs)
-        L = compute_L(sd, sd.dx0)
+        L = compute_L(sd, bs).L
         du = rng.standard_normal((4, nu))
         dxs = expand(Gh, L, sd.dx0, du)
         blocks = bs.blocks
         for k in range(12):
             pred = sd.As[k] @ dxs[k] + sd.Bs[k] @ du[blocks[k]] + sd.ds[k]
             assert np.abs(pred - dxs[k + 1]).max() < 1e-12
+
+
+# --- the forward chain ------------------------------------------------------
+
+def check_forward_chain(sd, bs):
+    nx = sd.nx
+    chain = compute_L(sd, bs)
+    assert chain.P.shape == (bs.N, nx, nx + 1)
+    assert_rel(chain.P[:, :, :nx], loop_Phi(sd))
+    assert_rel(chain.P[:, :, nx], loop_L(sd, np.zeros(nx)))
+    assert_rel(chain.L, loop_L(sd, sd.dx0))
+    assert_rel(ghat_blocks(compute_Ghat(sd, bs), sd.nu), loop_Ghat(sd, bs))
+    assert np.array_equal(compute_Ghat(sd, bs), compute_Ghat(sd, bs, chain=chain))
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_forward_chain_matches_loops_on_scheme_data(scheme):
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    check_forward_chain(sd, bs)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("lengths", [[1, 3, 1, 4], [3, 2], [1, 2, 3], [5], [1]])
+def test_forward_chain_matches_loops_across_restarts(lengths, nu):
+    # the block sensitivity restarts at each block longer than one interval; unit blocks take B
+    rng = np.random.default_rng(40 + nu)
+    bs, sd = ragged_stage_data(rng, lengths, 3, nu)
+    check_forward_chain(sd, bs)
 
 
 # --- Hhat --------------------------------------------------------------------
@@ -207,7 +236,7 @@ def test_ghat_gradient_zero_without_gradients_or_residuals():
     sd = scalar_chain(4)
     bs = from_block_lengths([2, 2])
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, np.zeros(1))
+    L = compute_L(sd, bs).L
     g = compute_ghat(sd, bs, Gh, L)
     assert not g.any()
 
@@ -217,7 +246,7 @@ def test_gradient_unit_blocks_matches_dense():
     sd = rand_sd(rng, 6, 3, 2, M=6)
     bs = unit_blocks(6)
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, sd.dx0)
+    L = compute_L(sd, bs).L
     g = compute_ghat(sd, bs, Gh, L)
     ref = dense_condense(sd)["gc"]
     assert np.abs(g - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
@@ -229,7 +258,7 @@ def test_gradient_blocked_matches_T_transpose():
     bs = from_block_lengths(lengths)
     sd = rand_sd(rng, 6, 3, 2, M=3)
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, sd.dx0)
+    L = compute_L(sd, bs).L
     g = compute_ghat(sd, bs, Gh, L)
     T = kron_T(lengths, 2)
     ref = T.T @ dense_condense(sd)["gc"]
@@ -244,7 +273,7 @@ def test_constraints_empty_without_state_rows():
     sd.du_hi = np.full((1, 1), 5.0)
     bs = from_block_lengths([3])
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, np.zeros(1))
+    L = compute_L(sd, bs).L
     C, c, lb, ub = condense_constraints(sd, bs, Gh, L)
     assert C.shape == (0, 1) and c.size == 0
     assert lb[0] == -2.0 and ub[0] == 5.0
@@ -256,7 +285,7 @@ def test_single_step_row_matches_Ghat_pattern():
     sd.Cx, sd.c = np.eye(2)[None], np.zeros((1, 2))  # two rows at node 1, none at node 2
     bs = from_block_lengths([2])
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, sd.dx0)
+    L = compute_L(sd, bs).L
     C, c, _, _ = condense_constraints(sd, bs, Gh, L)
     assert np.allclose(C[:, 0], ghat_blocks(Gh, 1)[0, 0].ravel())
     assert np.allclose(c, L[0])
@@ -268,7 +297,7 @@ def test_constraints_match_explicit_T_product():
     bs = from_block_lengths(lengths)
     sd = rand_sd(rng, 12, 3, 2, M=4, nc=2, ncN=2)
     Gh = compute_Ghat(sd, bs)
-    L = compute_L(sd, sd.dx0)
+    L = compute_L(sd, bs).L
     C, c, _, _ = condense_constraints(sd, bs, Gh, L)
     ref = dense_condense(sd)
     T = kron_T(lengths, 2)
@@ -287,7 +316,7 @@ def assert_rel(a, b, tol=1e-13):
 def check_against_loops(sd, bs):
     Gh = compute_Ghat(sd, bs)
     Gh4 = ghat_blocks(Gh, sd.nu)
-    L = compute_L(sd, sd.dx0)
+    L = compute_L(sd, bs).L
     assert_rel(Gh4, loop_Ghat(sd, bs))
     assert_rel(L, loop_L(sd, sd.dx0))
     assert_rel(compute_Hhat(sd, bs, Gh), loop_Hhat(sd, bs, Gh4))

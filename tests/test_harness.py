@@ -460,8 +460,14 @@ def test_cli_bench(tmp_path, capsys):
     rc = cli_main(["bench-condense", "--nx", "3", "--nu", "1", "--M", "5",
                    "--N", "10,20", "--reps", "1", "--out", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "bench.csv").exists()
-    assert "N=20" in capsys.readouterr().out
+    rows = (tmp_path / "bench.csv").read_text().strip().splitlines()
+    header = rows[0].split(",")
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == ["N=10", "N=20"]
+    for line, row in zip(lines, rows[1:]):
+        # the count criterion 2 gates, as bench.csv has it
+        hhat = row.split(",")[header.index("hhat_mults")]
+        assert line.split()[-1] == f"hhat_mults={hhat}"
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -157,7 +157,7 @@ def test_unit_block_loop_matches_naive_reference():
         sol = solve_qp(naive_condense(sd, bs))
         from blockmpc.condensing import compute_Ghat, compute_L
         Gh = compute_Ghat(sd, bs)
-        L = compute_L(sd, sd.dx0)
+        L = compute_L(sd, bs).L
         dxs = expand(Gh, L, sd.dx0, sol.z)
         traj = Trajectory(xs=traj.xs + dxs, us=traj.us + sol.z.reshape(20, 1))
         u = traj.us[0].copy()

@@ -8,7 +8,7 @@ I[0] = 0 and I[M] = N, so block j covers intervals [I[j], I[j+1]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,24 +20,31 @@ class InvalidBlockStructureError(ValueError):
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Partition of N shooting intervals into M input blocks.  The constants of
-    the structure alone are cached properties, built once and shared read-only."""
+    """Partition of N shooting intervals into M input blocks, stored as its
+    start indices I alone.  N, M, the lengths and the other constants of the
+    structure are cached properties, built once and shared read-only."""
 
-    N: int
-    M: int
     I: tuple[int, ...]
-    lengths: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.M < 1 or self.N < 1:
-            raise InvalidBlockStructureError("need at least one block and one interval")
-        if len(self.I) != self.M + 1:
-            raise InvalidBlockStructureError("index vector must have M+1 entries")
-        if self.I[0] != 0 or self.I[-1] != self.N:
-            raise InvalidBlockStructureError("index vector must start at 0 and end at N")
+        if len(self.I) < 2:
+            raise InvalidBlockStructureError("index vector needs at least two entries")
+        if self.I[0] != 0:
+            raise InvalidBlockStructureError("index vector must start at 0")
         if any(b <= a for a, b in zip(self.I, self.I[1:])):
             raise InvalidBlockStructureError("index vector must be strictly increasing")
-        object.__setattr__(self, "lengths", tuple(b - a for a, b in zip(self.I, self.I[1:])))
+
+    @cached_property
+    def N(self) -> int:
+        return self.I[-1]
+
+    @cached_property
+    def M(self) -> int:
+        return len(self.I) - 1
+
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(b - a for a, b in zip(self.I, self.I[1:]))
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -95,15 +102,12 @@ def from_block_lengths(lengths) -> BlockStructure:
     I = [0]
     for n in lengths:
         I.append(I[-1] + n)
-    return BlockStructure(N=I[-1], M=len(lengths), I=tuple(I))
+    return BlockStructure(tuple(I))
 
 
 def from_block_indices(indices) -> BlockStructure:
     """Build a block structure from the start-index vector I (including both endpoints)."""
-    I = [int(i) for i in indices]
-    if len(I) < 2:
-        raise InvalidBlockStructureError("index vector needs at least two entries")
-    return BlockStructure(N=I[-1], M=len(I) - 1, I=tuple(I))
+    return BlockStructure(tuple(int(i) for i in indices))
 
 
 def unit_blocks(N: int) -> BlockStructure:

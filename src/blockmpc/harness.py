@@ -115,11 +115,11 @@ _MODEL_DIM = {"q_diag": "nx", "qn_diag": "nx", "x_lo": "nx", "x_hi": "nx", "x0":
 _BOUND_KEYS = {"x_lo", "x_hi", "u_lo", "u_hi"}  # the only keys that may be infinite
 _POSITIVE_KEYS = {"Ts", "N", "plant_substeps", "m1", "m2", "l", "g", "r_diag", "qp_tol"}
 _NONNEGATIVE_KEYS = {"sim_time", "q_diag", "qn_diag", "qp_max_iter"}  # qp_max_iter 0: the default
-_VECTOR_KEYS = {"block_lengths", "grid_lengths", "block_indices", "grid_indices"} | set(_MODEL_DIM)
-_INT_KEYS = {"N", "plant_substeps", "seed", "qp_max_iter"}
-_FLOAT_KEYS = {"Ts", "m1", "m2", "l", "g", "sim_time", "qp_tol"}
-_STR_KEYS = {"scheme"}
-_ALL_KEYS = _VECTOR_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_KINDS = {f.name: type(f.default) for f in fields(SchemeConfig)}  # int, float, str or tuple
+_PARTITION_KEYS = {"block_lengths": ("block_lengths", from_block_lengths),  # key -> field, parser
+                   "block_indices": ("block_lengths", from_block_indices),
+                   "grid_lengths": ("grid_lengths", from_block_lengths),
+                   "grid_indices": ("grid_lengths", from_block_indices)}
 
 
 def _parse_vector(text: str, kind=float):
@@ -138,29 +138,23 @@ def load_config(path: str) -> SchemeConfig:
             if "=" not in line:
                 raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
             key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _ALL_KEYS:
+            if key not in _KINDS and key not in _PARTITION_KEYS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
             if key in seen:
                 raise ConfigError(f"line {line_no}: key {key!r} repeats line {seen[key][1]}")
             try:
-                if key in ("block_lengths", "grid_lengths"):
-                    parsed = from_block_lengths(_parse_vector(value, int)).lengths
-                elif key in ("block_indices", "grid_indices"):
-                    parsed = from_block_indices(_parse_vector(value, int)).lengths
-                elif key in _MODEL_DIM:
+                if key in _PARTITION_KEYS:
+                    parsed = _PARTITION_KEYS[key][1](_parse_vector(value, int)).lengths
+                elif _KINDS[key] is tuple:
                     parsed = _parse_vector(value)
-                elif key in _INT_KEYS:
-                    parsed = int(value)
-                elif key in _FLOAT_KEYS:
-                    parsed = float(value)
                 else:
-                    parsed = value
+                    parsed = _KINDS[key](value)
             except ValueError as err:
                 raise ConfigError(f"line {line_no}: cannot parse value for {key!r}: {err}") from err
             seen[key] = (parsed, line_no)
 
-    for alt, target in (("block_indices", "block_lengths"), ("grid_indices", "grid_lengths")):
-        if alt in seen:
+    for alt, (target, _) in _PARTITION_KEYS.items():
+        if alt != target and alt in seen:
             lengths = seen[alt][0]
             if target in seen and seen[target][0] != lengths:
                 raise ConfigError(
@@ -186,10 +180,7 @@ def config_echo(cfg: SchemeConfig) -> list[str]:
     lines = [f"{f.name} = {fmt(getattr(cfg, f.name))}" for f in fields(cfg)]
     for name, lengths in (("block_indices", cfg.block_lengths),
                           ("grid_indices", cfg.grid_lengths)):
-        idx = [0]
-        for n in lengths:
-            idx.append(idx[-1] + n)
-        lines.append(f"{name} = {','.join(str(i) for i in idx)}")
+        lines.append(f"{name} = {fmt(from_block_lengths(lengths).I)}")
     lines.append(f"version = {_PKG_NAME} {__version__}")
     return lines
 
@@ -201,7 +192,7 @@ def build_controller(cfg: SchemeConfig) -> RtiController:
     params = PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g)
     cost = QuadraticCost(Q=np.diag(cfg.q_diag), R=np.diag(cfg.r_diag),
                          QN=np.diag(cfg.qn_diag),
-                         x_ref=np.zeros(4), u_ref=np.zeros(len(cfg.r_diag)))
+                         x_ref=np.zeros(PENDULUM_DIMS.nx), u_ref=np.zeros(len(cfg.r_diag)))
     bounds = StageBounds(x_lo=np.array(cfg.x_lo), x_hi=np.array(cfg.x_hi),
                          u_lo=np.array(cfg.u_lo), u_hi=np.array(cfg.u_hi))
     qp_max_iter = cfg.qp_max_iter if cfg.qp_max_iter > 0 else None
@@ -361,8 +352,8 @@ def summary_text(log: SimLog) -> list[str]:
 def write_outputs(log: SimLog, out_dir: str) -> None:
     """Write traj.csv, kkt.csv, timing.csv and meta.txt into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    nx = len(log.x[0]) if log.x else 4
-    nu = len(log.u[0]) if log.u else 1
+    nx = len(log.x[0]) if log.x else PENDULUM_DIMS.nx
+    nu = len(log.u[0]) if log.u else PENDULUM_DIMS.nu
     _write_csv(os.path.join(out_dir, "traj.csv"),
                ["t"] + [f"x{i}" for i in range(nx)] + [f"u{i}" for i in range(nu)],
                [[t] + list(map(float, x)) + list(map(float, u))
@@ -387,14 +378,12 @@ def write_outputs(log: SimLog, out_dir: str) -> None:
 # --- condensing benchmark ------------------------------------------------------
 
 def synthetic_stage_data(rng: np.random.Generator, N: int, nx: int, nu: int,
-                         M: int | None = None, nc: int = 0, ncN: int = 0) -> StageData:
+                         M: int, nc: int = 0, ncN: int = 0) -> StageData:
     """Random Gauss-Newton stage data with non-exploding sensitivities.
 
-    M sizes the per-block input bounds (default unbounded).  Nodes 1..N-1
+    M sizes the per-block input bounds, which are infinite.  Nodes 1..N-1
     carry nc state rows each and node N carries ncN terminal rows.
     """
-    if M is None:
-        M = N
     As = rng.standard_normal((N, nx, nx))
     for k in range(N):
         As[k] /= max(np.linalg.norm(As[k], 2), 1e-9)

@@ -131,11 +131,11 @@ class RtiController:
         sol = solve_qp(prep.qp, warm=warm, tol=self.qp_tol, max_iter=self.qp_max_iter)
         t_qp = time.perf_counter() - t0
         du = sol.z
-        dxs = expand(prep.chain.Ghat, prep.chain.L, prep.sd.dx0, du)
-        if not (np.all(np.isfinite(dxs)) and np.all(np.isfinite(du))):
+        xs = state.traj.xs + expand(prep.chain.Ghat, prep.chain.L, prep.sd.dx0, du)
+        us = state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu)
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(us))):  # a finite step may overflow
             raise IntegrationDivergedError("trajectory update diverged")
-        traj = Trajectory(xs=state.traj.xs + dxs,
-                          us=state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu))
+        traj = Trajectory(xs=xs, us=us)
         kkt = kkt_residual(prep.qp, sol, prep.sd.ds)
         t_total = prep.timings["prepare_total"] + (time.perf_counter() - t0)
         timings = {"shooting": prep.timings["shooting"],

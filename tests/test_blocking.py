@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmpc.blocking import (
+    BlockStructure,
     InvalidBlockStructureError,
     block_sums,
     build_T,
@@ -49,6 +52,27 @@ def test_from_indices_round_trip():
     assert bs.lengths == tuple(BENCH_LENGTHS)
     again = from_block_lengths(bs.lengths)
     assert again.I == bs.I
+
+
+def test_structure_is_its_start_indices():
+    bs = BlockStructure((0, 2, 5))
+    assert [f.name for f in dataclasses.fields(bs)] == ["I"]
+    assert bs == from_block_lengths([2, 3]) == from_block_indices([0, 2, 5])
+    assert (bs.N, bs.M, bs.lengths) == (5, 2, (2, 3))
+    for name in ("N", "M", "lengths"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bs, name, getattr(bs, name))
+
+
+@pytest.mark.parametrize("I, message", [
+    ((), "at least two entries"), ((0,), "at least two entries"),
+    ((1, 3, 80), "must start at 0"), ((0, 3, 2, 80), "strictly increasing"),
+    ((0, 0), "strictly increasing"),
+])
+def test_invalid_indices(I, message):
+    for build in (BlockStructure, from_block_indices):
+        with pytest.raises(InvalidBlockStructureError, match=message):
+            build(I)
 
 
 def test_block_of_examples():

@@ -117,6 +117,37 @@ def test_bad_value_reports_line(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("N 80\n", "line 1: expected 'key = value'"),
+    ("block_indices = 1, 3, 80\n", "line 1: cannot parse value for 'block_indices': "
+                                   "index vector must start at 0"),
+    ("block_indices = 0, 3, 2, 80\n", "line 1: cannot parse value for 'block_indices': "
+                                      "index vector must be strictly increasing"),
+], ids=["no-equals", "indices-not-from-0", "indices-not-increasing"])
+def test_cli_rejects_malformed_line_and_bad_indices(tmp_path, capsys, text, message):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    SchemeConfig(x0=(0.0, 3.0, 0.0, 0.0)),
+    SchemeConfig(scheme="B", Ts=0.05, N=40, block_lengths=(10, 10, 20), grid_lengths=(5, 5, 10, 20),
+                 q_diag=(1.0, 2.0, 0.5, 0.25), r_diag=(0.5,), qn_diag=(3.0, 4.0, 0.2, 0.125),
+                 m1=0.2, m2=1.5, l=0.6, g=9.8, x_lo=(-1.5, -10.0, -np.inf, -5.0),
+                 x_hi=(1.5, 10.0, np.inf, 5.0), u_lo=(-15.0,), u_hi=(12.5,),
+                 x0=(0.1, 3.0, -0.5, 0.25), sim_time=2.5, plant_substeps=5, qp_tol=1e-6,
+                 qp_max_iter=50, seed=7),
+], ids=["default", "every-field-changed"])
+def test_config_echo_loads_back(tmp_path, cfg):
+    echo = [line for line in config_echo(cfg.validate()) if not line.startswith("version")]
+    p = tmp_path / "echo.cfg"
+    p.write_text("\n".join(echo) + "\n")
+    assert load_config(str(p)) == cfg
+
+
 def test_scheme_validation():
     with pytest.raises(ConfigError):
         SchemeConfig(scheme="D").validate()
@@ -380,6 +411,19 @@ def test_cli_diverging_initial_trajectory_exits_3(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "error: integration diverged at shooting node 0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
+def test_cli_trajectory_divergence_aborts_run_with_exit_1(tmp_path, capsys):
+    # the start lies outside the tight cart bounds: every QP is infeasible, and the steps
+    # applied regardless grow until the trajectory update overflows
+    cfg_file = tmp_path / "diverge.cfg"
+    cfg_file.write_text("x_lo = -0.05, -inf, -inf, -inf\nx_hi = 0.05, inf, inf, inf\n"
+                        "x0 = 0.2, 3.14159265358979312, 0, 0\nsim_time = 1.0\n")
+    rc = cli_main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert len((tmp_path / "o" / "traj.csv").read_text().splitlines()) == 1 + 7
+    assert "error: run aborted: trajectory update diverged" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from blockmpc.blocking import from_block_lengths, unit_blocks
 from blockmpc.condensing import condense, expand, naive_condense
 from blockmpc.harness import synthetic_stage_data
-from blockmpc.integrator import IntegratorConfig
+from blockmpc.integrator import IntegrationDivergedError, IntegratorConfig
 from blockmpc.model import (
     OcpProblem,
     PendulumParams,
@@ -16,7 +16,7 @@ from blockmpc.model import (
     make_pendulum_problem,
 )
 from blockmpc.qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
-from blockmpc.rti import RtiController, kkt_residual
+from blockmpc.rti import RtiController, RtiState, kkt_residual
 from blockmpc.shooting import Trajectory, evaluate
 from oracles import (
     loop_kkt_parts,
@@ -281,3 +281,18 @@ def test_warm_start_single_iteration_at_steady_state():
     _, state = ctrl.feedback(state, ctrl.prepare(state, x_eq), x_eq)
     _, state2 = ctrl.feedback(state, ctrl.prepare(state, x_eq), x_eq)
     assert state2.sol.iterations <= 1
+
+
+def test_feedback_overflowing_update_raises_divergence():
+    # a finite step (L at 1.5e308) onto finite carried states (1.5e308) overflows the new
+    # trajectory; it must read as divergence, not as the ValueError of a bad config
+    ctrl = pendulum_controller(N=10)
+    x0 = np.zeros(4)
+    state = ctrl.initial_state(x0)
+    prep = ctrl.prepare(state, x0)
+    prep = dataclasses.replace(prep, chain=dataclasses.replace(
+        prep.chain, L=np.full_like(prep.chain.L, 1.5e308)))
+    state = RtiState(traj=Trajectory(xs=np.full_like(state.traj.xs, 1.5e308), us=state.traj.us))
+    with np.errstate(over="ignore"), \
+            pytest.raises(IntegrationDivergedError, match="trajectory update diverged"):
+        ctrl.feedback(state, prep, x0)

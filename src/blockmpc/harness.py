@@ -14,6 +14,7 @@ header row, comma separators, '.' decimals, and 12 significant digits.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import statistics
 import time
@@ -24,14 +25,14 @@ import numpy as np
 from . import __version__
 from .blocking import from_block_indices, from_block_lengths, unit_blocks
 from .condensing import FlopCounter, compute_Ghat, compute_Hhat, condense, naive_condense
-from .integrator import IntegrationDivergedError, rk4_state_step
+from .integrator import IntegrationDivergedError
 from .model import (
     PENDULUM_DIMS,
     PendulumParams,
     QuadraticCost,
     StageBounds,
     make_pendulum_problem,
-    pendulum_rhs,
+    pendulum_state_step,
 )
 from .rti import KktReport, RtiController
 from .shooting import StageData
@@ -80,6 +81,11 @@ class SchemeConfig:
                 raise ConfigError(f"{at(key)}{key} must not be NaN, got {value}")
             if key not in _BOUND_KEYS and not all(map(math.isfinite, values)):
                 raise ConfigError(f"{at(key)}{key} must be finite, got {value}")
+            if _KINDS[key] is int and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{at(key)}{key} must be an integer, got {value}")
+            if key in _PARTITION_FIELDS and not all(v % 1 == 0 and v >= 1 for v in values):
+                raise ConfigError(f"{at(key)}{key} must be whole numbers of at least 1, "
+                                  f"got {value}")
             if key in _POSITIVE_KEYS and not all(v > 0 for v in values):
                 raise ConfigError(f"{at(key)}{key} must be positive, got {value}")
             if key in _NONNEGATIVE_KEYS and not all(v >= 0 for v in values):
@@ -120,6 +126,7 @@ _PARTITION_KEYS = {"block_lengths": ("block_lengths", from_block_lengths),  # ke
                    "block_indices": ("block_lengths", from_block_indices),
                    "grid_lengths": ("grid_lengths", from_block_lengths),
                    "grid_indices": ("grid_lengths", from_block_indices)}
+_PARTITION_FIELDS = {target for target, _ in _PARTITION_KEYS.values()}
 
 
 def _parse_vector(text: str, kind=float):
@@ -232,12 +239,12 @@ class SimLog:
         return len(self.t)
 
 
-def _plant_step(rhs, x, u, Ts, substeps):
-    """Plant propagation over one sample: plain RK4 sub-steps in float arithmetic."""
+def _plant_step(step, x, u, Ts, substeps):
+    """Plant propagation over one sample: ``substeps`` steps of the float RK4 kernel ``step``."""
     h = Ts / substeps
     x = x.tolist()
     for _ in range(substeps):
-        x = rk4_state_step(rhs, x, u, h)
+        x = step(x, u, h)
     if not all(map(math.isfinite, x)):
         raise IntegrationDivergedError("plant state diverged")
     return np.array(x)
@@ -253,8 +260,7 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
     """
     cfg.validate()
     controller = build_controller(cfg)
-    params = PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g)
-    plant_rhs = lambda x, u: pendulum_rhs(x, u, params)
+    plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
 
     n_samples = int(np.floor(cfg.sim_time / cfg.Ts + 1e-9))
     log = SimLog(meta={"config": config_echo(cfg), "scheme": cfg.scheme})
@@ -280,7 +286,7 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
             log.qp_status.append(sol.status)
             log.qp_start.append(sol.start)
             log.flags.append(violated or sol.status != "solved")
-            x_plant = _plant_step(plant_rhs, x_plant, u, cfg.Ts, cfg.plant_substeps)
+            x_plant = _plant_step(plant, x_plant, u, cfg.Ts, cfg.plant_substeps)
     except IntegrationDivergedError as err:
         log.aborted = str(err)
     except np.linalg.LinAlgError as err:  # a ValueError: it must not read as a bad config

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrator import IntegratorConfig
+from .integrator import IntegratorConfig, rk4_state_step
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ class QuadraticCost:
         self.x_ref = np.asarray(self.x_ref, dtype=float)
         self.u_ref = np.asarray(self.u_ref, dtype=float)
         for name, W in (("Q", self.Q), ("R", self.R), ("QN", self.QN)):
-            if not np.allclose(W, W.T, atol=1e-12):
+            # exact symmetry is the cheap test; allclose decides only what it rejects
+            if not ((W == W.T).all() or np.allclose(W, W.T, atol=1e-12)):
                 raise ValueError(f"{name} must be symmetric")
         for name, ref, W in (("x_ref", self.x_ref, self.Q), ("u_ref", self.u_ref, self.R)):
             if ref.shape != (W.shape[0],):
@@ -104,32 +105,64 @@ class StageBounds:
                            -inf * np.ones(nu), inf * np.ones(nu))
 
 
-def pendulum_rhs(x, u, params: PendulumParams):
+def pendulum_rhs(x: np.ndarray, u, params: PendulumParams):
     """Cart-pole state derivative [p_dot, theta_dot, p_ddot, theta_ddot].
 
-    An ndarray x (4,) or columns (4, n) gives an array of the same shape.  A
-    single state as a sequence of floats (u a sequence of one force) gives a
-    tuple by the same float operations, with ``math.sin``/``math.cos``; sin
-    and cos of +-inf are nan there, as in NumPy.
+    x is one state (4,) or a column stack (4, n); the result has its shape.
+    ``pendulum_state_step`` is the same dynamics for one state in floats.
     """
     _, theta, p_dot, theta_dot = x
-    array = isinstance(x, np.ndarray)
-    if array:
-        f = u[0] if np.ndim(u) else u
-        s, c = np.sin(theta), np.cos(theta)
-    else:
-        f = float(u[0])
-        try:
-            s, c = math.sin(theta), math.cos(theta)
-        except ValueError:  # theta is +-inf
-            s = c = math.nan
+    f = u[0] if np.ndim(u) else u
+    s, c = np.sin(theta), np.cos(theta)
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     den = m2 + m1 - m1 * c * c
     p_dd = (-m1 * l * s * (theta_dot * theta_dot) + m1 * g * c * s + f) / den
     th_dd = (f * c - m1 * l * c * s * (theta_dot * theta_dot) + (m2 + m1) * g * s) / (l * den)
-    if array:
-        return np.array([p_dot, theta_dot, p_dd, th_dd])
-    return p_dot, theta_dot, p_dd, th_dd
+    return np.array([p_dot, theta_dot, p_dd, th_dd])
+
+
+def pendulum_state_step(params: PendulumParams):
+    """The cart-pole's float RK4 kernel: ``step(x, u, h)`` makes one step of length h.
+
+    x is one state as a sequence of four floats and u a sequence of one
+    force; the result is a list.  Every entry takes the IEEE operations of
+    ``rk4_state_step`` over ``pendulum_rhs`` in the same order (the
+    parameter products are the ones ``pendulum_rhs`` forms first), so it
+    equals the array form bit for bit wherever ``math.sin``/``math.cos``
+    round as NumPy's do.  sin and cos of +-inf are nan, as in NumPy.
+    """
+    m1, l = params.m1, params.l
+    m12 = params.m2 + m1
+    nm1l, m1g, m1l, m12g = -m1 * l, m1 * params.g, m1 * l, m12 * params.g
+    sin, cos, nan = math.sin, math.cos, math.nan
+
+    def accel(theta, theta_dot, f):
+        try:
+            s, c = sin(theta), cos(theta)
+        except ValueError:  # theta is +-inf
+            s = c = nan
+        den = m12 - m1 * c * c
+        w2 = theta_dot * theta_dot
+        return ((nm1l * s * w2 + m1g * c * s + f) / den,
+                (f * c - m1l * c * s * w2 + m12g * s) / (l * den))
+
+    def step(x, u, h):
+        p, th, v, w = x
+        f = float(u[0])
+        h2, h6 = 0.5 * h, h / 6.0
+        a1, b1 = accel(th, w, f)
+        p2, th2, v2, w2 = p + h2 * v, th + h2 * w, v + h2 * a1, w + h2 * b1
+        a2, b2 = accel(th2, w2, f)
+        p3, th3, v3, w3 = p + h2 * v2, th + h2 * w2, v + h2 * a2, w + h2 * b2
+        a3, b3 = accel(th3, w3, f)
+        v4, w4 = v + h * a3, w + h * b3
+        a4, b4 = accel(th + h * w3, w4, f)
+        return [p + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                th + h6 * (w + 2.0 * w2 + 2.0 * w3 + w4),
+                v + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                w + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)]
+
+    return step
 
 
 def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
@@ -205,10 +238,14 @@ class OcpProblem:
     with one point x (nx,), u (nu,) and with column stacks x (nx, n),
     u (nu, n); for a stack rhs returns (nx, n) and jac (n, nx, nx)/(n, nx, nu)
     stacks.  Constant Jacobians may be returned as 2-D blocks for either call.
-    ``intervals`` carries one integrator configuration per shooting interval
-    (nonuniform grids use unequal interval lengths; ``hs`` holds them as an
-    array); ``weight_scales`` multiplies the stage cost of each interval,
-    which is how nonuniform grids scale their weights by interval length.
+    ``state_step(x, u, h)`` makes one RK4 step of one state in floats (x a
+    list of nx floats, u an (nu,) row; it returns a list).  It defaults to
+    ``rk4_state_step`` over rhs; the cart-pole supplies its own kernel,
+    which gives the same bits faster.  ``intervals`` carries one integrator
+    configuration per shooting interval (nonuniform grids use unequal
+    interval lengths; ``hs`` holds them as an array); ``weight_scales``
+    multiplies the stage cost of each interval, which is how nonuniform
+    grids scale their weights by interval length.
     """
 
     dims: ProblemDims
@@ -218,9 +255,12 @@ class OcpProblem:
     bounds: StageBounds
     intervals: Sequence[IntegratorConfig]
     weight_scales: np.ndarray = field(default=None)
+    state_step: Callable = field(default=None)
     hs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.state_step is None:
+            self.state_step = partial(rk4_state_step, self.rhs)
         self.hs = np.array([cfg.h for cfg in self.intervals], dtype=float)
         if self.weight_scales is None:
             self.weight_scales = np.ones(self.N)
@@ -274,7 +314,7 @@ def make_pendulum_problem(
     rhs = lambda x, u: pendulum_rhs(x, u, params)
     jac = lambda x, u: pendulum_jacobians(x, u, params)
     if interval_lengths is None:
-        intervals = [IntegratorConfig(h=Ts) for _ in range(N)]
+        intervals = [IntegratorConfig(h=Ts)] * N  # frozen, so one config serves every interval
         scales = np.ones(N)
     else:
         if sum(interval_lengths) != N:
@@ -282,4 +322,5 @@ def make_pendulum_problem(
         intervals = [IntegratorConfig(h=float(n) * Ts) for n in interval_lengths]
         scales = np.asarray(interval_lengths, dtype=float)
     return OcpProblem(dims=PENDULUM_DIMS, rhs=rhs, jac=jac, cost=cost, bounds=bounds,
-                      intervals=intervals, weight_scales=scales)
+                      intervals=intervals, weight_scales=scales,
+                      state_step=pendulum_state_step(params))

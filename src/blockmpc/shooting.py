@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import BlockStructure
-from .integrator import IntegrationDivergedError, integrate_interval, rk4_state_step
+from .integrator import IntegrationDivergedError, integrate_interval
 from .model import OcpProblem, stage_cost_terms
 
 
@@ -87,19 +87,20 @@ def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
                      us: np.ndarray) -> Trajectory:
     """Simulate the shooting nodes forward from x0 under blocked inputs us, in order.
 
-    The nodes are stepped one by one in float arithmetic (``rk4_state_step``),
-    each input an (nu,) row of ``us``; the first non-finite node raises.
+    The nodes are stepped one by one in float arithmetic by
+    ``problem.state_step``, each input an (nu,) row of ``us``; the first
+    non-finite node raises.
     """
     check_grid(problem, bs)
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if us.shape != (bs.M, problem.dims.nu):
         raise ValueError(f"expected {bs.M} blocked inputs of width {problem.dims.nu}, "
                          f"got shape {us.shape}")
-    blocks, hs = bs.blocks.tolist(), problem.hs.tolist()
+    step, blocks, hs = problem.state_step, bs.blocks.tolist(), problem.hs.tolist()
     x = np.asarray(x0, dtype=float).tolist()
     xs = [x]
     for k in range(bs.N):
-        x = rk4_state_step(problem.rhs, x, us[blocks[k]], hs[k])
+        x = step(x, us[blocks[k]], hs[k])
         if not all(map(math.isfinite, x)):
             raise IntegrationDivergedError(node=k)
         xs.append(x)

@@ -19,7 +19,7 @@ from blockmpc.harness import (
     _plant_step,
 )
 from blockmpc.integrator import IntegrationDivergedError
-from blockmpc.model import PendulumParams, pendulum_rhs
+from blockmpc.model import PendulumParams, pendulum_rhs, pendulum_state_step
 from oracles import numpy_plant_step, seeded_pendulum_states
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -203,9 +203,9 @@ def test_applied_input_matches_post_step_head():
         u, state = ctrl.feedback(state, prep, x)
         assert np.array_equal(u, state.traj.us[0])
         from blockmpc.harness import _plant_step
-        from blockmpc.model import PendulumParams, pendulum_rhs
+        from blockmpc.model import PendulumParams, pendulum_state_step
         params = PendulumParams()
-        x = _plant_step(lambda xv, uv: pendulum_rhs(xv, uv, params), x, u,
+        x = _plant_step(pendulum_state_step(params), x, u,
                         cfg.Ts, cfg.plant_substeps)
 
 
@@ -387,13 +387,14 @@ def test_linalg_error_aborts_run_with_exit_1(tmp_path, capsys, monkeypatch, comm
 
 
 PLANT = lambda x, u: pendulum_rhs(x, u, PendulumParams())
+PLANT_STEP = pendulum_state_step(PendulumParams())
 
 
 def test_plant_step_matches_numpy_loop_bit_for_bit():
     rng = np.random.default_rng(21)
     for x in seeded_pendulum_states(22, 40):
         u = rng.uniform(-20.0, 20.0, size=1)
-        assert np.array_equal(_plant_step(PLANT, x, u, 0.025, 10),
+        assert np.array_equal(_plant_step(PLANT_STEP, x, u, 0.025, 10),
                               numpy_plant_step(PLANT, x, u, 0.025, 10)), \
             "math.sin/math.cos (libm) and np.sin/np.cos round differently on this machine"
 
@@ -402,7 +403,7 @@ def test_plant_divergence_raises_integration_error():
     # theta_dot = 1e160 overflows to inf, and math.sin(inf) raises ValueError
     x = np.array([0.0, np.pi, 0.0, 1e160])
     with pytest.raises(IntegrationDivergedError, match="plant state diverged"):
-        _plant_step(PLANT, x, np.zeros(1), 0.025, 10)
+        _plant_step(PLANT_STEP, x, np.zeros(1), 0.025, 10)
 
 
 def test_cli_diverging_initial_trajectory_exits_3(tmp_path, capsys):
@@ -484,6 +485,25 @@ def test_direct_config_rejects_vector_of_wrong_length(field, value):
     # SchemeConfig built in code, not read from a file: validate() checks the lengths
     with pytest.raises(ConfigError, match=field):
         run_closed_loop(SchemeConfig(sim_time=0.05, **{field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N", 80.5), ("plant_substeps", 2.5), ("qp_max_iter", 1.5),
+    ("block_lengths", (40.5, 39.5)), ("block_lengths", (0, 80)),
+    ("grid_lengths", (40.5, 39.5)), ("grid_lengths", (0, 80)),
+], ids=["N", "plant_substeps", "qp_max_iter", "fractional-blocks", "zero-block",
+        "fractional-grid", "zero-grid"])
+def test_direct_config_rejects_non_integer_counts_naming_the_key(field, value):
+    # the scheme that reads the field: A for N (its unit blocks), B for the grid, C otherwise
+    scheme = {"N": "A", "grid_lengths": "B"}.get(field, "C")
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        run_closed_loop(SchemeConfig(scheme=scheme, sim_time=0.05, **{field: value}))
+
+
+def test_direct_config_accepts_integral_float_lengths():
+    for scheme, field in (("C", "block_lengths"), ("B", "grid_lengths")):
+        log = run_closed_loop(SchemeConfig(scheme=scheme, sim_time=0.05, **{field: (40.0, 40.0)}))
+        assert len(log) == 2 and log.aborted is None
 
 
 @pytest.mark.parametrize("text, line", [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockmpc.harness import SchemeConfig
 from blockmpc.model import (
     PendulumParams,
     ProblemDims,
@@ -10,10 +11,17 @@ from blockmpc.model import (
     StageBounds,
     pendulum_jacobians,
     pendulum_rhs,
+    pendulum_state_step,
     stage_cost_terms,
     state_box_rows,
 )
-from oracles import fd_input_jacobian, fd_state_jacobian, pendulum_jacobians_quotient_rule
+from oracles import (
+    fd_input_jacobian,
+    fd_state_jacobian,
+    numpy_rk4_state_step,
+    pendulum_jacobians_quotient_rule,
+    seeded_pendulum_states,
+)
 
 PARAMS = PendulumParams(m1=0.1, m2=1.0, l=0.8, g=9.81)
 
@@ -62,6 +70,32 @@ def test_pointwise_call_equals_batched_column():
         assert np.array_equal(pendulum_rhs(X[:, i], U[:, i], PARAMS), F[:, i])
         Ai, Bi = pendulum_jacobians(X[:, i], U[:, i], PARAMS)
         assert np.array_equal(Ai, A[i]) and np.array_equal(Bi, B[i])
+
+
+def test_state_step_kernel_matches_numpy_rk4_bit_for_bit():
+    # every step length in use: the plant's sub-step and each grid interval n*Ts
+    cfg = SchemeConfig()
+    hs = [cfg.Ts / cfg.plant_substeps] + [float(n) * cfg.Ts for n in sorted(set(cfg.grid_lengths))]
+    step = pendulum_state_step(PARAMS)
+    rhs = lambda x, u: pendulum_rhs(x, u, PARAMS)
+    rng = np.random.default_rng(31)
+    for x in seeded_pendulum_states(32, 60):
+        u = rng.uniform(-20.0, 20.0, size=1)
+        for h in hs:
+            got = step(x.tolist(), u, h)
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array_equal(got, numpy_rk4_state_step(rhs, x, u, h)), (x, u, h)
+
+
+def test_state_step_kernel_gives_nan_for_infinite_angle():
+    # math.sin(inf) raises ValueError; the kernel gives nan there, as np.sin does
+    step = pendulum_state_step(PARAMS)
+    rhs = lambda x, u: pendulum_rhs(x, u, PARAMS)
+    x = np.array([0.0, np.inf, 0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        want = numpy_rk4_state_step(rhs, x, np.zeros(1), 0.025)
+    got = step(x.tolist(), [0.0], 0.025)
+    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got).all()
 
 
 def test_jacobians_match_finite_differences():
@@ -149,6 +183,17 @@ def test_cost_requires_spd_R():
     with pytest.raises(np.linalg.LinAlgError):
         QuadraticCost(Q=np.eye(2), R=np.array([[0.0]]), QN=np.eye(2),
                       x_ref=np.zeros(2), u_ref=np.zeros(1))
+
+
+def test_cost_symmetry_check_accepts_rounding_and_rejects_asymmetry():
+    def cost(Q):
+        return QuadraticCost(Q=Q, R=np.eye(1), QN=np.eye(2), x_ref=np.zeros(2), u_ref=np.zeros(1))
+
+    assert cost(np.array([[2.0, 0.3], [0.3, 1.0]])).Q[0, 1] == 0.3
+    assert cost(np.array([[2.0, 0.0], [1e-13, 1.0]])).Q[1, 0] == 1e-13  # within atol 1e-12
+    for Q in (np.array([[2.0, 0.0], [1e-6, 1.0]]), np.array([[2.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            cost(Q)
 
 
 def test_cost_rejects_per_stage_references():

@@ -179,6 +179,20 @@ def test_initial_trajectory_has_exactly_zero_shooting_gaps(scheme):
         assert np.all(ds == 0.0), f"max |ds| {np.abs(ds).max():.3g}: {SIN_COS}"
 
 
+def test_diverging_start_raises_at_the_first_non_finite_node_of_the_numpy_loop():
+    # theta_dot = 1e160 squares to inf; the float kernel must stop where the arrays do
+    ctrl = build_controller(SchemeConfig(scheme="C").validate())
+    x0 = np.array([0.0, 3.14, 0.0, 1e160])
+    us = np.zeros((ctrl.bs.M, 1))
+    with np.errstate(all="ignore"):
+        xs = numpy_forward_simulate(ctrl.problem, ctrl.bs, x0, us)
+    first_bad = int(np.argmin(np.isfinite(xs[1:]).all(axis=1)))
+    assert not np.isfinite(xs[first_bad + 1]).all()
+    with pytest.raises(IntegrationDivergedError) as info:
+        forward_simulate(ctrl.problem, ctrl.bs, x0, us)
+    assert info.value.node == first_bad
+
+
 def test_forward_simulate_rejects_inputs_of_the_wrong_width():
     prob = pendulum_problem(N=4)
     with pytest.raises(ValueError, match=r"4 blocked inputs of width 1, got shape \(4, 2\)"):
@@ -285,7 +299,7 @@ def _shared_constants(sd):
 @pytest.mark.parametrize("scheme", ["A", "B", "C"])
 def test_evaluate_constants_are_shared_read_only_and_survive_a_closed_loop(scheme):
     from blockmpc.harness import _plant_step
-    from blockmpc.model import pendulum_rhs
+    from blockmpc.model import pendulum_state_step
 
     cfg = SchemeConfig(scheme=scheme).validate()
     ctrl = build_controller(cfg)
@@ -298,7 +312,7 @@ def test_evaluate_constants_are_shared_read_only_and_survive_a_closed_loop(schem
     assert first["Cx"].strides[0] == 0 and np.shares_memory(first["Cx"], first["CxN"])
     saved = {name: a.tobytes() for name, a in first.items()}
 
-    plant = lambda xv, uv: pendulum_rhs(xv, uv, PendulumParams())
+    plant = pendulum_state_step(PendulumParams())
     for _ in range(20):
         u, state = ctrl.step(state, x)
         x = _plant_step(plant, x, u, cfg.Ts, cfg.plant_substeps)

@@ -74,11 +74,6 @@ class BlockStructure:
         return self.sum_rows[:, ::-1]
 
     @cached_property
-    def started(self) -> np.ndarray:
-        """(N, M) mask: block column i has started by interval k (i <= blocks[k])."""
-        return _frozen(np.arange(self.M) <= self.blocks[:, None])
-
-    @cached_property
     def upper(self) -> np.ndarray:
         """(M, M) mask of the strict upper block triangle."""
         return _frozen(np.triu(np.ones((self.M, self.M), dtype=bool), 1))

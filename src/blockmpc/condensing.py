@@ -146,10 +146,11 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
 
     One backward sweep W_k = Q_k Ghat[k-1] + A_k' W_{k+1} (W_N = QN Ghat[N-1])
     carries all block columns at once, stored transposed: one product per
-    node.  Stage k adds B_k' W_{k+1} to row block blk[k] in the columns
-    i <= blk[k]; the sweep also runs through the columns that start after k,
-    and the mask ``bs.started`` drops what it gives there.  The summed R of
-    each block joins the diagonal, and the upper block triangle is mirrored.
+    node.  Stage k adds B_k' W_{k+1} to row block blk[k]; the summed R of
+    each block joins the diagonal, and the strict upper block triangle is
+    mirrored from the lower.  The sweep also runs through the columns
+    i > blk[k] that start after stage k, but what it adds there lands in
+    that upper triangle, which the mirror overwrites.
     """
     N, M = bs.N, bs.M
     nx, nu = sd.nx, sd.nu
@@ -163,9 +164,7 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     if counter is not None:  # the sweep's products, made one node at a time
         counter.mults += (N - 1) * M * nu * nx * nx
     BW = _mm(counter, WT, sd.Bs).reshape(N, M, nu, nu).swapaxes(2, 3)  # B_k' W_{k+1}
-    Htmp = np.where(bs.started[:, :, None, None], BW, 0.0)
-
-    H4 = block_sums(Htmp, bs.sum_rows)  # (row block, column block, nu, nu)
+    H4 = block_sums(BW, bs.sum_rows)  # (row block, column block, nu, nu)
     H4[np.diag_indices(M)] += block_sums(sd.Rs, bs.sum_rows)
     H4[bs.upper] = np.swapaxes(H4, 0, 1)[bs.upper].swapaxes(1, 2)
     return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)

@@ -221,9 +221,9 @@ def build_controller(cfg: SchemeConfig) -> RtiController:
 
 @dataclass
 class SimLog:
-    """Per-sample record of one closed-loop run plus run metadata."""
+    """Per-sample record of one closed-loop run plus its config echo lines."""
 
-    meta: dict
+    config: list
     t: list = field(default_factory=list)
     x: list = field(default_factory=list)
     u: list = field(default_factory=list)
@@ -231,7 +231,6 @@ class SimLog:
     timings: list = field(default_factory=list)
     qp_iters: list = field(default_factory=list)
     qp_status: list = field(default_factory=list)
-    qp_start: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     aborted: str | None = None
 
@@ -263,7 +262,7 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
     plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
 
     n_samples = int(np.floor(cfg.sim_time / cfg.Ts + 1e-9))
-    log = SimLog(meta={"config": config_echo(cfg), "scheme": cfg.scheme})
+    log = SimLog(config=config_echo(cfg))
 
     x_plant = np.array(cfg.x0, dtype=float)
     state = controller.initial_state(x_plant)
@@ -284,7 +283,6 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
             sol = state.sol
             log.qp_iters.append(sol.iterations)
             log.qp_status.append(sol.status)
-            log.qp_start.append(sol.start)
             log.flags.append(violated or sol.status != "solved")
             x_plant = _plant_step(plant, x_plant, u, cfg.Ts, cfg.plant_substeps)
     except IntegrationDivergedError as err:
@@ -374,7 +372,7 @@ def write_outputs(log: SimLog, out_dir: str) -> None:
                  tm["total"] * 1e3, it]
                 for i, (tm, it) in enumerate(zip(log.timings, log.qp_iters))])
     with open(os.path.join(out_dir, "meta.txt"), "w") as fh:
-        for line in log.meta.get("config", []):
+        for line in log.config:
             fh.write(line + "\n")
         fh.write("\n")
         for line in summary_text(log):
@@ -430,11 +428,12 @@ def bench_condensing(nx: int, nu: int, M_fixed: int, N_list, reps: int,
     for name, value in (("nx", nx), ("nu", nu), ("M", M_fixed), ("reps", reps), ("N", min(N_list))):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    bad = [N for N in N_list if N % M_fixed]
+    if bad:
+        raise ValueError(f"N = {bad[0]} is not divisible into {M_fixed} equal blocks")
     rng = np.random.default_rng(seed)
     rows = []
     for N in N_list:
-        if N % M_fixed:
-            raise ValueError(f"N = {N} is not divisible into {M_fixed} equal blocks")
         bs = from_block_lengths([N // M_fixed] * M_fixed)
         sd = synthetic_stage_data(rng, N, nx, nu, M=M_fixed, nc=1, ncN=1)
 

@@ -34,20 +34,18 @@ class IntegratorConfig:
 
 
 def rk4_state_step(rhs, x, u, h):
-    """One classical RK4 step of a single state in float arithmetic, input held constant.
+    """One classical RK4 step of a single state x (nx,), input held constant.
 
-    x is a sequence of nx floats, as is rhs(x, u) (an array works too), and
-    so is the result, a list.  Each entry takes the operations of the array
-    form x + (h/6)(k1 + 2 k2 + 2 k3 + k4) in the same order, so equal rhs
-    values give equal bits.
+    x may be any sequence of nx floats; rhs always receives (nx,) arrays.
+    Returns x + (h/6)(k1 + 2 k2 + 2 k3 + k4) as an (nx,) array.
     """
+    x = np.asarray(x, dtype=float)
     h2, h6 = 0.5 * h, h / 6.0
     k1 = rhs(x, u)
-    k2 = rhs([a + h2 * b for a, b in zip(x, k1)], u)
-    k3 = rhs([a + h2 * b for a, b in zip(x, k2)], u)
-    k4 = rhs([a + h * b for a, b in zip(x, k3)], u)
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    k2 = rhs(x + h2 * k1, u)
+    k3 = rhs(x + h2 * k2, u)
+    k4 = rhs(x + h * k3, u)
+    return x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h):

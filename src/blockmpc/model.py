@@ -227,7 +227,7 @@ def state_box_rows(x_lo, x_hi, xs: np.ndarray):
 
 
 # Per-problem constants of the stage data (see ``OcpProblem.constants``).
-StageConstants = namedtuple("StageConstants", "Qs Rs QN Cx CxN box_cols")
+StageConstants = namedtuple("StageConstants", "Qs Rs QN Cx CxN c0")
 
 
 @dataclass
@@ -238,12 +238,14 @@ class OcpProblem:
     with one point x (nx,), u (nu,) and with column stacks x (nx, n),
     u (nu, n); for a stack rhs returns (nx, n) and jac (n, nx, nx)/(n, nx, nu)
     stacks.  Constant Jacobians may be returned as 2-D blocks for either call.
-    ``state_step(x, u, h)`` makes one RK4 step of one state in floats (x a
-    list of nx floats, u an (nu,) row; it returns a list).  It defaults to
-    ``rk4_state_step`` over rhs; the cart-pole supplies its own kernel,
-    which gives the same bits faster.  ``intervals`` carries one integrator
-    configuration per shooting interval (nonuniform grids use unequal
-    interval lengths; ``hs`` holds them as an array); ``weight_scales``
+    ``state_step(x, u, h)`` makes one RK4 step of one state (x a sequence
+    of nx floats, a list or the array a previous step returned; u an (nu,)
+    row; it returns nx floats, as a list or an array).
+    It defaults to ``rk4_state_step`` over rhs, which passes rhs arrays;
+    the cart-pole supplies its own float kernel, which gives the same bits
+    faster.  ``intervals`` carries one integrator configuration per
+    shooting interval (nonuniform grids use unequal interval lengths;
+    ``hs`` holds them as an array); ``weight_scales``
     multiplies the stage cost of each interval, which is how nonuniform
     grids scale their weights by interval length.
     """
@@ -280,15 +282,15 @@ class OcpProblem:
         ``weight_scales``; QN is unscaled.  Every node 1..N carries the same
         state-box rows, ``state_box_rows``'s (nr, nx) block: CxN is that
         block and Cx its (N-1, nr, nx) broadcast view over nodes 1..N-1.
-        Row i reads column ``box_cols[i]`` of [x_k - x_hi | x_lo - x_k].
+        c0 (nr,) is the rows' constant at x = 0, so node x_k's is
+        CxN x_k + c0.
         """
-        nx = self.dims.nx
-        box, _ = state_box_rows(self.bounds.x_lo, self.bounds.x_hi, np.zeros((0, nx)))
+        origin = np.zeros((1, self.dims.nx))
+        box, (c0,) = state_box_rows(self.bounds.x_lo, self.bounds.x_hi, origin)
         w3 = self.weight_scales[:, None, None]
         consts = StageConstants(
             Qs=w3 * self.cost.Q, Rs=w3 * self.cost.R, QN=self.cost.QN.copy(),
-            Cx=np.broadcast_to(box, (self.N - 1,) + box.shape), CxN=box,
-            box_cols=np.abs(box).argmax(axis=1) + nx * (box.sum(axis=1) < 0))  # -e_i: a lower bound
+            Cx=np.broadcast_to(box, (self.N - 1,) + box.shape), CxN=box, c0=c0)
         for a in consts:
             a.flags.writeable = False
         return consts

@@ -87,8 +87,10 @@ def forward_simulate(problem: OcpProblem, bs: BlockStructure, x0: np.ndarray,
                      us: np.ndarray) -> Trajectory:
     """Simulate the shooting nodes forward from x0 under blocked inputs us, in order.
 
-    The nodes are stepped one by one in float arithmetic by
-    ``problem.state_step``, each input an (nu,) row of ``us``; the first
+    The nodes are stepped one by one by ``problem.state_step``, which gets
+    the state as a sequence of nx floats (a list at node 0, then what the
+    previous step returned) and the input as an (nu,) row of ``us`` (the
+    cart-pole kernel steps in floats, the generic step in arrays); the first
     non-finite node raises.
     """
     check_grid(problem, bs)
@@ -114,9 +116,9 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     Every interval in block j is integrated with u_hat_j; the residuals
     d_k close the shooting gaps, and dx0 embeds the new measurement.  The
     intervals are independent at a fixed trajectory: one batched RK4 step.
-    The finite state bounds give the same rows at each of nodes 1..N.  The
-    Hessians, QN, Cx and CxN are the problem's read-only ``constants``,
-    shared by every call.
+    The finite state bounds give the same rows at each of nodes 1..N, with
+    constants c = CxN x_k + c0.  The Hessians, QN, Cx and CxN are the
+    problem's read-only ``constants``, shared by every call.
     """
     check_grid(problem, bs)
     N, M = bs.N, bs.M
@@ -130,7 +132,7 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     x_end, As, Bs = integrate_interval(problem.hs, problem.rhs, problem.jac, xs[:N].T, us.T)
     q, r = stage_cost_terms(xs[:N], us, cost)
     w = problem.weight_scales[:, None]
-    c = np.concatenate([xs[1:] - bounds.x_hi, bounds.x_lo - xs[1:]], axis=1)[:, consts.box_cols]
+    c = xs[1:].dot(consts.CxN.T) + consts.c0
 
     return StageData(As=As, Bs=Bs, ds=x_end.T - xs[1:], Qs=consts.Qs, Rs=consts.Rs,
                      qs=w * q, rs=w * r, QN=consts.QN, qN=cost.QN.dot(xs[N] - cost.x_ref),

@@ -104,10 +104,10 @@ def seeded_pendulum_states(seed, n):
 def numpy_rk4_state_step(rhs, x, u, h):
     """One RK4 step of a single state x (nx,) in array arithmetic.
 
-    The array form of the float steps: ``integrator.rk4_state_step`` (the
-    generic ``OcpProblem.state_step``) and the cart-pole kernel
-    ``model.pendulum_state_step`` must agree with it bit for bit when rhs
-    is ``pendulum_rhs``.
+    The reference of the single-state steps: ``integrator.rk4_state_step``
+    (the generic ``OcpProblem.state_step``, the same array form) must agree
+    with it bit for bit for any rhs, and the cart-pole float kernel
+    ``model.pendulum_state_step`` when rhs is ``pendulum_rhs``.
     """
     k1 = rhs(x, u)
     k2 = rhs(x + 0.5 * h * k1, u)

@@ -147,7 +147,6 @@ def structure_constants_by_definition(bs):
         "blocks": np.array(blk),
         "sum_rows": np.array(asc),
         "sum_rows_descending": np.array(desc),
-        "started": np.array([[i <= blk[k] for i in range(M)] for k in range(N)]),
         "upper": np.array([[i < j for j in range(M)] for i in range(M)]),
     }
 

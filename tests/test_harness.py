@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from blockmpc import qp_solver, rti
+from blockmpc import harness, qp_solver, rti
 from blockmpc.cli import main as cli_main
 from blockmpc.harness import (
     ConfigError,
@@ -319,6 +319,17 @@ def test_bench_condensing_counts_and_scaling(tmp_path):
 def test_bench_requires_divisible_N():
     with pytest.raises(ValueError):
         bench_condensing(nx=4, nu=1, M_fixed=10, N_list=[25], reps=1)
+
+
+def test_bench_checks_every_N_before_timing_any(tmp_path, capsys, monkeypatch):
+    # N = 20 and 40 used to be timed in full before N = 45 was rejected
+    calls = []
+    monkeypatch.setattr(harness, "condense", lambda *args: calls.append(args))
+    rc = cli_main(["bench-condense", "--nx", "4", "--nu", "1", "--M", "10",
+                   "--N", "20,40,45", "--reps", "1", "--out", str(tmp_path)])
+    assert rc == 2 and calls == []
+    assert "error: N = 45 is not divisible into 10 equal blocks" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_bench_unit_blocks_counts_agree_within_constant():

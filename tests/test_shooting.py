@@ -11,7 +11,9 @@ from blockmpc.model import (
     QuadraticCost,
     StageBounds,
     make_pendulum_problem,
+    state_box_rows,
 )
+from blockmpc.rti import RtiController
 from blockmpc.shooting import Trajectory, evaluate, forward_simulate
 from oracles import loop_evaluate, numpy_forward_simulate, seeded_pendulum_states
 
@@ -179,6 +181,30 @@ def test_initial_trajectory_has_exactly_zero_shooting_gaps(scheme):
         assert np.all(ds == 0.0), f"max |ds| {np.abs(ds).max():.3g}: {SIN_COS}"
 
 
+# xdot = gain * x on two states, written with array operations only: handed a
+# list of floats, -x and 2.0 * x raise TypeError and x + x concatenates
+ARRAY_ONLY_RHS = {"negate": (lambda x, u: -x, -1.0),
+                  "scale": (lambda x, u: 2.0 * x, 2.0),
+                  "self_sum": (lambda x, u: x + x, 2.0)}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_ONLY_RHS))
+def test_generic_state_step_hands_rhs_arrays(name):
+    rhs, gain = ARRAY_ONLY_RHS[name]
+    cost = QuadraticCost(Q=np.eye(2), R=np.eye(1), QN=np.eye(2),
+                         x_ref=np.zeros(2), u_ref=np.zeros(1))
+    prob = OcpProblem(dims=ProblemDims(2, 1), rhs=rhs,
+                      jac=lambda x, u: (gain * np.eye(2), np.zeros((2, 1))), cost=cost,
+                      bounds=StageBounds.unbounded(2, 1),
+                      intervals=[IntegratorConfig(h=0.05 * (1 + k % 3)) for k in range(8)])
+    bs = from_block_lengths([3, 5])
+    x0, us = np.array([0.5, 1.0]), np.array([[0.3], [-0.2]])
+    traj = RtiController(prob, bs).initial_state(x0, us).traj
+    assert np.array_equal(traj.xs, numpy_forward_simulate(prob, bs, x0, us))
+    ds = evaluate(prob, bs, traj, x0).ds
+    assert np.all(ds == 0.0), f"max |ds| {np.abs(ds).max():.3g}"
+
+
 def test_diverging_start_raises_at_the_first_non_finite_node_of_the_numpy_loop():
     # theta_dot = 1e160 squares to inf; the float kernel must stop where the arrays do
     ctrl = build_controller(SchemeConfig(scheme="C").validate())
@@ -259,6 +285,30 @@ def test_evaluate_rows_are_state_boxes_at_nodes_1_to_N(scheme):
     assert sd.Cx.shape == (N - 1, len(box), nx)
     for Cx in list(sd.Cx) + [sd.CxN]:
         assert np.array_equal(Cx, box)
+
+
+BOUND_SETS = {  # (x_lo, x_hi) of the default config, then zero, one-sided and infinite parts
+    "default": (SchemeConfig.x_lo, SchemeConfig.x_hi),
+    "zero": ((0.0, -1.0, -np.inf, 0.0), (0.0, np.inf, 0.0, 0.0)),
+    "one_sided": ((-np.inf, -3.0, -np.inf, -np.inf), (1.5, np.inf, 4.0, np.inf)),
+    "none": ((-np.inf,) * 4, (np.inf,) * 4),
+}
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+@pytest.mark.parametrize("bounds", sorted(BOUND_SETS))
+def test_evaluate_row_constants_are_state_box_rows_byte_for_byte(scheme, bounds):
+    x_lo, x_hi = BOUND_SETS[bounds]
+    ctrl = build_controller(SchemeConfig(scheme=scheme, x_lo=x_lo, x_hi=x_hi).validate())
+    rng = np.random.default_rng(22)
+    xs = rng.uniform(-3.0, 3.0, size=(ctrl.bs.N + 1, 4))
+    for nodes, bound in ((xs[1::3], np.array(x_hi)), (xs[2::3], np.array(x_lo))):
+        nodes[:] = np.where(np.isfinite(bound), bound, nodes)  # some nodes sit on a bound
+    traj = Trajectory(xs=xs, us=rng.uniform(-5.0, 5.0, size=(ctrl.bs.M, 1)))
+    sd = evaluate(ctrl.problem, ctrl.bs, traj, xs[0])
+    _, c = state_box_rows(np.array(x_lo), np.array(x_hi), xs[1:])
+    assert sd.c.shape == c[:-1].shape and sd.c.tobytes() == c[:-1].tobytes()
+    assert sd.cN.shape == c[-1].shape and sd.cN.tobytes() == c[-1].tobytes()
 
 
 def test_batched_evaluate_matches_interval_loop_single_integrator():

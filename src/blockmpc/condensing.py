@@ -5,12 +5,12 @@ steps:
 
 * the tailored route works directly on the blocked stage data and costs
   O(N*M) block operations (the fast path used by the controller).  Python
-  loops remain only for the recurrences, at most one product and one add
-  per step: the forward chain (``compute_L``: Phi, the residual chain,
-  Ghat's column 0 and every block's own rows, one product per node), the
-  rows of Ghat's later columns after their blocks, and the Hhat sweep over
-  all block columns at once.  Every other term is one stacked product that
-  reads Ghat in place;
+  loops remain only for the recurrences, one product per step: the forward
+  chain (``compute_L``: Phi, the residual chain, Ghat's column 0 and every
+  block's own rows), the rows of Ghat's later columns after their blocks,
+  and the Hhat sweep over all block columns at once.  Each loop runs a step
+  list that a ``CondensingWorkspace`` builds once, over buffers it owns.
+  Every other term is one stacked product that reads Ghat in place;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
   and as the baseline for the complexity benchmark).
@@ -37,9 +37,10 @@ class FlopCounter:
         self.mults = 0
 
 
-def _mm(counter: FlopCounter | None, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _mm(counter: FlopCounter | None, A: np.ndarray, B: np.ndarray,
+        out: np.ndarray | None = None) -> np.ndarray:
     """A @ B, stacked or not, counting its batch*a*b*c multiplies ((a x b) @ (b x c))."""
-    out = A @ B
+    out = np.matmul(A, B, out=out)
     if counter is not None:
         counter.mults += out.size * A.shape[-1]
     return out
@@ -55,7 +56,7 @@ class SensitivityChain:
 
 @dataclass
 class ForwardChain:
-    """The products of :func:`compute_L`; all but L are views of its buffer.
+    """The products of :func:`compute_L`; all but L are views of its workspace.
 
     P[k] = [Phi_k | L_d[k]] with Phi_k = A_k...A_0 and L_d the residual chain
     at dx0 = 0, so L = Phi dx0 + L_d; G0[k] = Ghat[k]'s block column 0, and
@@ -68,8 +69,69 @@ class ForwardChain:
     L: np.ndarray    # (N, nx)
 
 
-def compute_L(sd: StageData, bs: BlockStructure,
-              counter: FlopCounter | None = None) -> ForwardChain:
+class CondensingWorkspace:
+    """The buffers and per-node step lists of the three condensing recurrences.
+
+    They depend only on the block structure and (nx, nu), so a controller
+    builds them once.  Each recurrence is a prebuilt list of steps
+    ``(f, a, b)`` run as ``f(a, b)``: a bound ``ndarray.dot`` of a buffer
+    view with its operand and output views (``out`` passed by position) or,
+    at a chain restart, ``np.copyto`` with its target and source.  Every
+    call refills the buffers from its stage data before it reads them, and
+    what ``condense`` returns is freshly allocated, so no result aliases the
+    workspace and a later call leaves earlier results as they were.
+    """
+
+    def __init__(self, bs: BlockStructure, nx: int, nu: int):
+        self.key = (bs, nx, nu)
+        N, M, I = bs.N, bs.M, bs.I
+        self.g0 = g0 = slice(nx + 1, nx + 1 + nu)
+        self.c = c = slice(nx + 1 + nu, nx + 1 + 2 * nu)
+        # compute_L: node k reads Y[k] = [X_{k-1}; S_k] and writes Y[k+1, :nx]
+        self.ABd = np.empty((N, nx, nx + nu + 1))  # [A_k | B_k | d_k]
+        self.Y = Y = np.zeros((N + 1, nx + nu + 1, c.stop))
+        Y[0, :nx, :nx] = np.eye(nx)
+        Y[:, nx + nu, nx] = 1.0
+        Y[:, nx:nx + nu, c] = np.eye(nu)
+        Y[:I[1], nx:nx + nu, g0] = np.eye(nu)
+        self.dx1 = np.ones(nx + 1)  # [dx0; 1]
+        self.chain_steps = []
+        ins, outs = list(Y), list(Y[1:, :nx])
+        for k, ABd in enumerate(self.ABd):
+            y = ins[k]
+            if k in bs.long_starts:  # a copy of Y[k] whose c stays zero
+                y = y.copy()
+                y[:nx, c] = 0.0
+                self.chain_steps.append((np.copyto, y[:nx, :c.start], Y[k, :nx, :c.start]))
+            self.chain_steps.append((ABd.dot, y, outs[k]))
+        # compute_Ghat: Gc[j, k] = block j of Ghat[k], zero before the block
+        self.As = np.empty((N, nx, nx))
+        self.Gc = np.zeros((M, N, nx, nu))
+        self.nodes = np.arange(N)
+        dots, cols = [a.dot for a in self.As], [list(col) for col in self.Gc]
+        self.column_steps = [(dots[k], cols[j][k - 1], cols[j][k])
+                             for j in range(1, M - 1) for k in range(I[j + 1], N)]
+        # compute_Hhat: node k reads Z[k] = [W_{k+1}; Q_k Ghat[k-1]] and writes
+        # W_k = [A_k' | I] Z[k] into Z[k-1, :nx]
+        self.AtI = np.zeros((N, nx, 2 * nx))
+        self.AtI[:, :, nx:] = np.eye(nx)
+        self.Z = np.zeros((N, 2 * nx, M * nu))
+        dots, ins, outs = [a.dot for a in self.AtI], list(self.Z), list(self.Z[:, :nx])
+        self.sweep_steps = [(dots[k], ins[k], outs[k - 1]) for k in range(N - 1, 0, -1)]
+
+
+def _workspace(ws: CondensingWorkspace | None, bs: BlockStructure,
+               nx: int, nu: int) -> CondensingWorkspace:
+    """``ws``, checked against the structure and sizes, or a one-off workspace for None."""
+    if ws is None:
+        return CondensingWorkspace(bs, nx, nu)
+    if ws.key != (bs, nx, nu):
+        raise ValueError("condensing workspace built for another block structure or size")
+    return ws
+
+
+def compute_L(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
+              ws: CondensingWorkspace | None = None) -> ForwardChain:
     """The forward chain: Phi, L_d, Ghat's column 0 and every block's own rows.
 
     Node k is one product X_k = [A_k | B_k | d_k] [X_{k-1}; S_k] with
@@ -77,94 +139,84 @@ def compute_L(sd: StageData, bs: BlockStructure,
     constant selector rows S_k route B_k into c, and into g0 inside block 0
     only, and d_k into L_d.  c is the sensitivity to the current block's
     input.  It restarts from zero at the first node of each block longer
-    than one interval: that node reads a copy of X_{k-1} with c zeroed, so
-    the previous block's last row stays in the buffer.  A unit block takes
-    B_k instead.  Node k writes row k+1 of an (N+1, nx+nu+1, nx+1+2nu)
-    buffer whose selector rows are filled once, so the chain is N products
-    plus a copy and a zeroing per restart, and L is the one stacked product
-    P [dx0; 1].  Everything but L is independent of dx0.
+    than one interval: that node reads a copy of X_{k-1} whose c columns
+    stay zero, so the previous block's last row stays in the buffer.  A unit
+    block takes B_k instead.  Node k writes row k+1 of the workspace's
+    (N+1, nx+nu+1, nx+1+2nu) buffer, whose selector rows are filled once, so
+    the chain is N products plus one copy per restart, and L is the one
+    stacked product P [dx0; 1].  Everything but L is independent of dx0.
     """
     N, nx, nu = sd.N, sd.nx, sd.nu
-    g0, c = slice(nx + 1, nx + 1 + nu), slice(nx + 1 + nu, nx + 1 + 2 * nu)
-    ABd = np.concatenate([sd.As, sd.Bs, sd.ds[:, :, None]], axis=2)  # [A_k | B_k | d_k]
-    Y = np.zeros((N + 1, nx + nu + 1, c.stop))  # Y[k] = [X_{k-1}; S_k]
-    Y[0, :nx, :nx] = np.eye(nx)
-    Y[:, nx + nu, nx] = 1.0
-    Y[:, nx:nx + nu, c] = np.eye(nu)
-    Y[:bs.I[1], nx:nx + nu, g0] = np.eye(nu)
-    ABds, Ys, outs = list(ABd), list(Y), list(Y[1:, :nx])
-    restarts = bs.long_starts
-    for k in range(N):
-        y = Ys[k]
-        if k in restarts:
-            y = y.copy()
-            y[:nx, c] = 0.0
-        ABds[k].dot(y, out=outs[k])
-    X = Y[1:, :nx]
-    own = X[:, :, c]
+    ws = _workspace(ws, bs, nx, nu)
+    np.concatenate([sd.As, sd.Bs, sd.ds[:, :, None]], axis=2, out=ws.ABd)
+    for f, a, b in ws.chain_steps:
+        f(a, b)
+    X = ws.Y[1:, :nx]
+    own = X[:, :, ws.c]
     own[bs.unit_nodes] = sd.Bs[bs.unit_nodes]
     P = X[:, :, :nx + 1]
-    L = P.dot(np.append(sd.dx0, 1.0))
+    ws.dx1[:nx] = sd.dx0
+    L = P.dot(ws.dx1)
     if counter is not None:
-        counter.mults += N * nx * ((nx + nu + 1) * c.stop + nx + 1)
-    return ForwardChain(P=P, G0=X[:, :, g0], own=own, L=L)
+        counter.mults += N * nx * ((nx + nu + 1) * ws.c.stop + nx + 1)
+    return ForwardChain(P=P, G0=X[:, :, ws.g0], own=own, L=L)
 
 
 def compute_Ghat(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
-                 chain: ForwardChain | None = None) -> np.ndarray:
+                 chain: ForwardChain | None = None,
+                 ws: CondensingWorkspace | None = None) -> np.ndarray:
     """Blocked sensitivity chain, O(N*M) block products.
 
     Column 0, and each column's rows inside its own block, are read from the
     forward chain (``chain``, or ``compute_L`` run here when it is None).  The
     loop is left with the rows after the block of columns 1..M-2, where a
-    column only propagates through A: N - I[j+1] products for column j, made
-    into one reused buffer.  Returns a C-contiguous (N, nx, M*nu) array, the
+    column only propagates through A: N - I[j+1] products for column j, each
+    made into the workspace's column-major buffer from a C-contiguous copy of
+    the A stack.  Returns a fresh C-contiguous (N, nx, M*nu) array, the
     layout every consumer reads.
     """
+    N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
+    ws = _workspace(ws, bs, nx, nu)
     if chain is None:
-        chain = compute_L(sd, bs, counter)
-    N, M, I = bs.N, bs.M, bs.I
-    Gh = np.zeros((N, sd.nx, M, sd.nu))
-    Gh[np.arange(N), :, bs.blocks] = chain.own
-    Gh[:, :, 0] = chain.G0
-    buf = np.empty((N, sd.nx, sd.nu))  # one column's rows after its block
-    As, g = list(sd.As), list(buf)
-    for i in range(1, M - 1):  # the last block ends at N
-        e = I[i + 1]
-        As[e].dot(chain.own[e - 1], out=g[e])
-        for k in range(e + 1, N):
-            As[k].dot(g[k - 1], out=g[k])
-        if counter is not None:  # the recurrence's products, made one at a time
-            counter.mults += (N - e) * sd.nx * sd.nx * sd.nu
-        Gh[e:, :, i] = buf[e:]
-    return Gh.reshape(N, sd.nx, M * sd.nu)
+        chain = compute_L(sd, bs, counter, ws)
+    np.copyto(ws.As, sd.As)
+    Gc = ws.Gc
+    Gc[bs.blocks, ws.nodes] = chain.own
+    Gc[0] = chain.G0
+    for f, a, b in ws.column_steps:
+        f(a, b)
+    if counter is not None:  # the recurrence's products, made one at a time
+        counter.mults += len(ws.column_steps) * nx * nx * nu
+    return Gc.transpose(1, 2, 0, 3).copy().reshape(N, nx, M * nu)
 
 
 def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
-                 counter: FlopCounter | None = None) -> np.ndarray:
+                 counter: FlopCounter | None = None,
+                 ws: CondensingWorkspace | None = None) -> np.ndarray:
     """Reduced Hessian in O(N*M) block products.
 
     One backward sweep W_k = Q_k Ghat[k-1] + A_k' W_{k+1} (W_N = QN Ghat[N-1])
-    carries all block columns at once, stored transposed: one product per
-    node.  Stage k adds B_k' W_{k+1} to row block blk[k]; the summed R of
-    each block joins the diagonal, and the strict upper block triangle is
-    mirrored from the lower.  The sweep also runs through the columns
-    i > blk[k] that start after stage k, but what it adds there lands in
-    that upper triangle, which the mirror overwrites.
+    carries all block columns at once, as one product per node:
+    W_k = [A_k' | I] [W_{k+1}; Q_k Ghat[k-1]], whose lower halves, the
+    seeds, are one stacked product.  Stage k adds B_k' W_{k+1} to row block
+    blk[k]; the summed R of each block joins the diagonal, and the strict
+    upper block triangle is mirrored from the lower.  The sweep also runs
+    through the columns i > blk[k] that start after stage k, but what it
+    adds there lands in that upper triangle, which the mirror overwrites.
     """
     N, M = bs.N, bs.M
     nx, nu = sd.nx, sd.nu
-    GT = Ghat.transpose(0, 2, 1)  # Ghat[k]'
-    WT = np.empty((N, M * nu, nx))  # W_1', ..., W_N'
-    WT[:-1] = _mm(counter, GT[:-1], np.swapaxes(sd.Qs[1:], 1, 2))
-    WT[-1] = _mm(counter, GT[-1], sd.QN.T)
-    W, As = list(WT), list(sd.As)
-    for k in range(N - 1, 0, -1):
-        W[k - 1] += W[k].dot(As[k])
-    if counter is not None:  # the sweep's products, made one node at a time
-        counter.mults += (N - 1) * M * nu * nx * nx
-    BW = _mm(counter, WT, sd.Bs).reshape(N, M, nu, nu).swapaxes(2, 3)  # B_k' W_{k+1}
-    H4 = block_sums(BW, bs.sum_rows)  # (row block, column block, nu, nu)
+    ws = _workspace(ws, bs, nx, nu)
+    Z = ws.Z
+    np.copyto(ws.AtI[:, :, :nx], sd.As.transpose(0, 2, 1))
+    _mm(counter, sd.Qs[1:], Ghat[:-1], out=Z[1:, nx:])  # Q_k Ghat[k-1], k = 1..N-1
+    _mm(counter, sd.QN, Ghat[-1], out=Z[-1, :nx])  # W_N
+    for f, a, b in ws.sweep_steps:
+        f(a, b)
+    if counter is not None:  # the sweep's products, identity half included
+        counter.mults += len(ws.sweep_steps) * 2 * nx * nx * M * nu
+    BW = _mm(counter, sd.Bs.transpose(0, 2, 1), Z[:, :nx])  # B_k' W_{k+1}
+    H4 = block_sums(BW.reshape(N, nu, M, nu).swapaxes(1, 2), bs.sum_rows)
     H4[np.diag_indices(M)] += block_sums(sd.Rs, bs.sum_rows)
     H4[bs.upper] = np.swapaxes(H4, 0, 1)[bs.upper].swapaxes(1, 2)
     return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)
@@ -210,17 +262,20 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     return C, const, lb, ub
 
 
-def condense(sd: StageData, bs: BlockStructure,
-             counter: FlopCounter | None = None):
+def condense(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
+             ws: CondensingWorkspace | None = None):
     """Tailored pipeline: stage data -> (DenseQp, SensitivityChain).
 
     The QP is the one ``solve_qp`` takes, over the M*nu blocked input steps;
     its general rows condense the state rows node by node, terminal rows last.
+    ``ws`` is the workspace to reuse (a one-off one is built when it is None);
+    the results never alias it.
     """
-    fwd = compute_L(sd, bs, counter)
-    Ghat = compute_Ghat(sd, bs, counter, chain=fwd)
+    ws = _workspace(ws, bs, sd.nx, sd.nu)
+    fwd = compute_L(sd, bs, counter, ws)
+    Ghat = compute_Ghat(sd, bs, counter, chain=fwd, ws=ws)
     L = fwd.L
-    H = compute_Hhat(sd, bs, Ghat, counter)
+    H = compute_Hhat(sd, bs, Ghat, counter, ws)
     g = compute_ghat(sd, bs, Ghat, L, counter)
     C, c, lb, ub = condense_constraints(sd, bs, Ghat, L, counter)
     return DenseQp(H=H, g=g, Crows=C, cvec=c, lb=lb, ub=ub), SensitivityChain(Ghat=Ghat, L=L)
@@ -244,8 +299,9 @@ def flop_count(dims: ProblemDims, bs: BlockStructure) -> int:
     """Leading-order multiply count of the reduced-Hessian recursion.
 
     Returns N*M*(nx^2*nu + nx*nu^2), the Q and B products over all columns;
-    the sweep adds (N-1)*M*nx^2*nu more, so instrumented counts land within
-    a small constant factor of the prediction.
+    the sweep adds 2*(N-1)*M*nx^2*nu more (its products [A_k' | I] Z[k] are
+    counted in full, identity half included), so instrumented counts land
+    within a small constant factor of the prediction.
     """
     return bs.N * bs.M * (dims.nx ** 2 * dims.nu + dims.nx * dims.nu ** 2)
 

@@ -3,6 +3,7 @@ import pytest
 
 from blockmpc.blocking import build_T, from_block_lengths, unit_blocks
 from blockmpc.condensing import (
+    CondensingWorkspace,
     FlopCounter,
     compute_Ghat,
     compute_Hhat,
@@ -368,6 +369,47 @@ def test_condense_count_is_python_int(scheme):
     counter = FlopCounter()
     condense(sd, bs, counter)
     assert type(counter.mults) is int and counter.mults > 0
+
+
+# --- reused workspace -----------------------------------------------------------
+
+def qp_arrays(qp, chain):
+    return {"H": qp.H, "g": qp.g, "Crows": qp.Crows, "cvec": qp.cvec, "lb": qp.lb,
+            "ub": qp.ub, "Ghat": chain.Ghat, "L": chain.L}
+
+
+def assert_same_bytes(got: dict, want: dict):
+    for name, b in want.items():
+        a = got[name]
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("lengths", [[12], [5, 7], [1] * 8, [1, 6, 9, 7]],
+                         ids=["M1", "M2", "unit", "restarts"])
+def test_reused_workspace_matches_one_off_byte_for_byte(lengths):
+    rng = np.random.default_rng(27)
+    bs = from_block_lengths(lengths)
+    ws = CondensingWorkspace(bs, 12, 3)
+    condense(rand_sd(rng, bs.N, 12, 3, M=bs.M), bs, ws=ws)  # leaves other data in the buffers
+    sd = rand_sd(rng, bs.N, 12, 3, M=bs.M, nc=2, ncN=3)
+    reused, one_off = FlopCounter(), FlopCounter()
+    got = qp_arrays(*condense(sd, bs, reused, ws))
+    assert_same_bytes(got, qp_arrays(*condense(sd, bs, one_off)))
+    assert reused.mults == one_off.mults
+    for a in got.values():
+        assert not any(np.shares_memory(a, buf) for buf in vars(ws).values()
+                       if isinstance(buf, np.ndarray))
+
+
+def test_workspace_of_another_structure_is_rejected():
+    rng = np.random.default_rng(28)
+    bs = from_block_lengths([2, 3])
+    sd = rand_sd(rng, bs.N, 3, 1, M=bs.M)
+    for other in (CondensingWorkspace(from_block_lengths([3, 2]), 3, 1),
+                  CondensingWorkspace(bs, 3, 2)):
+        with pytest.raises(ValueError, match="workspace"):
+            condense(sd, bs, ws=other)
 
 
 # --- naive pipeline ----------------------------------------------------------

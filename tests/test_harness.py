@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from blockmpc import harness, qp_solver, rti
+from blockmpc import condensing, harness, qp_solver, rti
 from blockmpc.cli import main as cli_main
 from blockmpc.harness import (
     ConfigError,
@@ -314,6 +314,20 @@ def test_bench_condensing_counts_and_scaling(tmp_path):
     write_bench(rows, str(tmp_path))
     lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_bench_builds_one_workspace_per_N(monkeypatch):
+    """The timed tailored runs reuse the workspace; its one-off build is not a per-run cost."""
+    built = []
+    init = condensing.CondensingWorkspace.__init__
+
+    def counted(self, bs, nx, nu):
+        built.append(bs.N)
+        init(self, bs, nx, nu)
+
+    monkeypatch.setattr(condensing.CondensingWorkspace, "__init__", counted)
+    bench_condensing(nx=4, nu=1, M_fixed=5, N_list=[10, 20, 40], reps=3, seed=1)
+    assert built == [10, 20, 40]
 
 
 def test_bench_requires_divisible_N():

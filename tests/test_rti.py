@@ -5,7 +5,7 @@ import pytest
 
 from blockmpc.blocking import from_block_lengths, unit_blocks
 from blockmpc.condensing import condense, expand, naive_condense
-from blockmpc.harness import synthetic_stage_data
+from blockmpc.harness import SchemeConfig, build_controller, synthetic_stage_data
 from blockmpc.integrator import IntegrationDivergedError, IntegratorConfig
 from blockmpc.model import (
     OcpProblem,
@@ -16,7 +16,7 @@ from blockmpc.model import (
     make_pendulum_problem,
 )
 from blockmpc.qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
-from blockmpc.rti import RtiController, RtiState, kkt_residual
+from blockmpc.rti import PrepareOutput, RtiController, RtiState, kkt_residual
 from blockmpc.shooting import Trajectory, evaluate
 from oracles import (
     loop_kkt_parts,
@@ -296,3 +296,49 @@ def test_feedback_overflowing_update_raises_divergence():
     with np.errstate(over="ignore"), \
             pytest.raises(IntegrationDivergedError, match="trajectory update diverged"):
         ctrl.feedback(state, prep, x0)
+
+
+def prepared(prep):
+    """The arrays of a PrepareOutput."""
+    return {"H": prep.qp.H, "g": prep.qp.g, "Crows": prep.qp.Crows, "cvec": prep.qp.cvec,
+            "lb": prep.qp.lb, "ub": prep.qp.ub, "Ghat": prep.chain.Ghat, "L": prep.chain.L}
+
+
+def as_bytes(arrays):
+    return {name: (a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_next_prepare_leaves_earlier_outputs_as_they_were(scheme):
+    """The controller's condensing workspace is reused; nothing it returned may alias it."""
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    x0 = np.array([0.1, 3.0, 0.0, 0.0])
+    state = ctrl.initial_state(x0)
+    prep = ctrl.prepare(state, x0)
+    _, new_state = ctrl.feedback(state, prep, x0)
+    sol = new_state.sol
+    first = prepared(prep) | {"xs": new_state.traj.xs, "us": new_state.traj.us, "z": sol.z,
+                              "lam_rows": sol.lam_rows, "lam_lb": sol.lam_lb,
+                              "lam_ub": sol.lam_ub}
+    before, kkt = as_bytes(first), dataclasses.astuple(new_state.last_kkt)
+    x1 = np.array([-0.3, 2.6, 0.5, -0.4])
+    prep2 = ctrl.prepare(new_state, x1)
+    ctrl.feedback(new_state, prep2, x1)
+    assert as_bytes(first) == before
+    assert dataclasses.astuple(new_state.last_kkt) == kkt
+    second = prepared(prep2)  # the second sample did condense other data
+    assert not np.array_equal(second["g"], first["g"])
+    assert not np.array_equal(second["Ghat"], first["Ghat"])
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_controller_condensing_matches_free_functions_byte_for_byte(scheme):
+    ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
+    x0 = np.array([0.1, 3.0, 0.0, 0.0])
+    state = ctrl.initial_state(x0)
+    for _ in range(3):  # the reused workspace holds earlier samples' data
+        _, state = ctrl.step(state, x0)
+    prep = ctrl.prepare(state, x0)
+    qp, chain = condense(prep.sd, ctrl.bs)
+    free = PrepareOutput(qp=qp, chain=chain, sd=prep.sd, timings={})
+    assert as_bytes(prepared(prep)) == as_bytes(prepared(free))

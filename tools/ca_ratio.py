@@ -44,29 +44,25 @@ def closed_loops(loops: int) -> list[dict]:
     from blockmpc.harness import SchemeConfig, build_controller
     from blockmpc.model import PendulumParams, pendulum_state_step
 
+    cfgs = {s: SchemeConfig(scheme=s).validate() for s in SCHEMES}
+    cfg = cfgs["C"]  # the schemes share every other key
+    plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
+    h = cfg.Ts / cfg.plant_substeps
     out = []
     for _ in range(loops):
-        runs = {}
-        for scheme in SCHEMES:
-            cfg = SchemeConfig(scheme=scheme).validate()
-            ctrl = build_controller(cfg)
-            x = np.array(cfg.x0, dtype=float)
-            plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
-            runs[scheme] = [cfg, ctrl, ctrl.initial_state(x), x]
-        n = int(cfg.sim_time / cfg.Ts + 1e-9)
+        ctrls = {s: build_controller(cfgs[s]) for s in SCHEMES}
+        xs = {s: np.array(cfg.x0, dtype=float) for s in SCHEMES}
+        states = {s: ctrls[s].initial_state(xs[s]) for s in SCHEMES}
         times = {s: {"total": [], "condensing": []} for s in SCHEMES}
-        for i in range(n):
-            for scheme in SCHEMES if i % 2 == 0 else SCHEMES[::-1]:
-                run = runs[scheme]
-                cfg, ctrl, state, x = run
-                u, state = ctrl.step(state, x)
-                for phase, seconds in times[scheme].items():
-                    seconds.append(state.timings[phase])
-                h = cfg.Ts / cfg.plant_substeps
-                xl = x.tolist()
+        for i in range(int(cfg.sim_time / cfg.Ts + 1e-9)):
+            for s in SCHEMES if i % 2 == 0 else SCHEMES[::-1]:
+                u, states[s] = ctrls[s].step(states[s], xs[s])
+                for phase, seconds in times[s].items():
+                    seconds.append(states[s].timings[phase])
+                x = xs[s].tolist()
                 for _ in range(cfg.plant_substeps):
-                    xl = plant(xl, u, h)
-                run[2], run[3] = state, np.array(xl)
+                    x = plant(x, u, h)
+                xs[s] = np.array(x)
         out.append(times)
     return out
 

@@ -9,7 +9,7 @@ steps:
   chain (``compute_L``: Phi, the residual chain, Ghat's column 0 and every
   block's own rows), the rows of Ghat's later columns after their blocks,
   and the Hhat sweep over all block columns at once.  Each loop runs a step
-  list that a ``CondensingWorkspace`` builds once, over buffers it owns.
+  list of the structure's one ``CondensingWorkspace``, over buffers it owns.
   Every other term is one stacked product that reads Ghat in place;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
@@ -21,6 +21,7 @@ steps:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,18 +73,18 @@ class ForwardChain:
 class CondensingWorkspace:
     """The buffers and per-node step lists of the three condensing recurrences.
 
-    They depend only on the block structure and (nx, nu), so a controller
-    builds them once.  Each recurrence is a prebuilt list of steps
-    ``(f, a, b)`` run as ``f(a, b)``: a bound ``ndarray.dot`` of a buffer
-    view with its operand and output views (``out`` passed by position) or,
-    at a chain restart, ``np.copyto`` with its target and source.  Every
-    call refills the buffers from its stage data before it reads them, and
-    what ``condense`` returns is freshly allocated, so no result aliases the
-    workspace and a later call leaves earlier results as they were.
+    They depend only on the block structure and (nx, nu), and equal
+    structures and sizes share one, from :func:`workspace`, per process.
+    Each recurrence is a prebuilt list of steps ``(f, a, b)`` run as
+    ``f(a, b)``: a bound ``ndarray.dot`` of a buffer view with its operand
+    and output views (``out`` passed by position) or, at a chain restart,
+    ``np.copyto`` with its target and source.  Every call refills the
+    buffers before it reads them, and nothing ``condense`` returns aliases
+    them; a ``ForwardChain``'s views stay valid until the next condensing
+    call on an equal structure.  Condensing is single-threaded.
     """
 
     def __init__(self, bs: BlockStructure, nx: int, nu: int):
-        self.key = (bs, nx, nu)
         N, M, I = bs.N, bs.M, bs.I
         self.g0 = g0 = slice(nx + 1, nx + 1 + nu)
         self.c = c = slice(nx + 1 + nu, nx + 1 + 2 * nu)
@@ -120,18 +121,16 @@ class CondensingWorkspace:
         self.sweep_steps = [(dots[k], ins[k], outs[k - 1]) for k in range(N - 1, 0, -1)]
 
 
-def _workspace(ws: CondensingWorkspace | None, bs: BlockStructure,
-               nx: int, nu: int) -> CondensingWorkspace:
-    """``ws``, checked against the structure and sizes, or a one-off workspace for None."""
-    if ws is None:
-        return CondensingWorkspace(bs, nx, nu)
-    if ws.key != (bs, nx, nu):
-        raise ValueError("condensing workspace built for another block structure or size")
-    return ws
+# Bounded: a sweep over many structures (bench-condense's N list, random test
+# partitions) must not hold every workspace it built for the life of the process.
+@lru_cache(maxsize=16)
+def workspace(bs: BlockStructure, nx: int, nu: int) -> CondensingWorkspace:
+    """The one workspace of structure ``bs`` and sizes (nx, nu), built on first use."""
+    return CondensingWorkspace(bs, nx, nu)
 
 
-def compute_L(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
-              ws: CondensingWorkspace | None = None) -> ForwardChain:
+def compute_L(sd: StageData, bs: BlockStructure,
+              counter: FlopCounter | None = None) -> ForwardChain:
     """The forward chain: Phi, L_d, Ghat's column 0 and every block's own rows.
 
     Node k is one product X_k = [A_k | B_k | d_k] [X_{k-1}; S_k] with
@@ -147,7 +146,7 @@ def compute_L(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = N
     stacked product P [dx0; 1].  Everything but L is independent of dx0.
     """
     N, nx, nu = sd.N, sd.nx, sd.nu
-    ws = _workspace(ws, bs, nx, nu)
+    ws = workspace(bs, nx, nu)
     np.concatenate([sd.As, sd.Bs, sd.ds[:, :, None]], axis=2, out=ws.ABd)
     for f, a, b in ws.chain_steps:
         f(a, b)
@@ -163,8 +162,7 @@ def compute_L(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = N
 
 
 def compute_Ghat(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
-                 chain: ForwardChain | None = None,
-                 ws: CondensingWorkspace | None = None) -> np.ndarray:
+                 chain: ForwardChain | None = None) -> np.ndarray:
     """Blocked sensitivity chain, O(N*M) block products.
 
     Column 0, and each column's rows inside its own block, are read from the
@@ -176,9 +174,9 @@ def compute_Ghat(sd: StageData, bs: BlockStructure, counter: FlopCounter | None 
     layout every consumer reads.
     """
     N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
-    ws = _workspace(ws, bs, nx, nu)
+    ws = workspace(bs, nx, nu)
     if chain is None:
-        chain = compute_L(sd, bs, counter, ws)
+        chain = compute_L(sd, bs, counter)
     np.copyto(ws.As, sd.As)
     Gc = ws.Gc
     Gc[bs.blocks, ws.nodes] = chain.own
@@ -191,8 +189,7 @@ def compute_Ghat(sd: StageData, bs: BlockStructure, counter: FlopCounter | None 
 
 
 def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
-                 counter: FlopCounter | None = None,
-                 ws: CondensingWorkspace | None = None) -> np.ndarray:
+                 counter: FlopCounter | None = None) -> np.ndarray:
     """Reduced Hessian in O(N*M) block products.
 
     One backward sweep W_k = Q_k Ghat[k-1] + A_k' W_{k+1} (W_N = QN Ghat[N-1])
@@ -206,7 +203,7 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     """
     N, M = bs.N, bs.M
     nx, nu = sd.nx, sd.nu
-    ws = _workspace(ws, bs, nx, nu)
+    ws = workspace(bs, nx, nu)
     Z = ws.Z
     np.copyto(ws.AtI[:, :, :nx], sd.As.transpose(0, 2, 1))
     _mm(counter, sd.Qs[1:], Ghat[:-1], out=Z[1:, nx:])  # Q_k Ghat[k-1], k = 1..N-1
@@ -262,20 +259,17 @@ def condense_constraints(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     return C, const, lb, ub
 
 
-def condense(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
-             ws: CondensingWorkspace | None = None):
+def condense(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None):
     """Tailored pipeline: stage data -> (DenseQp, SensitivityChain).
 
     The QP is the one ``solve_qp`` takes, over the M*nu blocked input steps;
     its general rows condense the state rows node by node, terminal rows last.
-    ``ws`` is the workspace to reuse (a one-off one is built when it is None);
-    the results never alias it.
+    The results never alias the structure's workspace.
     """
-    ws = _workspace(ws, bs, sd.nx, sd.nu)
-    fwd = compute_L(sd, bs, counter, ws)
-    Ghat = compute_Ghat(sd, bs, counter, chain=fwd, ws=ws)
+    fwd = compute_L(sd, bs, counter)
+    Ghat = compute_Ghat(sd, bs, counter, chain=fwd)
     L = fwd.L
-    H = compute_Hhat(sd, bs, Ghat, counter, ws)
+    H = compute_Hhat(sd, bs, Ghat, counter)
     g = compute_ghat(sd, bs, Ghat, L, counter)
     C, c, lb, ub = condense_constraints(sd, bs, Ghat, L, counter)
     return DenseQp(H=H, g=g, Crows=C, cvec=c, lb=lb, ub=ub), SensitivityChain(Ghat=Ghat, L=L)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .blocking import from_block_indices, from_block_lengths, unit_blocks
-from .condensing import (CondensingWorkspace, FlopCounter, compute_Ghat, compute_Hhat, condense,
-                         naive_condense)
+from .condensing import (FlopCounter, compute_Ghat, compute_Hhat, condense, naive_condense,
+                         workspace)
 from .integrator import IntegrationDivergedError
 from .model import (
     PENDULUM_DIMS,
@@ -423,8 +423,8 @@ def bench_condensing(nx: int, nu: int, M_fixed: int, N_list, reps: int,
     nx, nu, M_fixed, reps and each N of the non-empty ``N_list`` must be at
     least 1, and every N must divide into M_fixed equal-length blocks.
     Reported times are medians over ``reps`` runs; multiply counts are deterministic.
-    The tailored runs reuse one workspace per N, built before the timed runs,
-    as a controller reuses its own.
+    The tailored runs use the structure's cached workspace, looked up before
+    the timed runs, so they time the path a controller runs, not the build.
     """
     if not N_list:
         raise ValueError("N must list at least one interval count")
@@ -439,24 +439,24 @@ def bench_condensing(nx: int, nu: int, M_fixed: int, N_list, reps: int,
     for N in N_list:
         bs = from_block_lengths([N // M_fixed] * M_fixed)
         sd = synthetic_stage_data(rng, N, nx, nu, M=M_fixed, nc=1, ncN=1)
-        ws = CondensingWorkspace(bs, nx, nu)
+        workspace(bs, nx, nu)
 
         t_tailored, t_naive = [], []
         for _ in range(reps):
             t0 = time.perf_counter()
-            condense(sd, bs, ws=ws)
+            condense(sd, bs)
             t_tailored.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             naive_condense(sd, bs)
             t_naive.append(time.perf_counter() - t0)
 
         c_tailored = FlopCounter()
-        condense(sd, bs, c_tailored, ws)
+        condense(sd, bs, c_tailored)
         c_naive = FlopCounter()
         naive_condense(sd, bs, c_naive)
         c_hhat = FlopCounter()
-        Ghat = compute_Ghat(sd, bs, ws=ws)
-        compute_Hhat(sd, bs, Ghat, c_hhat, ws)
+        Ghat = compute_Ghat(sd, bs)
+        compute_Hhat(sd, bs, Ghat, c_hhat)
 
         rows.append({
             "N": N, "M": M_fixed,

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .blocking import BlockStructure
-from .condensing import CondensingWorkspace, SensitivityChain, condense, expand
+from .condensing import SensitivityChain, condense, expand
 from .integrator import IntegrationDivergedError
 from .model import OcpProblem
 from .qp_solver import DenseQp, QpSolution, solve_qp
@@ -91,11 +90,6 @@ class RtiController:
         self.qp_tol = qp_tol
         self.qp_max_iter = qp_max_iter
 
-    @cached_property
-    def workspace(self) -> CondensingWorkspace:
-        """The condensing workspace, built on first use: the first ``prepare``."""
-        return CondensingWorkspace(self.bs, self.problem.dims.nx, self.problem.dims.nu)
-
     def initial_state(self, x0: np.ndarray, us0: np.ndarray | None = None) -> RtiState:
         """Feasible starting point: simulate the nodes forward under us0 (default zero)."""
         nu = self.problem.dims.nu
@@ -115,7 +109,7 @@ class RtiController:
         t0 = time.perf_counter()
         sd = evaluate(self.problem, self.bs, state.traj, x0_measured)
         t1 = time.perf_counter()
-        qp, chain = condense(sd, self.bs, ws=self.workspace)
+        qp, chain = condense(sd, self.bs)
         t2 = time.perf_counter()
         timings = {"shooting": t1 - t0, "condensing": t2 - t1, "prepare_total": t2 - t0}
         return PrepareOutput(qp=qp, chain=chain, sd=sd, timings=timings)

@@ -3,7 +3,6 @@ import pytest
 
 from blockmpc.blocking import build_T, from_block_lengths, unit_blocks
 from blockmpc.condensing import (
-    CondensingWorkspace,
     FlopCounter,
     compute_Ghat,
     compute_Hhat,
@@ -14,6 +13,7 @@ from blockmpc.condensing import (
     expand,
     flop_count,
     naive_condense,
+    workspace,
 )
 from blockmpc.harness import synthetic_stage_data
 from blockmpc.model import ProblemDims
@@ -390,26 +390,18 @@ def assert_same_bytes(got: dict, want: dict):
 def test_reused_workspace_matches_one_off_byte_for_byte(lengths):
     rng = np.random.default_rng(27)
     bs = from_block_lengths(lengths)
-    ws = CondensingWorkspace(bs, 12, 3)
-    condense(rand_sd(rng, bs.N, 12, 3, M=bs.M), bs, ws=ws)  # leaves other data in the buffers
+    condense(rand_sd(rng, bs.N, 12, 3, M=bs.M), bs)  # leaves other data in the buffers
+    ws = workspace(bs, 12, 3)
     sd = rand_sd(rng, bs.N, 12, 3, M=bs.M, nc=2, ncN=3)
     reused, one_off = FlopCounter(), FlopCounter()
-    got = qp_arrays(*condense(sd, bs, reused, ws))
+    got = qp_arrays(*condense(sd, bs, reused))
+    workspace.cache_clear()
     assert_same_bytes(got, qp_arrays(*condense(sd, bs, one_off)))
+    assert workspace(bs, 12, 3) is not ws  # the second run built a fresh workspace
     assert reused.mults == one_off.mults
     for a in got.values():
         assert not any(np.shares_memory(a, buf) for buf in vars(ws).values()
                        if isinstance(buf, np.ndarray))
-
-
-def test_workspace_of_another_structure_is_rejected():
-    rng = np.random.default_rng(28)
-    bs = from_block_lengths([2, 3])
-    sd = rand_sd(rng, bs.N, 3, 1, M=bs.M)
-    for other in (CondensingWorkspace(from_block_lengths([3, 2]), 3, 1),
-                  CondensingWorkspace(bs, 3, 2)):
-        with pytest.raises(ValueError, match="workspace"):
-            condense(sd, bs, ws=other)
 
 
 # --- naive pipeline ----------------------------------------------------------

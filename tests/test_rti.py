@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from blockmpc import condensing
 from blockmpc.blocking import from_block_lengths, unit_blocks
-from blockmpc.condensing import condense, expand, naive_condense
-from blockmpc.harness import SchemeConfig, build_controller, synthetic_stage_data
+from blockmpc.condensing import FlopCounter, condense, expand, naive_condense
+from blockmpc.harness import (SchemeConfig, _plant_step, build_controller, run_closed_loop,
+                              synthetic_stage_data)
 from blockmpc.integrator import IntegrationDivergedError, IntegratorConfig
 from blockmpc.model import (
     OcpProblem,
@@ -14,6 +16,7 @@ from blockmpc.model import (
     QuadraticCost,
     StageBounds,
     make_pendulum_problem,
+    pendulum_state_step,
 )
 from blockmpc.qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
 from blockmpc.rti import PrepareOutput, RtiController, RtiState, kkt_residual
@@ -342,3 +345,56 @@ def test_controller_condensing_matches_free_functions_byte_for_byte(scheme):
     qp, chain = condense(prep.sd, ctrl.bs)
     free = PrepareOutput(qp=qp, chain=chain, sd=prep.sd, timings={})
     assert as_bytes(prepared(prep)) == as_bytes(prepared(free))
+
+
+def sample_bytes(ctrl, cfg, x, n):
+    """The bytes of xs, us, z and the KKT report per sample of an n-sample closed loop
+    from plant state x; the controller steps once per item taken."""
+    plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
+    state = ctrl.initial_state(x)
+    for _ in range(n):
+        u, state = ctrl.step(state, x)
+        yield (state.traj.xs.tobytes(), state.traj.us.tobytes(), state.sol.z.tobytes(),
+               dataclasses.astuple(state.last_kkt))
+        x = _plant_step(plant, x, u, cfg.Ts, cfg.plant_substeps)
+
+
+@pytest.mark.parametrize("scheme", ["A", "C"])
+def test_controllers_sharing_a_workspace_step_as_if_alone(scheme):
+    """Two controllers of one structure share its workspace; stepped alternately, each
+    gives byte for byte what it gives stepped alone."""
+    cfg = SchemeConfig(scheme=scheme).validate()
+    starts = (np.array(cfg.x0), np.array([0.3, 2.8, -0.5, 0.4]))
+    alone = [list(sample_bytes(build_controller(cfg), cfg, x, 40)) for x in starts]
+    ctrls = [build_controller(cfg) for _ in starts]
+    assert ctrls[0].bs == ctrls[1].bs
+    loops = [sample_bytes(c, cfg, x, 40) for c, x in zip(ctrls, starts)]
+    interleaved = [[], []]
+    for i in range(40):
+        for j in ((0, 1) if i % 2 == 0 else (1, 0)):
+            interleaved[j].append(next(loops[j]))
+    assert interleaved == alone
+    assert alone[0] != alone[1]
+
+
+def test_one_workspace_build_per_structure(monkeypatch):
+    """A closed loop, a free counted ``condense`` and a second controller of one
+    structure build its condensing workspace once between them."""
+    condensing.workspace.cache_clear()
+    built = []
+    init = condensing.CondensingWorkspace.__init__
+
+    def counted(self, bs, nx, nu):
+        built.append(bs)
+        init(self, bs, nx, nu)
+
+    monkeypatch.setattr(condensing.CondensingWorkspace, "__init__", counted)
+    cfg = SchemeConfig(scheme="C", sim_time=0.25).validate()
+    assert len(run_closed_loop(cfg)) == 10
+    ctrl = build_controller(cfg)
+    x0 = np.array(cfg.x0)
+    prep = ctrl.prepare(ctrl.initial_state(x0), x0)
+    counter = FlopCounter()
+    condense(prep.sd, ctrl.bs, counter)
+    assert counter.mults > 0
+    assert built == [ctrl.bs]

@@ -10,7 +10,9 @@ change of machine speed between the runs moves them.  Here each closed loop
 drives an A and a C controller side by side, both with the default
 configuration from the default start: sample by sample, one controller
 steps and then the other (the order alternates), each against its own
-plant, so both schemes see the same machine state.  Per loop and over all
+plant, stepped as ``run_closed_loop`` steps it (``harness._plant_step``,
+which raises on a diverged plant state), so both schemes see the same
+machine state.  Per loop and over all
 loops it prints each scheme's median ``total`` and ``condensing`` times
 (ms, from ``RtiState.timings``) and the C/A ratios of those medians.
 
@@ -41,13 +43,12 @@ def closed_loops(loops: int) -> list[dict]:
     """Per loop, {scheme: {"total": [s], "condensing": [s]}} of every sample."""
     import numpy as np
 
-    from blockmpc.harness import SchemeConfig, build_controller
+    from blockmpc.harness import SchemeConfig, _plant_step, build_controller
     from blockmpc.model import PendulumParams, pendulum_state_step
 
     cfgs = {s: SchemeConfig(scheme=s).validate() for s in SCHEMES}
     cfg = cfgs["C"]  # the schemes share every other key
     plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
-    h = cfg.Ts / cfg.plant_substeps
     out = []
     for _ in range(loops):
         ctrls = {s: build_controller(cfgs[s]) for s in SCHEMES}
@@ -59,10 +60,7 @@ def closed_loops(loops: int) -> list[dict]:
                 u, states[s] = ctrls[s].step(states[s], xs[s])
                 for phase, seconds in times[s].items():
                     seconds.append(states[s].timings[phase])
-                x = xs[s].tolist()
-                for _ in range(cfg.plant_substeps):
-                    x = plant(x, u, h)
-                xs[s] = np.array(x)
+                xs[s] = _plant_step(plant, xs[s], u, cfg.Ts, cfg.plant_substeps)
         out.append(times)
     return out
 

@@ -11,13 +11,17 @@ relative CONFIG (default ``configs/pendulum.cfg``) read from its own tree.
 
 Per scheme it prints whether ``traj.csv`` and ``kkt.csv`` are byte-identical
 (or else the largest absolute difference of their entries) and the QP
-iteration sums of ``timing.csv``; it also prints both exit codes.  It exits 1
-on any difference, 0 otherwise.
+iteration sums of ``timing.csv``; it also prints both exit codes.  Each side
+then runs ``bench-condense`` (BENCH_ARGS) and it prints whether the multiply
+counts of ``bench.csv`` (MULT_COLUMNS) are equal, so a change that should
+leave the counted work alone can show that it does.  It exits 1 on any
+difference, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -29,16 +33,26 @@ from bench_pairs import ROOT, extract, git
 
 SCHEMES = ("A", "B", "C")
 FILES = ("traj.csv", "kkt.csv")
+BENCH_ARGS = ("--nx", "4", "--nu", "1", "--M", "10", "--N", "20,40,80,160", "--reps", "1")
+MULT_COLUMNS = ("tailored_mults", "naive_mults", "hhat_mults")
 
 
-def run_compare(tree: str, config: str, out: str) -> int:
-    """Exit code of ``compare`` run from ``tree``'s sources into ``out``."""
+def run_cli(tree: str, *args: str) -> int:
+    """Exit code of ``python -m blockmpc.cli ARGS`` run from ``tree``'s sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(tree, "src"),
                                                     env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "blockmpc.cli", "compare",
-           "--config", os.path.join(tree, config), "--out", out]
+    cmd = [sys.executable, "-m", "blockmpc.cli", *args]
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def mult_counts(out: str) -> list[tuple] | None:
+    """(N, MULT_COLUMNS...) per row of ``bench.csv`` in ``out``, exactly as written."""
+    try:
+        with open(os.path.join(out, "bench.csv"), newline="") as fh:
+            return [(row["N"],) + tuple(row[c] for c in MULT_COLUMNS) for row in csv.DictReader(fh)]
+    except FileNotFoundError:
+        return None
 
 
 def read(path: str) -> bytes | None:
@@ -81,7 +95,9 @@ def main(argv=None) -> int:
         trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
         extract(args.parent, trees["parent"])
         outs = {side: os.path.join(tmp, f"out_{side}") for side in trees}
-        codes = {side: run_compare(trees[side], args.config, outs[side]) for side in trees}
+        codes = {side: run_cli(trees[side], "compare", "--config",
+                               os.path.join(trees[side], args.config), "--out", outs[side])
+                 for side in trees}
 
         same = codes["parent"] == codes["change"]
         print(f"parent {args.parent} ({git('rev-parse', '--short', args.parent)}): "
@@ -97,6 +113,18 @@ def main(argv=None) -> int:
             iters = [qp_iterations(dirs[side]) for side in trees]
             same &= iters[0] == iters[1]
             print(f"scheme {scheme}: {', '.join(cells)}, qp iterations {iters[0]} -> {iters[1]}")
+
+        bench = {side: os.path.join(tmp, f"bench_{side}") for side in trees}
+        bench_codes = [run_cli(trees[side], "bench-condense", *BENCH_ARGS, "--out", bench[side])
+                       for side in trees]
+        counts = [mult_counts(bench[side]) for side in trees]
+        mults_same = counts[0] is not None and counts[0] == counts[1]
+        same &= mults_same and bench_codes[0] == bench_codes[1]
+        verdict = ("identical (N, " + ", ".join(MULT_COLUMNS) + "): "
+                   + "; ".join(" ".join(row) for row in counts[0])
+                   if mults_same else f"DIFFER: {counts[0]} -> {counts[1]}")
+        print(f"bench-condense {' '.join(BENCH_ARGS)}: exit {bench_codes[0]} -> "
+              f"{bench_codes[1]}, multiply counts {verdict}")
     print("same outputs" if same else "OUTPUTS DIFFER")
     return 0 if same else 1
 

@@ -48,55 +48,56 @@ def rk4_state_step(rhs, x, u, h):
     return x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h):
-    """Classical RK4 steps with input held constant, with exact sensitivities.
+def jacobian_tangent(rhs, jac):
+    """The tangent of a problem given by rhs and jac: (x, u, S) -> (rhs(x, u), Jx S + [0 | Ju]).
+
+    S is a stage's tangent d(stage state)/d(x, u), (nx, nx+nu) for one state
+    and (nx, nx+nu, n) for n columns, or (nx, nx+nu, 1) broadcast over them.
+    """
+    def tangent(x, u, S):
+        Jx, Ju = jac(x, u)
+        OJu = np.concatenate([np.zeros(np.shape(Ju)[:-1] + (S.shape[0],)), Ju], axis=-1)
+        return rhs(x, u), np.moveaxis(Jx @ np.moveaxis(S, (0, 1), (-2, -1)) + OJu, (-2, -1), (0, 1))
+    return tangent
+
+
+def integrate_interval(h, tangent, x: np.ndarray, u: np.ndarray):
+    """One classical RK4 step of length h, input held constant, with exact sensitivities.
 
     One step takes x (nx,), u (nu,) and a scalar h; n independent steps take
-    columns x (nx, n), u (nu, n) and lengths h (n,).  Returns (x_next,
-    A_step, B_step) where A_step = d x_next/d x and B_step = d x_next/d u
-    are obtained by differentiating all four stages; a batch returns them
-    as (n, nx, nx) and (n, nx, nu) stacks.
+    columns x (nx, n), u (nu, n) and lengths h (n,).  ``tangent(x, u, S)``
+    returns the state derivative f and its directional derivative along the
+    stage's tangent S = d(stage state)/d(x, u), so each stage is one call
+    and the tangents of the four stages ride along with the states (forward
+    variational equations); the first stage's S is the seed [I | 0], which
+    broadcasts over the columns.  Returns (x_next, A_step, B_step) where A_step =
+    d x_next/d x and B_step = d x_next/d u; a batch returns them as
+    (n, nx, nx) and (n, nx, nu) views of one (n, nx, nx+nu) array.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    nx, nu = x.shape[0], u.shape[0]
     h2, h6 = 0.5 * h, h / 6.0
-    hm = np.asarray(h)[..., None, None]  # step lengths against matrix stacks
-    hm2, hm6 = 0.5 * hm, hm / 6.0
-    I = np.eye(x.shape[0])
+    S1 = np.eye(nx, nx + nu).reshape((nx, nx + nu) + (1,) * (x.ndim - 1))
 
-    k1 = rhs(x, u)
-    J1x, J1u = jac(x, u)
-    x2 = x + h2 * k1
-    k2 = rhs(x2, u)
-    J2x_loc, J2u_loc = jac(x2, u)
-    k2x = J2x_loc @ (I + hm2 * J1x)
-    k2u = J2x_loc @ (hm2 * J1u) + J2u_loc
-
-    x3 = x + h2 * k2
-    k3 = rhs(x3, u)
-    J3x_loc, J3u_loc = jac(x3, u)
-    k3x = J3x_loc @ (I + hm2 * k2x)
-    k3u = J3x_loc @ (hm2 * k2u) + J3u_loc
-
-    x4 = x + h * k3
-    k4 = rhs(x4, u)
-    J4x_loc, J4u_loc = jac(x4, u)
-    k4x = J4x_loc @ (I + hm * k3x)
-    k4u = J4x_loc @ (hm * k3u) + J4u_loc
+    k1, K1 = tangent(x, u, S1)
+    k2, K2 = tangent(x + h2 * k1, u, S1 + h2 * K1)
+    k3, K3 = tangent(x + h2 * k2, u, S1 + h2 * K2)
+    k4, K4 = tangent(x + h * k3, u, S1 + h * K3)
 
     x_next = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    A_step = I + hm6 * (J1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    B_step = hm6 * (J1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    AB = np.empty(x.shape[1:] + (nx, nx + nu))
+    G = AB.transpose(1, 2, 0) if x.ndim == 2 else AB  # the stage tangents' layout
+    np.add(S1, h6 * (K1 + 2.0 * K2 + 2.0 * K3 + K4), out=G)
 
     # One sum is finite exactly when every entry is, unless finite entries
     # overflow it; only then are the columns scanned, for the first bad one.
-    if not math.isfinite(x_next.sum() + A_step.sum() + B_step.sum()):
-        finite = (np.isfinite(x_next).all(axis=0) & np.isfinite(A_step).all(axis=(-2, -1))
-                  & np.isfinite(B_step).all(axis=(-2, -1)))
+    if not math.isfinite(x_next.sum() + AB.sum()):
+        finite = np.isfinite(x_next).all(axis=0) & np.isfinite(AB).all(axis=(-2, -1))
         if not finite.all():
             raise IntegrationDivergedError(node=int(np.argmin(finite)) if x.ndim == 2 else None)
-    return x_next, A_step, B_step
+    return x_next, AB[..., :nx], AB[..., nx:]
 
 
-def integrate_interval(h, rhs, jac, x: np.ndarray, u: np.ndarray):
-    """Integrate shooting intervals, one RK4 step of length h each (column stacks batch)."""
-    return rk4_step(rhs, jac, x, u, h)
+def rk4_step(rhs, jac, x: np.ndarray, u: np.ndarray, h):
+    """``integrate_interval`` over the tangent of rhs and its Jacobians, ``jacobian_tangent``."""
+    return integrate_interval(h, jacobian_tangent(rhs, jac), x, u)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrator import IntegratorConfig, rk4_state_step
+from .integrator import IntegratorConfig, jacobian_tangent, rk4_state_step
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,47 @@ class StageBounds:
                            -inf * np.ones(nu), inf * np.ones(nu))
 
 
-def pendulum_rhs(x: np.ndarray, u, params: PendulumParams):
-    """Cart-pole state derivative [p_dot, theta_dot, p_ddot, theta_ddot].
+def pendulum_rhs(x: np.ndarray, u, params: PendulumParams, S: np.ndarray | None = None):
+    """Cart-pole state derivative f = [p_dot, theta_dot, p_ddot, theta_ddot].
 
-    x is one state (4,) or a column stack (4, n); the result has its shape.
+    x is one state (4,) or a column stack (4, n); f has its shape.
     ``pendulum_state_step`` is the same dynamics for one state in floats.
+    Given a stage tangent S (4, 5) or (4, 5, n) (or (4, 5, 1), broadcast
+    over the columns), it returns (f, K) with K = J_x S + [0 | J_u] of
+    shape (4, 5) plus x's columns, the fused stage call of
+    ``integrate_interval``: the derivatives reuse f's sin, cos, den, w^2
+    and accelerations, and K's rows 0-1 are S's rows 2-3.  With
+    den = m2 + m1 - m1 c^2 the accelerations are n2/den and n3/(l den);
+    their theta derivatives are (dn/dtheta - acc dden)/den.
     """
     _, theta, p_dot, theta_dot = x
     f = u[0] if np.ndim(u) else u
     s, c = np.sin(theta), np.cos(theta)
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     den = m2 + m1 - m1 * c * c
-    p_dd = (-m1 * l * s * (theta_dot * theta_dot) + m1 * g * c * s + f) / den
-    th_dd = (f * c - m1 * l * c * s * (theta_dot * theta_dot) + (m2 + m1) * g * s) / (l * den)
-    return np.array([p_dot, theta_dot, p_dd, th_dd])
+    w2 = theta_dot * theta_dot
+    p_dd = (-m1 * l * s * w2 + m1 * g * c * s + f) / den
+    th_dd = (f * c - m1 * l * c * s * w2 + (m2 + m1) * g * s) / (l * den)
+    xdot = np.array([p_dot, theta_dot, p_dd, th_dd])
+    if S is None:
+        return xdot
+
+    inv = 1.0 / den
+    c2 = c * c - s * s
+    dden = (2.0 * m1) * c * s
+    td_inv = theta_dot * inv
+    K = np.empty(S.shape[:2] + np.shape(theta))
+    K[:2] = S[2:]
+    # row 2: d p_dd/d theta, d p_dd/d theta_dot and d p_dd/d u = 1/den
+    np.multiply(((-m1 * l) * c * w2 + (m1 * g) * c2 - p_dd * dden) * inv, S[1], out=K[2])
+    K[2] += ((-2.0 * m1 * l) * s * td_inv) * S[3]
+    K[2, 4] += inv
+    # row 3: the same for th_dd, whose u derivative is c/(l den)
+    np.multiply((((m2 + m1) * g) * c - f * s - (m1 * l) * c2 * w2) * (inv / l)
+                - th_dd * dden * inv, S[1], out=K[3])
+    K[3] += ((-2.0 * m1) * c * s * td_inv) * S[3]
+    K[3, 4] += c * inv / l
+    return xdot, K
 
 
 def pendulum_state_step(params: PendulumParams):
@@ -168,38 +195,11 @@ def pendulum_state_step(params: PendulumParams):
 def pendulum_jacobians(x: np.ndarray, u, params: PendulumParams):
     """Analytic (d f/d x, d f/d u) of the cart-pole dynamics; (n, 4, 4)/(n, 4, 1) stacks for columns.
 
-    With den = m2 + m1 - m1 c^2 the accelerations are n2/den and
-    n3/(l den); their theta derivatives are (dn/dtheta - n dden/den)/den.
+    ``pendulum_rhs``'s tangent at the identity seed [I | 0].
     """
-    _, theta, _, theta_dot = x
-    f = u[0] if np.ndim(u) else u
-    s, c = np.sin(theta), np.cos(theta)
-    m1, m2, l, g = params.m1, params.m2, params.l, params.g
-    cs, w2, cc = c * s, theta_dot * theta_dot, c * c
-    inv = 1.0 / ((m2 + m1) - m1 * cc)
-    inv_l = inv / l
-    r = (2.0 * m1) * cs * inv  # dden/den
-    c2 = cc - s * s
-
-    n2 = (-m1 * l) * s * w2 + (m1 * g) * cs + f
-    dn2_dth = (-m1 * l) * c * w2 + (m1 * g) * c2
-    n3 = f * c + (-m1 * l) * cs * w2 + ((m2 + m1) * g) * s
-    dn3_dth = ((m2 + m1) * g) * c - f * s - (m1 * l) * c2 * w2
-    td_inv = theta_dot * inv
-
-    stack = np.shape(theta)
-    A = np.zeros(stack + (4, 4))
-    A[..., 0, 2] = 1.0
-    A[..., 1, 3] = 1.0
-    A[..., 2, 1] = (dn2_dth - n2 * r) * inv
-    A[..., 2, 3] = (-2.0 * m1 * l) * s * td_inv
-    A[..., 3, 1] = (dn3_dth - n3 * r) * inv_l
-    A[..., 3, 3] = (-2.0 * m1) * cs * td_inv
-
-    B = np.zeros(stack + (4, 1))
-    B[..., 2, 0] = inv
-    B[..., 3, 0] = c * inv_l
-    return A, B
+    _, K = pendulum_rhs(x, u, params, np.eye(4, 5).reshape((4, 5) + (1,) * (np.ndim(x) - 1)))
+    J = np.moveaxis(K, (0, 1), (-2, -1))
+    return J[..., :4], J[..., 4:]
 
 
 def stage_cost_terms(xs: np.ndarray, us: np.ndarray, cost: QuadraticCost):
@@ -238,6 +238,12 @@ class OcpProblem:
     with one point x (nx,), u (nu,) and with column stacks x (nx, n),
     u (nu, n); for a stack rhs returns (nx, n) and jac (n, nx, nx)/(n, nx, nu)
     stacks.  Constant Jacobians may be returned as 2-D blocks for either call.
+    ``tangent(x, u, S)`` is rhs with its directional derivative along a
+    stage tangent S (nx, nx+nu) or (nx, nx+nu, n): it returns
+    (rhs(x, u), dfdx S + [0 | dfdu]), and is what the shooting step calls,
+    once per RK4 stage.  It defaults to ``jacobian_tangent`` over rhs and
+    jac; the cart-pole supplies ``pendulum_rhs``'s fused form, which shares
+    the stage's subexpressions with f and forms no Jacobian.
     ``state_step(x, u, h)`` makes one RK4 step of one state (x a sequence
     of nx floats, a list or the array a previous step returned; u an (nu,)
     row; it returns nx floats, as a list or an array).
@@ -258,9 +264,12 @@ class OcpProblem:
     intervals: Sequence[IntegratorConfig]
     weight_scales: np.ndarray = field(default=None)
     state_step: Callable = field(default=None)
+    tangent: Callable = field(default=None)
     hs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.tangent is None:
+            self.tangent = jacobian_tangent(self.rhs, self.jac)
         if self.state_step is None:
             self.state_step = partial(rk4_state_step, self.rhs)
         self.hs = np.array([cfg.h for cfg in self.intervals], dtype=float)
@@ -313,8 +322,10 @@ def make_pendulum_problem(
     Coarser intervals therefore carry a coarser discretization, which is
     the accuracy trade nonuniform grids make.
     """
+    # closures look pendulum_rhs up at call time, so counting it in the module counts these
     rhs = lambda x, u: pendulum_rhs(x, u, params)
     jac = lambda x, u: pendulum_jacobians(x, u, params)
+    tangent = lambda x, u, S: pendulum_rhs(x, u, params, S)
     if interval_lengths is None:
         intervals = [IntegratorConfig(h=Ts)] * N  # frozen, so one config serves every interval
         scales = np.ones(N)
@@ -325,4 +336,4 @@ def make_pendulum_problem(
         scales = np.asarray(interval_lengths, dtype=float)
     return OcpProblem(dims=PENDULUM_DIMS, rhs=rhs, jac=jac, cost=cost, bounds=bounds,
                       intervals=intervals, weight_scales=scales,
-                      state_step=pendulum_state_step(params))
+                      state_step=pendulum_state_step(params), tangent=tangent)

@@ -133,9 +133,10 @@ class RtiController:
         du = sol.z
         xs = state.traj.xs + expand(prep.chain.Ghat, prep.chain.L, prep.sd.dx0, du)
         us = state.traj.us + du.reshape(self.bs.M, self.problem.dims.nu)
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(us))):  # a finite step may overflow
-            raise IntegrationDivergedError("trajectory update diverged")
-        traj = Trajectory(xs=xs, us=us)
+        try:
+            traj = Trajectory(xs=xs, us=us)  # checks finiteness: a finite step may overflow
+        except ValueError:
+            raise IntegrationDivergedError("trajectory update diverged") from None
         kkt = kkt_residual(prep.qp, sol, prep.sd.ds)
         t_total = prep.timings["prepare_total"] + (time.perf_counter() - t0)
         timings = {"shooting": prep.timings["shooting"],

@@ -129,7 +129,7 @@ def evaluate(problem: OcpProblem, bs: BlockStructure, traj: Trajectory,
     us = traj.us[bs.blocks]  # (N, nu): the input of each interval
     consts, bounds, cost = problem.constants, problem.bounds, problem.cost
 
-    x_end, As, Bs = integrate_interval(problem.hs, problem.rhs, problem.jac, xs[:N].T, us.T)
+    x_end, As, Bs = integrate_interval(problem.hs, problem.tangent, xs[:N].T, us.T)
     q, r = stage_cost_terms(xs[:N], us, cost)
     w = problem.weight_scales[:, None]
     c = xs[1:].dot(consts.CxN.T) + consts.c0

@@ -93,6 +93,35 @@ def rk4_linear_closed_form(Ac, Bc, h):
     return Ad, Bd
 
 
+def dense_rk4_step(rhs, jac, x, u, h):
+    """One RK4 step with sensitivities chained through dense stage Jacobians.
+
+    The reference of ``integrator.integrate_interval``'s tangent pass: stage
+    i forms d k_i/d x = J_i (I + c h d k_{i-1}/d x) and the like for u from
+    the full Jacobians of every stage, with x (nx,) or columns x (nx, n),
+    u (nu,)/(nu, n) and h scalar/(n,) as there.  The states take the
+    same IEEE operations as the package's, so x_next agrees bit for bit.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    h2, h6 = 0.5 * h, h / 6.0
+    hm = np.asarray(h)[..., None, None]  # step lengths against matrix stacks
+    I = np.eye(x.shape[0])
+    k1 = rhs(x, u)
+    J1x, J1u = jac(x, u)
+    k2 = rhs(x + h2 * k1, u)
+    J2x, J2u = jac(x + h2 * k1, u)
+    k2x, k2u = J2x @ (I + 0.5 * hm * J1x), J2x @ (0.5 * hm * J1u) + J2u
+    k3 = rhs(x + h2 * k2, u)
+    J3x, J3u = jac(x + h2 * k2, u)
+    k3x, k3u = J3x @ (I + 0.5 * hm * k2x), J3x @ (0.5 * hm * k2u) + J3u
+    k4 = rhs(x + h * k3, u)
+    J4x, J4u = jac(x + h * k3, u)
+    k4x, k4u = J4x @ (I + hm * k3x), J4x @ (hm * k3u) + J4u
+    return (x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            I + hm / 6.0 * (J1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            hm / 6.0 * (J1u + 2.0 * k2u + 2.0 * k3u + k4u))
+
+
 def seeded_pendulum_states(seed, n):
     """n cart-pole states; the first five have theta = -pi, -pi/2, 0, pi/2 and pi."""
     rng = np.random.default_rng(seed)

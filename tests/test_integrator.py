@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from blockmpc.integrator import IntegrationDivergedError, IntegratorConfig, integrate_interval, rk4_step
-from blockmpc.model import PendulumParams, pendulum_jacobians, pendulum_rhs
-from oracles import rk4_linear_closed_form
+from blockmpc.integrator import (IntegrationDivergedError, IntegratorConfig, integrate_interval,
+                                  jacobian_tangent, rk4_step)
+from blockmpc.harness import SchemeConfig, build_controller
+from blockmpc.model import (OcpProblem, PendulumParams, ProblemDims, QuadraticCost, StageBounds,
+                            pendulum_jacobians, pendulum_rhs)
+from oracles import (dense_rk4_step, pendulum_jacobians_quotient_rule, rk4_linear_closed_form,
+                     seeded_pendulum_states)
 
 PARAMS = PendulumParams()
 RHS = lambda x, u: pendulum_rhs(x, u, PARAMS)
 JAC = lambda x, u: pendulum_jacobians(x, u, PARAMS)
+TANGENT = lambda x, u, S: pendulum_rhs(x, u, PARAMS, S)  # the fused stage kernel
 
 
 def test_frozen_dynamics():
@@ -62,7 +67,8 @@ def test_interval_single_substep_equals_step():
     x = np.array([0.1, 3.0, -0.2, 0.4])
     u = np.array([1.5])
     assert all(np.array_equal(a, b) for a, b in
-               zip(integrate_interval(0.05, RHS, JAC, x, u), rk4_step(RHS, JAC, x, u, 0.05)))
+               zip(integrate_interval(0.05, jacobian_tangent(RHS, JAC), x, u),
+                   rk4_step(RHS, JAC, x, u, 0.05)))
 
 
 def _rel_err(a, b):
@@ -101,23 +107,77 @@ def test_batched_step_accepts_constant_jacobians():
         assert np.abs(x_next[:, k] - (Ad @ xs[:, k] + Bd @ us[:, k])).max() < 1e-12
 
 
+def assert_matches_dense_oracle(got, ref):
+    """x_next bit for bit, A and B to 1e-13 relative."""
+    assert np.array_equal(got[0], ref[0])
+    assert _rel_err(got[1], ref[1]) <= 1e-13 and _rel_err(got[2], ref[2]) <= 1e-13
+
+
+QR_JAC = lambda x, u: pendulum_jacobians_quotient_rule(x, u, PARAMS)
+
+
+@pytest.mark.parametrize("scheme", ["A", "B"])
+def test_cartpole_tangent_matches_dense_oracle_on_columns(scheme):
+    hs = build_controller(SchemeConfig(scheme=scheme).validate()).problem.hs  # B's are unequal
+    n = len(hs)
+    xs = seeded_pendulum_states(21, n).T
+    us = np.random.default_rng(22).uniform(-20, 20, size=(1, n))
+    got = integrate_interval(hs, TANGENT, xs, us)
+    assert got[1].shape == (n, 4, 4) and got[2].shape == (n, 4, 1)
+    assert_matches_dense_oracle(got, dense_rk4_step(RHS, QR_JAC, xs, us, hs))
+
+
+def test_cartpole_tangent_matches_dense_oracle_on_one_state():
+    x, u = np.array([0.1, 3.0, -0.2, 0.4]), np.array([1.5])
+    got = integrate_interval(0.025, TANGENT, x, u)
+    assert got[1].shape == (4, 4) and got[2].shape == (4, 1)
+    assert_matches_dense_oracle(got, dense_rk4_step(RHS, QR_JAC, x, u, 0.025))
+
+
+def _generic_rhs(x, u):
+    return np.array([x[1], -np.sin(x[0]) - 0.1 * x[1] + u[0], x[0] * x[2] + u[1] * x[1]])
+
+
+def _generic_jac(x, u):
+    """(3, 3)/(3, 2) blocks for one point, (n, 3, 3)/(n, 3, 2) stacks for columns."""
+    z, o = np.zeros_like(x[0]), np.ones_like(x[0])
+    Jx = np.array([[z, o, z], [-np.cos(x[0]), -0.1 * o, z], [x[2], u[1] * o, x[0]]])
+    Ju = np.array([[z, z], [o, z], [z, x[1]]])
+    return np.moveaxis(Jx, (0, 1), (-2, -1)), np.moveaxis(Ju, (0, 1), (-2, -1))
+
+
+def test_generic_tangent_of_rhs_jac_problem_matches_dense_oracle():
+    n = 7
+    cost = QuadraticCost(Q=np.eye(3), R=np.eye(2), QN=np.eye(3), x_ref=np.zeros(3),
+                         u_ref=np.zeros(2))
+    prob = OcpProblem(dims=ProblemDims(nx=3, nu=2), rhs=_generic_rhs, jac=_generic_jac,
+                      cost=cost, bounds=StageBounds.unbounded(3, 2),
+                      intervals=[IntegratorConfig(h=h) for h in np.linspace(0.05, 0.3, n)])
+    rng = np.random.default_rng(23)
+    xs, us = rng.uniform(-2, 2, size=(3, n)), rng.uniform(-2, 2, size=(2, n))
+    assert_matches_dense_oracle(integrate_interval(prob.hs, prob.tangent, xs, us),
+                                dense_rk4_step(_generic_rhs, _generic_jac, xs, us, prob.hs))
+    assert_matches_dense_oracle(rk4_step(_generic_rhs, _generic_jac, xs[:, 0], us[:, 0], 0.05),
+                                dense_rk4_step(_generic_rhs, _generic_jac, xs[:, 0], us[:, 0], 0.05))
+
+
 def test_interval_sensitivities_match_finite_differences():
     h = 0.025
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=4)
         u = rng.uniform(-10, 10, size=1)
-        _, A, B = integrate_interval(h, RHS, JAC, x, u)
+        _, A, B = integrate_interval(h, TANGENT, x, u)
         eps = 1e-6
         A_fd = np.zeros((4, 4))
         for i in range(4):
             e = np.zeros(4)
             e[i] = eps
-            xp, _, _ = integrate_interval(h, RHS, JAC, x + e, u)
-            xm, _, _ = integrate_interval(h, RHS, JAC, x - e, u)
+            xp, _, _ = integrate_interval(h, TANGENT, x + e, u)
+            xm, _, _ = integrate_interval(h, TANGENT, x - e, u)
             A_fd[:, i] = (xp - xm) / (2 * eps)
-        xp, _, _ = integrate_interval(h, RHS, JAC, x, u + eps)
-        xm, _, _ = integrate_interval(h, RHS, JAC, x, u - eps)
+        xp, _, _ = integrate_interval(h, TANGENT, x, u + eps)
+        xm, _, _ = integrate_interval(h, TANGENT, x, u - eps)
         B_fd = ((xp - xm) / (2 * eps)).reshape(4, 1)
         assert np.abs(A - A_fd).max() / max(1.0, np.abs(A).max()) < 1e-6
         assert np.abs(B - B_fd).max() / max(1.0, np.abs(B).max()) < 1e-6

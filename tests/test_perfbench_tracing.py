@@ -71,18 +71,22 @@ def test_traced_spans_are_reached_once_per_call(monkeypatch, scheme):
 
 
 STEP_COUNTS = {"integrator.integrate_interval.calls": 1, "model.rhs.calls": 4,
-               "model.jac.calls": 4}
+               "model.jac.calls": 0}
 
 
 @pytest.mark.parametrize("scheme", ["A", "C"])
 def test_traced_counters_read_one_batched_rk4_step_per_step(monkeypatch, scheme):
-    """One step is one batched RK4 step: 1 interval call, 4 rhs and 4 Jacobian calls."""
+    """One step is one batched tangent RK4 step: 1 interval call and 4 rhs calls.
+
+    The 4 rhs calls are the fused stage calls, each returning f and its
+    directional derivative; no dense Jacobian is formed.
+    """
     ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
     x0 = np.array([0.1, 3.0, 0.0, 0.0])
     state = ctrl.initial_state(x0)
     counts = count_span_calls(monkeypatch, STEP_COUNTS)
     ctrl.step(state, x0)
-    assert counts == STEP_COUNTS
+    assert {name: counts[name] for name in STEP_COUNTS} == STEP_COUNTS
 
 
 def test_setup_reaches_initial_state_once(monkeypatch):

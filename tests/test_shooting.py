@@ -106,14 +106,15 @@ def test_unit_blocks_match_blocked_evaluation_shapes():
 def test_block_input_sharing_instrumented():
     prob = pendulum_problem(N=6)
     seen = []
-    base_rhs = prob.rhs
-    prob.rhs = lambda x, u: (seen.append(np.array(u, dtype=float)), base_rhs(x, u))[1]
+    base_tangent = prob.tangent
+    prob.tangent = lambda x, u, S: (seen.append(np.array(u, dtype=float)),
+                                    base_tangent(x, u, S))[1]
     bs = from_block_lengths([2, 4])
     x0 = np.array([0.0, 3.0, 0.0, 0.0])
     traj = forward_simulate(prob, bs, x0, np.array([[1.5], [-0.5]]))
     seen.clear()
     evaluate(prob, bs, traj, x0)
-    # one batched RK4 step: 4 rhs calls, each on the input columns of all 6 intervals
+    # one batched tangent RK4 step: 4 stage calls, each on the input columns of all 6 intervals
     assert len(seen) == 4
     for u_cols in seen:
         assert u_cols.shape == (1, 6)

@@ -13,8 +13,10 @@ steps and then the other (the order alternates), each against its own
 plant, stepped as ``run_closed_loop`` steps it (``harness._plant_step``,
 which raises on a diverged plant state), so both schemes see the same
 machine state.  Per loop and over all
-loops it prints each scheme's median ``total`` and ``condensing`` times
-(ms, from ``RtiState.timings``) and the C/A ratios of those medians.
+loops it prints each scheme's median ``total``, ``condensing`` and
+``shooting`` times (ms, from ``RtiState.timings``) and the C/A ratios of
+the ``total`` and ``condensing`` medians; shooting is work both schemes
+share, so a cut in it shows next to the ratio it moves.
 
 ``--parent REV`` measures the committed tree of REV instead, written out
 with ``bench_pairs.extract`` (``git archive``) and run from its own ``src``.
@@ -37,10 +39,11 @@ import tempfile  # noqa: E402
 from bench_pairs import ROOT, extract  # noqa: E402
 
 SCHEMES = ("A", "C")
+PHASES = ("total", "condensing", "shooting")
 
 
 def closed_loops(loops: int) -> list[dict]:
-    """Per loop, {scheme: {"total": [s], "condensing": [s]}} of every sample."""
+    """Per loop, {scheme: {phase: [s] for each of PHASES}} of every sample."""
     import numpy as np
 
     from blockmpc.harness import SchemeConfig, _plant_step, build_controller
@@ -54,7 +57,7 @@ def closed_loops(loops: int) -> list[dict]:
         ctrls = {s: build_controller(cfgs[s]) for s in SCHEMES}
         xs = {s: np.array(cfg.x0, dtype=float) for s in SCHEMES}
         states = {s: ctrls[s].initial_state(xs[s]) for s in SCHEMES}
-        times = {s: {"total": [], "condensing": []} for s in SCHEMES}
+        times = {s: {p: [] for p in PHASES} for s in SCHEMES}
         for i in range(int(cfg.sim_time / cfg.Ts + 1e-9)):
             for s in SCHEMES if i % 2 == 0 else SCHEMES[::-1]:
                 u, states[s] = ctrls[s].step(states[s], xs[s])
@@ -67,7 +70,7 @@ def closed_loops(loops: int) -> list[dict]:
 
 def report(label: str, times: dict) -> str:
     med = {s: {p: statistics.median(v) * 1e3 for p, v in times[s].items()} for s in SCHEMES}
-    cells = [f"{s} total {med[s]['total']:.3f} condensing {med[s]['condensing']:.3f} ms"
+    cells = [f"{s} " + " ".join(f"{p} {med[s][p]:.3f}" for p in PHASES) + " ms"
              for s in SCHEMES]
     return (f"{label}: {' | '.join(cells)} | C/A total "
             f"{med['C']['total'] / med['A']['total']:.3f}, condensing "
@@ -94,7 +97,7 @@ def main(argv=None) -> int:
     loops = closed_loops(args.loops)
     for k, times in enumerate(loops, start=1):
         print(report(f"loop {k}", times), flush=True)
-    pooled = {s: {p: [t for times in loops for t in times[s][p]] for p in ("total", "condensing")}
+    pooled = {s: {p: [t for times in loops for t in times[s][p]] for p in PHASES}
               for s in SCHEMES}
     print(report("all loops", pooled))
     return 0

@@ -113,10 +113,13 @@ def pendulum_rhs(x: np.ndarray, u, params: PendulumParams, S: np.ndarray | None 
     Given a stage tangent S (4, 5) or (4, 5, n) (or (4, 5, 1), broadcast
     over the columns), it returns (f, K) with K = J_x S + [0 | J_u] of
     shape (4, 5) plus x's columns, the fused stage call of
-    ``integrate_interval``: the derivatives reuse f's sin, cos, den, w^2
-    and accelerations, and K's rows 0-1 are S's rows 2-3.  With
-    den = m2 + m1 - m1 c^2 the accelerations are n2/den and n3/(l den);
-    their theta derivatives are (dn/dtheta - acc dden)/den.
+    ``integrate_interval``: the derivatives reuse f's sin, cos, den,
+    w^2 (w = theta_dot) and accelerations, and K's rows 0-1 are S's rows 2-3.  The
+    accelerations solve (m1 + m2) p_dd - m1 l c th_dd = u - m1 l s w^2 and
+    l th_dd = c p_dd + g s (den = m2 + m1 - m1 c^2 is the determinant), so
+    with q = g c - s p_dd their differentials are
+    den dp_dd = du + m1 (c q - l (s th_dd + c w^2)) dtheta - 2 m1 l s w dw
+    and l dth_dd = c dp_dd + q dtheta.
     """
     _, theta, p_dot, theta_dot = x
     f = u[0] if np.ndim(u) else u
@@ -131,20 +134,14 @@ def pendulum_rhs(x: np.ndarray, u, params: PendulumParams, S: np.ndarray | None 
         return xdot
 
     inv = 1.0 / den
-    c2 = c * c - s * s
-    dden = (2.0 * m1) * c * s
-    td_inv = theta_dot * inv
+    q = g * c - s * p_dd
     K = np.empty(S.shape[:2] + np.shape(theta))
     K[:2] = S[2:]
-    # row 2: d p_dd/d theta, d p_dd/d theta_dot and d p_dd/d u = 1/den
-    np.multiply(((-m1 * l) * c * w2 + (m1 * g) * c2 - p_dd * dden) * inv, S[1], out=K[2])
-    K[2] += ((-2.0 * m1 * l) * s * td_inv) * S[3]
+    np.multiply((c * q - l * (s * th_dd + c * w2)) * (m1 * inv), S[1], out=K[2])
+    K[2] += ((-2.0 * m1 * l) * s * (theta_dot * inv)) * S[3]
     K[2, 4] += inv
-    # row 3: the same for th_dd, whose u derivative is c/(l den)
-    np.multiply((((m2 + m1) * g) * c - f * s - (m1 * l) * c2 * w2) * (inv / l)
-                - th_dd * dden * inv, S[1], out=K[3])
-    K[3] += ((-2.0 * m1) * c * s * td_inv) * S[3]
-    K[3, 4] += c * inv / l
+    np.multiply(c / l, K[2], out=K[3])
+    K[3] += (q / l) * S[1]
     return xdot, K
 
 

@@ -157,8 +157,9 @@ def test_generic_tangent_of_rhs_jac_problem_matches_dense_oracle():
     xs, us = rng.uniform(-2, 2, size=(3, n)), rng.uniform(-2, 2, size=(2, n))
     assert_matches_dense_oracle(integrate_interval(prob.hs, prob.tangent, xs, us),
                                 dense_rk4_step(_generic_rhs, _generic_jac, xs, us, prob.hs))
-    assert_matches_dense_oracle(rk4_step(_generic_rhs, _generic_jac, xs[:, 0], us[:, 0], 0.05),
-                                dense_rk4_step(_generic_rhs, _generic_jac, xs[:, 0], us[:, 0], 0.05))
+    x, u = xs[:, 0], us[:, 0]  # one point: the Jacobians are 2-D blocks
+    assert_matches_dense_oracle(rk4_step(_generic_rhs, _generic_jac, x, u, 0.05),
+                                dense_rk4_step(_generic_rhs, _generic_jac, x, u, 0.05))
 
 
 def test_interval_sensitivities_match_finite_differences():

@@ -6,11 +6,12 @@ steps:
 * the tailored route works directly on the blocked stage data and costs
   O(N*M) block operations (the fast path used by the controller).  Python
   loops remain only for the recurrences, one product per step: the forward
-  chain (``compute_L``: Phi, the residual chain, Ghat's column 0 and every
-  block's own rows), the rows of Ghat's later columns after their blocks,
-  and the Hhat sweep over all block columns at once.  Each loop runs a step
-  list of the structure's one ``CondensingWorkspace``, over buffers it owns.
-  Every other term is one stacked product that reads Ghat in place;
+  chain (``compute_L``: Phi, the residual chain, Ghat's column 0, every
+  block's own rows and the block transitions), Ghat's later columns, one
+  product per (column, later block), and the Hhat sweep over all block
+  columns at once.  Each loop runs a step list of the structure's one
+  ``CondensingWorkspace``, over buffers it owns.  Every other term is one
+  stacked product that reads Ghat in place;
 * the naive route condenses the unblocked problem in O(N^2) and then
   folds it with the explicit selection matrix T (kept as a test oracle
   and as the baseline for the complexity benchmark).
@@ -60,18 +61,21 @@ class ForwardChain:
     """The products of :func:`compute_L`; all but L are views of its workspace.
 
     P[k] = [Phi_k | L_d[k]] with Phi_k = A_k...A_0 and L_d the residual chain
-    at dx0 = 0, so L = Phi dx0 + L_d; G0[k] = Ghat[k]'s block column 0, and
-    own[k] = Ghat[k]'s block column blocks[k], the block interval k is in.
+    at dx0 = 0, so L = Phi dx0 + L_d; G0[k] = Ghat[k]'s block column 0,
+    own[k] = Ghat[k]'s block column blocks[k], the block interval k is in,
+    and Psi[k] = A_k...A_{I[b]} if k is in a block b >= 2 longer than one
+    interval (Psi has no columns if no block is).
     """
 
     P: np.ndarray    # (N, nx, nx+1)
     G0: np.ndarray   # (N, nx, nu)
     own: np.ndarray  # (N, nx, nu)
+    Psi: np.ndarray  # (N, nx, nx) or (N, nx, 0)
     L: np.ndarray    # (N, nx)
 
 
 class CondensingWorkspace:
-    """The buffers and per-node step lists of the three condensing recurrences.
+    """The buffers and step lists of the three condensing recurrences.
 
     They depend only on the block structure and (nx, nu), and equal
     structures and sizes share one, from :func:`workspace`, per process.
@@ -86,11 +90,15 @@ class CondensingWorkspace:
 
     def __init__(self, bs: BlockStructure, nx: int, nu: int):
         N, M, I = bs.N, bs.M, bs.I
+        in_psi = (bs.blocks >= 2) & (np.asarray(bs.lengths)[bs.blocks] > 1)
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], in_psi, [0]])))
+        self.psi_runs = [slice(a, b) for a, b in edges.reshape(-1, 2).tolist()]  # Psi's nodes
         self.g0 = g0 = slice(nx + 1, nx + 1 + nu)
         self.c = c = slice(nx + 1 + nu, nx + 1 + 2 * nu)
+        self.psi = psi = slice(c.stop, c.stop + nx * bool(self.psi_runs))
         # compute_L: node k reads Y[k] = [X_{k-1}; S_k] and writes Y[k+1, :nx]
         self.ABd = np.empty((N, nx, nx + nu + 1))  # [A_k | B_k | d_k]
-        self.Y = Y = np.zeros((N + 1, nx + nu + 1, c.stop))
+        self.Y = Y = np.zeros((N + 1, nx + nu + 1, psi.stop))
         Y[0, :nx, :nx] = np.eye(nx)
         Y[:, nx + nu, nx] = 1.0
         Y[:, nx:nx + nu, c] = np.eye(nu)
@@ -100,18 +108,20 @@ class CondensingWorkspace:
         ins, outs = list(Y), list(Y[1:, :nx])
         for k, ABd in enumerate(self.ABd):
             y = ins[k]
-            if k in bs.long_starts:  # a copy of Y[k] whose c stays zero
+            if k in bs.long_starts:  # a copy of Y[k] whose c stays zero and Psi the identity
                 y = y.copy()
                 y[:nx, c] = 0.0
+                y[:nx, psi] = np.eye(nx, psi.stop - psi.start)
                 self.chain_steps.append((np.copyto, y[:nx, :c.start], Y[k, :nx, :c.start]))
             self.chain_steps.append((ABd.dot, y, outs[k]))
-        # compute_Ghat: Gc[j, k] = block j of Ghat[k], zero before the block
-        self.As = np.empty((N, nx, nx))
-        self.Gc = np.zeros((M, N, nx, nu))
+        # compute_Ghat: Gc[j, k] = block j of Ghat[k], zero before the block; its
+        # rows in a later block b are the transitions of b times Gc[j, I[b]-1]
+        self.trans = np.empty((N, nx, nx))  # A_k, and the chain's Psi_k in psi_runs
+        self.Gc = Gc = np.zeros((M, N, nx, nu))
         self.nodes = np.arange(N)
-        dots, cols = [a.dot for a in self.As], [list(col) for col in self.Gc]
-        self.column_steps = [(dots[k], cols[j][k - 1], cols[j][k])
-                             for j in range(1, M - 1) for k in range(I[j + 1], N)]
+        dots = [self.trans[a:b].reshape(-1, nx).dot for a, b in zip(I, I[1:])]
+        self.column_steps = [(dots[b], Gc[j, I[b] - 1], Gc[j, I[b]:I[b + 1]].reshape(-1, nu))
+                             for j in range(1, M - 1) for b in range(j + 1, M)]
         # compute_Hhat: node k reads Z[k] = [W_{k+1}; Q_k Ghat[k-1]] and writes
         # W_k = [A_k' | I] Z[k] into Z[k-1, :nx]
         self.AtI = np.zeros((N, nx, 2 * nx))
@@ -131,19 +141,21 @@ def workspace(bs: BlockStructure, nx: int, nu: int) -> CondensingWorkspace:
 
 def compute_L(sd: StageData, bs: BlockStructure,
               counter: FlopCounter | None = None) -> ForwardChain:
-    """The forward chain: Phi, L_d, Ghat's column 0 and every block's own rows.
+    """The forward chain: Phi, L_d, Ghat's column 0, every block's own rows, Psi.
 
     Node k is one product X_k = [A_k | B_k | d_k] [X_{k-1}; S_k] with
-    X_k = [Phi_k | L_d[k] | g0_k | c_k] and X_{-1} = [I | 0 | 0 | 0]; the
-    constant selector rows S_k route B_k into c, and into g0 inside block 0
-    only, and d_k into L_d.  c is the sensitivity to the current block's
-    input.  It restarts from zero at the first node of each block longer
-    than one interval: that node reads a copy of X_{k-1} whose c columns
-    stay zero, so the previous block's last row stays in the buffer.  A unit
-    block takes B_k instead.  Node k writes row k+1 of the workspace's
-    (N+1, nx+nu+1, nx+1+2nu) buffer, whose selector rows are filled once, so
-    the chain is N products plus one copy per restart, and L is the one
-    stacked product P [dx0; 1].  Everything but L is independent of dx0.
+    X_k = [Phi_k | L_d[k] | g0_k | c_k | Psi_k] and X_{-1} = [I | 0 | ...];
+    the constant selector rows S_k route B_k into c, and into g0 inside
+    block 0 only, and d_k into L_d.  c is the sensitivity to the current
+    block's input and Psi the transition through it, A_k...A_{I[b]}.  Both
+    restart at the first node of each block longer than one interval: that
+    node reads a copy of X_{k-1} whose c stays zero and Psi the identity, so
+    the previous block's last row stays in the buffer.  A unit block takes
+    B_k for c.  Psi has nx columns if a block b >= 2 is longer than one
+    interval, else none.  Node k writes row k+1 of the workspace's
+    (N+1, nx+nu+1, nx+1+2nu [+nx]) buffer, whose selector rows are filled
+    once, so the chain is N products plus one copy per restart, and L is
+    the one stacked product P [dx0; 1].  Everything but L is independent of dx0.
     """
     N, nx, nu = sd.N, sd.nx, sd.nu
     ws = workspace(bs, nx, nu)
@@ -157,34 +169,38 @@ def compute_L(sd: StageData, bs: BlockStructure,
     ws.dx1[:nx] = sd.dx0
     L = P.dot(ws.dx1)
     if counter is not None:
-        counter.mults += N * nx * ((nx + nu + 1) * ws.c.stop + nx + 1)
-    return ForwardChain(P=P, G0=X[:, :, ws.g0], own=own, L=L)
+        counter.mults += N * nx * ((nx + nu + 1) * ws.psi.stop + nx + 1)
+    return ForwardChain(P=P, G0=X[:, :, ws.g0], own=own, Psi=X[:, :, ws.psi], L=L)
 
 
 def compute_Ghat(sd: StageData, bs: BlockStructure, counter: FlopCounter | None = None,
                  chain: ForwardChain | None = None) -> np.ndarray:
-    """Blocked sensitivity chain, O(N*M) block products.
+    """Blocked sensitivity chain, O(N*M) multiplies in (M-1)(M-2)/2 products.
 
     Column 0, and each column's rows inside its own block, are read from the
     forward chain (``chain``, or ``compute_L`` run here when it is None).  The
     loop is left with the rows after the block of columns 1..M-2, where a
-    column only propagates through A: N - I[j+1] products for column j, each
-    made into the workspace's column-major buffer from a C-contiguous copy of
-    the A stack.  Returns a fresh C-contiguous (N, nx, M*nu) array, the
-    layout every consumer reads.
+    column only propagates through A: its rows in block b are the block
+    transitions Psi_k of b's nodes times its row I[b]-1, one product per
+    (column, later block) into the workspace's column-major buffer.  Psi is
+    a C-contiguous copy of the A stack (Psi_k = A_k in a unit block) with
+    the chain's Psi copied in over the longer blocks.  Returns a fresh
+    C-contiguous (N, nx, M*nu) array, the layout every consumer reads.
     """
     N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     ws = workspace(bs, nx, nu)
     if chain is None:
         chain = compute_L(sd, bs, counter)
-    np.copyto(ws.As, sd.As)
+    np.copyto(ws.trans, sd.As)
+    for run in ws.psi_runs:
+        ws.trans[run] = chain.Psi[run]
     Gc = ws.Gc
     Gc[bs.blocks, ws.nodes] = chain.own
     Gc[0] = chain.G0
     for f, a, b in ws.column_steps:
         f(a, b)
-    if counter is not None:  # the recurrence's products, made one at a time
-        counter.mults += len(ws.column_steps) * nx * nx * nu
+    if counter is not None:  # the recurrence's products, one block at a time
+        counter.mults += sum(out.size for *_, out in ws.column_steps) * nx
     return Gc.transpose(1, 2, 0, 3).copy().reshape(N, nx, M * nu)
 
 

@@ -183,9 +183,9 @@ def compute_Ghat(sd: StageData, bs: BlockStructure, counter: FlopCounter | None 
     column only propagates through A: its rows in block b are the block
     transitions Psi_k of b's nodes times its row I[b]-1, one product per
     (column, later block) into the workspace's column-major buffer.  Psi is
-    a C-contiguous copy of the A stack (Psi_k = A_k in a unit block) with
-    the chain's Psi copied in over the longer blocks.  Returns a fresh
-    C-contiguous (N, nx, M*nu) array, the layout every consumer reads.
+    the workspace's C-contiguous ``trans``, the A stack (Psi_k = A_k in a
+    unit block) with the chain's Psi copied over the longer blocks.  Returns
+    a fresh C-contiguous (N, nx, M*nu) array, the layout every consumer reads.
     """
     N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     ws = workspace(bs, nx, nu)

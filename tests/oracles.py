@@ -413,6 +413,15 @@ def loop_Ghat(sd, bs):
     return Gh
 
 
+def loop_block_transitions(sd, bs):
+    """Block transitions Psi_k = A_k ... A_{I[b]} of node k in block b, one node at a time."""
+    Psi = np.zeros((sd.N, sd.nx, sd.nx))
+    for k in range(sd.N):
+        first = k == bs.I[find_block(bs.I, k)]
+        Psi[k] = sd.As[k] @ (np.eye(sd.nx) if first else Psi[k - 1])
+    return Psi
+
+
 def loop_L(sd, dx0):
     """Residual chain L[k] = A_k L[k-1] + d_k with L[-1] = dx0, one node at a time."""
     L = np.zeros((sd.N, sd.nx))

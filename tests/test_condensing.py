@@ -23,6 +23,7 @@ from oracles import (
     dense_condense,
     ghat_blocks,
     kron_T,
+    loop_block_transitions,
     loop_condense_constraints,
     loop_Ghat,
     loop_ghat,
@@ -179,6 +180,82 @@ def test_forward_chain_matches_loops_across_restarts(lengths, nu):
     rng = np.random.default_rng(40 + nu)
     bs, sd = ragged_stage_data(rng, lengths, 3, nu)
     check_forward_chain(sd, bs)
+
+
+# --- block transitions and the block-by-block Ghat step -----------------------
+
+def psi_nodes(bs):
+    """The nodes of the blocks b >= 2 longer than one interval, where the chain carries Psi."""
+    return [k for b in range(2, bs.M) if bs.lengths[b] > 1 for k in range(bs.I[b], bs.I[b + 1])]
+
+
+def check_block_transitions(sd, bs):
+    chain = compute_L(sd, bs)
+    nodes = psi_nodes(bs)
+    assert chain.Psi.shape == (bs.N, sd.nx, sd.nx if nodes else 0)
+    if nodes:
+        assert_rel(chain.Psi[nodes], loop_block_transitions(sd, bs)[nodes])
+    assert_rel(ghat_blocks(compute_Ghat(sd, bs, chain=chain), sd.nu), loop_Ghat(sd, bs))
+    assert len(workspace(bs, sd.nx, sd.nu).column_steps) == (bs.M - 1) * (bs.M - 2) // 2
+
+
+TRANSITION_LAYOUTS = {
+    "long-after-units": [1, 1, 4, 2],
+    "long-block-0": [4, 1, 1, 3],
+    "long-block-1": [1, 4, 1, 2, 1],
+    "units-between-longs": [2, 1, 3, 1, 1, 5, 1],
+    "only-block-1-long": [1, 5, 1, 1],
+    "M1": [6],
+    "M2": [2, 5],
+    "M3": [1, 2, 3],
+    "M3-units": [1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("lengths", TRANSITION_LAYOUTS.values(), ids=TRANSITION_LAYOUTS.keys())
+def test_block_transitions_match_loop_on_mixed_layouts(lengths, nu):
+    rng = np.random.default_rng(50 + nu)
+    bs, sd = ragged_stage_data(rng, lengths, 3, nu)
+    check_block_transitions(sd, bs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_transitions_match_loop_on_random_partitions(seed):
+    rng = np.random.default_rng(60 + seed)
+    lengths = [1, 1] + random_block_structure(rng, 14)  # every layout has blocks b >= 2
+    bs, sd = ragged_stage_data(rng, lengths, 3, 1 + seed % 3)
+    check_block_transitions(sd, bs)
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_block_transitions_match_loop_on_scheme_data(scheme):
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    check_block_transitions(sd, bs)
+
+
+def test_unit_blocks_ghat_is_the_node_by_node_recurrence_bit_for_bit():
+    # with unit blocks every block product is the one-node product A_k Ghat[k-1]
+    bs, sd = perturbed_scheme_stage_data("A")
+    Gh = ghat_blocks(compute_Ghat(sd, bs), sd.nu)
+    for j in range(1, bs.M - 1):
+        for k in range(j + 1, bs.N):
+            assert np.array_equal(Gh[k, j], sd.As[k].dot(Gh[k - 1, j]))
+
+
+@pytest.mark.parametrize("scheme, steps, width, mults", [
+    ("A", 3_081, 7, 473_296), ("B", 36, 7, 8_776), ("C", 36, 11, 82_496)])
+def test_column_steps_chain_width_and_counts_are_pinned(scheme, steps, width, mults):
+    # (M-1)(M-2)/2 column products.  Unit-block structures (A, B) carry no Psi
+    # columns, so the chain is nx+1+2nu wide; C's chain is nx wider, and its
+    # Psi columns make N nx (nx+nu+1) nx = 7,680 of C's multiplies.
+    bs, sd = perturbed_scheme_stage_data(scheme)
+    counter = FlopCounter()
+    condense(sd, bs, counter)
+    ws = workspace(bs, sd.nx, sd.nu)
+    assert len(ws.column_steps) == (bs.M - 1) * (bs.M - 2) // 2 == steps
+    assert ws.Y.shape[2] == width
+    assert counter.mults == mults
 
 
 # --- Hhat --------------------------------------------------------------------

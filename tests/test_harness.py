@@ -355,6 +355,14 @@ def test_bench_unit_blocks_counts_agree_within_constant():
     assert 1.0 <= ratio <= 3.0
 
 
+def test_bench_unit_blocks_counts_are_pinned():
+    # the exact counts behind the ratio above, whose margin over 1.0 is thin: a
+    # product added to the tailored count of unit blocks shows here first
+    rows = bench_condensing(nx=4, nu=1, M_fixed=20, N_list=[20], reps=1, seed=2)
+    assert (rows[0]["naive_mults"], rows[0]["tailored_mults"]) == (36_624, 30_256)
+    assert round(rows[0]["naive_mults"] / rows[0]["tailored_mults"], 2) == 1.21
+
+
 def test_bench_paper_point_count_ratio():
     # N = 80, M = 10: tailored/naive multiply ratio is of order M/N
     rows = bench_condensing(nx=4, nu=1, M_fixed=10, N_list=[80], reps=1, seed=3)

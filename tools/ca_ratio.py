@@ -18,6 +18,12 @@ loops it prints each scheme's median ``total``, ``condensing`` and
 the ``total`` and ``condensing`` medians; shooting is work both schemes
 share, so a cut in it shows next to the ratio it moves.
 
+Last, outside the timed loops, it counts the calls of one step per scheme,
+sample 30 of a closed loop from the default start, with a ``sys.setprofile``
+hook: the C-level calls, of them the ``ndarray.dot`` calls, and the Python
+calls.  The counts are exact and repeat run to run, where times do not.
+Operator ufuncs (``a + b``) raise no ``c_call`` event and are not counted.
+
 ``--parent REV`` measures the committed tree of REV instead, written out
 with ``bench_pairs.extract`` (``git archive``) and run from its own ``src``.
 BLAS is pinned to one thread, as in ``perfbench/run.py``.
@@ -40,18 +46,27 @@ from bench_pairs import ROOT, extract  # noqa: E402
 
 SCHEMES = ("A", "C")
 PHASES = ("total", "condensing", "shooting")
+COUNTED_SAMPLE = 30
+
+
+def default_loop():
+    """({scheme: config} of SCHEMES, the plant kernel they share)."""
+    from blockmpc.harness import SchemeConfig
+    from blockmpc.model import PendulumParams, pendulum_state_step
+
+    cfgs = {s: SchemeConfig(scheme=s).validate() for s in SCHEMES}
+    cfg = cfgs["C"]  # the schemes share every other key
+    return cfgs, pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
 
 
 def closed_loops(loops: int) -> list[dict]:
     """Per loop, {scheme: {phase: [s] for each of PHASES}} of every sample."""
     import numpy as np
 
-    from blockmpc.harness import SchemeConfig, _plant_step, build_controller
-    from blockmpc.model import PendulumParams, pendulum_state_step
+    from blockmpc.harness import _plant_step, build_controller
 
-    cfgs = {s: SchemeConfig(scheme=s).validate() for s in SCHEMES}
-    cfg = cfgs["C"]  # the schemes share every other key
-    plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
+    cfgs, plant = default_loop()
+    cfg = cfgs["C"]
     out = []
     for _ in range(loops):
         ctrls = {s: build_controller(cfgs[s]) for s in SCHEMES}
@@ -65,6 +80,39 @@ def closed_loops(loops: int) -> list[dict]:
                     seconds.append(states[s].timings[phase])
                 xs[s] = _plant_step(plant, xs[s], u, cfg.Ts, cfg.plant_substeps)
         out.append(times)
+    return out
+
+
+def step_calls() -> dict:
+    """{scheme: (C-level calls, of them ndarray.dot, Python calls)} of sample COUNTED_SAMPLE."""
+    import numpy as np
+
+    from blockmpc.harness import _plant_step, build_controller
+
+    cfgs, plant = default_loop()
+    out = {}
+    for s, cfg in cfgs.items():
+        ctrl, x = build_controller(cfg), np.array(cfg.x0, dtype=float)
+        state = ctrl.initial_state(x)
+        for _ in range(COUNTED_SAMPLE):
+            u, state = ctrl.step(state, x)
+            x = _plant_step(plant, x, u, cfg.Ts, cfg.plant_substeps)
+        n = [0, 0, 0]
+
+        def hook(frame, event, arg):
+            if event == "call":
+                n[2] += 1
+            elif event == "c_call" and arg is not sys.setprofile:
+                n[0] += 1
+                n[1] += arg.__name__ == "dot" and isinstance(getattr(arg, "__self__", None),
+                                                             np.ndarray)
+
+        sys.setprofile(hook)
+        try:
+            ctrl.step(state, x)
+        finally:
+            sys.setprofile(None)
+        out[s] = tuple(n)
     return out
 
 
@@ -100,6 +148,10 @@ def main(argv=None) -> int:
     pooled = {s: {p: [t for times in loops for t in times[s][p]] for p in PHASES}
               for s in SCHEMES}
     print(report("all loops", pooled))
+    calls = step_calls()
+    print(f"calls in step {COUNTED_SAMPLE}: " + " | ".join(
+        f"{s} C-level {c:,} (ndarray.dot {d:,}), Python {p:,}" for s, (c, d, p) in calls.items())
+        + f" | C/A C-level {calls['C'][0] / calls['A'][0]:.3f}")
     return 0
 
 

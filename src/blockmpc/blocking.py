@@ -21,8 +21,8 @@ class InvalidBlockStructureError(ValueError):
 @dataclass(frozen=True)
 class BlockStructure:
     """Partition of N shooting intervals into M input blocks, stored as its
-    start indices I alone.  N, M, the lengths and the other constants of the
-    structure are cached properties, built once and shared read-only."""
+    start indices I alone.  N, M, the lengths, each interval's block and the
+    block-sum rows are cached properties, built once and shared read-only."""
 
     I: tuple[int, ...]
 
@@ -52,31 +52,11 @@ class BlockStructure:
         return _frozen(np.repeat(np.arange(self.M), self.lengths))
 
     @cached_property
-    def long_starts(self) -> frozenset:
-        """First intervals of the blocks after block 0 that are longer than one interval."""
-        return frozenset(s for s, n in zip(self.I[1:], self.lengths[1:]) if n > 1)
-
-    @cached_property
-    def unit_nodes(self) -> np.ndarray:
-        """Intervals that form a block of their own."""
-        return _frozen(np.flatnonzero(np.asarray(self.lengths)[self.blocks] == 1))
-
-    @cached_property
     def sum_rows(self) -> np.ndarray:
         """(M, max length) gather rows of ``block_sums``, padded with N (a zero row)."""
         pos = np.arange(max(self.lengths))
         start = np.asarray(self.I[:-1])[:, None]
         return _frozen(np.where(pos < np.asarray(self.lengths)[:, None], start + pos, self.N))
-
-    @cached_property
-    def sum_rows_descending(self) -> np.ndarray:
-        """``sum_rows`` from each block's last interval to its first, padding first."""
-        return self.sum_rows[:, ::-1]
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        """(M, M) mask of the strict upper block triangle."""
-        return _frozen(np.triu(np.ones((self.M, self.M), dtype=bool), 1))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -110,14 +90,14 @@ def unit_blocks(N: int) -> BlockStructure:
     return from_block_lengths([1] * N)
 
 
-def block_sums(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum the rows of x (N, ...) over blocks: (M, ...).
+def block_sums(x: np.ndarray, bs: BlockStructure) -> np.ndarray:
+    """Sum the rows of x (N, ...) over the blocks of ``bs``: (M, ...).
 
-    ``rows`` is ``bs.sum_rows`` or ``bs.sum_rows_descending``; each block's
-    rows are added in that order, so the sums round like a loop accumulating
-    from zero (``np.add.reduceat`` adds a block's first row last).
+    Each block's rows are added from its first interval to its last, so the
+    sums round like a loop accumulating from zero (``np.add.reduceat`` adds
+    a block's first row last).
     """
-    padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])[rows]
+    padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])[bs.sum_rows]
     return np.add.accumulate(padded, axis=1)[:, -1]
 
 

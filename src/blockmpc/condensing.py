@@ -79,6 +79,9 @@ class CondensingWorkspace:
 
     They depend only on the block structure and (nx, nu), and equal
     structures and sizes share one, from :func:`workspace`, per process.
+    Their nodes follow one rule: a node of a block longer than one interval
+    takes its rows and transition from the forward chain, restarted at the
+    block's first node, and a node of a unit block takes B_k and A_k.
     Each recurrence is a prebuilt list of steps ``(f, a, b)`` run as
     ``f(a, b)``: a bound ``ndarray.dot`` of a buffer view with its operand
     and output views (``out`` passed by position) or, at a chain restart,
@@ -89,8 +92,12 @@ class CondensingWorkspace:
     """
 
     def __init__(self, bs: BlockStructure, nx: int, nu: int):
-        N, M, I = bs.N, bs.M, bs.I
-        in_psi = (bs.blocks >= 2) & (np.asarray(bs.lengths)[bs.blocks] > 1)
+        N, M, I, blocks = bs.N, bs.M, bs.I, bs.blocks
+        self.nodes = nodes = np.arange(N)
+        long = np.asarray(bs.lengths)[blocks] > 1
+        restarts = (long & (blocks >= 1) & (nodes == np.asarray(I)[blocks])).tolist()
+        self.units = np.flatnonzero(~long)  # the nodes whose own rows are B_k
+        in_psi = long & (blocks >= 2)  # Ghat steps into blocks b >= 2 only
         edges = np.flatnonzero(np.diff(np.concatenate([[0], in_psi, [0]])))
         self.psi_runs = [slice(a, b) for a, b in edges.reshape(-1, 2).tolist()]  # Psi's nodes
         self.g0 = g0 = slice(nx + 1, nx + 1 + nu)
@@ -108,7 +115,7 @@ class CondensingWorkspace:
         ins, outs = list(Y), list(Y[1:, :nx])
         for k, ABd in enumerate(self.ABd):
             y = ins[k]
-            if k in bs.long_starts:  # a copy of Y[k] whose c stays zero and Psi the identity
+            if restarts[k]:  # a copy of Y[k] whose c stays zero and Psi the identity
                 y = y.copy()
                 y[:nx, c] = 0.0
                 y[:nx, psi] = np.eye(nx, psi.stop - psi.start)
@@ -118,15 +125,18 @@ class CondensingWorkspace:
         # rows in a later block b are the transitions of b times Gc[j, I[b]-1]
         self.trans = np.empty((N, nx, nx))  # A_k, and the chain's Psi_k in psi_runs
         self.Gc = Gc = np.zeros((M, N, nx, nu))
-        self.nodes = np.arange(N)
-        dots = [self.trans[a:b].reshape(-1, nx).dot for a, b in zip(I, I[1:])]
-        self.column_steps = [(dots[b], Gc[j, I[b] - 1], Gc[j, I[b]:I[b + 1]].reshape(-1, nu))
+        rows = [slice(a * nx, b * nx) for a, b in zip(I, I[1:])]  # block b's rows
+        last = [slice(r.start - nx, r.start) for r in rows]  # the row before block b
+        cols = list(Gc.reshape(M, N * nx, nu))
+        dots = [self.trans.reshape(N * nx, nx)[r].dot for r in rows]
+        self.column_steps = [(dots[b], cols[j][last[b]], cols[j][rows[b]])
                              for j in range(1, M - 1) for b in range(j + 1, M)]
         # compute_Hhat: node k reads Z[k] = [W_{k+1}; Q_k Ghat[k-1]] and writes
         # W_k = [A_k' | I] Z[k] into Z[k-1, :nx]
         self.AtI = np.zeros((N, nx, 2 * nx))
         self.AtI[:, :, nx:] = np.eye(nx)
         self.Z = np.zeros((N, 2 * nx, M * nu))
+        self.upper = np.triu(np.ones((M, M), dtype=bool), 1)  # the blocks H mirrors
         dots, ins, outs = [a.dot for a in self.AtI], list(self.Z), list(self.Z[:, :nx])
         self.sweep_steps = [(dots[k], ins[k], outs[k - 1]) for k in range(N - 1, 0, -1)]
 
@@ -148,14 +158,13 @@ def compute_L(sd: StageData, bs: BlockStructure,
     the constant selector rows S_k route B_k into c, and into g0 inside
     block 0 only, and d_k into L_d.  c is the sensitivity to the current
     block's input and Psi the transition through it, A_k...A_{I[b]}.  Both
-    restart at the first node of each block longer than one interval: that
-    node reads a copy of X_{k-1} whose c stays zero and Psi the identity, so
-    the previous block's last row stays in the buffer.  A unit block takes
-    B_k for c.  Psi has nx columns if a block b >= 2 is longer than one
-    interval, else none.  Node k writes row k+1 of the workspace's
-    (N+1, nx+nu+1, nx+1+2nu [+nx]) buffer, whose selector rows are filled
-    once, so the chain is N products plus one copy per restart, and L is
-    the one stacked product P [dx0; 1].  Everything but L is independent of dx0.
+    restart by the workspace's node rule, from a copy of X_{k-1} whose c is
+    zero and Psi the identity, so the previous block's last row stays in the
+    buffer; unit-block nodes take B_k for c.  Psi has nx columns if a block
+    b >= 2 is longer than one interval, else none.  Node k writes row k+1 of
+    the workspace's (N+1, nx+nu+1, nx+1+2nu [+nx]) buffer, whose selector
+    rows are filled once: the chain is N products plus one copy per restart,
+    and only L = P [dx0; 1], one stacked product, reads dx0.
     """
     N, nx, nu = sd.N, sd.nx, sd.nu
     ws = workspace(bs, nx, nu)
@@ -164,7 +173,7 @@ def compute_L(sd: StageData, bs: BlockStructure,
         f(a, b)
     X = ws.Y[1:, :nx]
     own = X[:, :, ws.c]
-    own[bs.unit_nodes] = sd.Bs[bs.unit_nodes]
+    own[ws.units] = sd.Bs[ws.units]
     P = X[:, :, :nx + 1]
     ws.dx1[:nx] = sd.dx0
     L = P.dot(ws.dx1)
@@ -217,8 +226,7 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     through the columns i > blk[k] that start after stage k, but what it
     adds there lands in that upper triangle, which the mirror overwrites.
     """
-    N, M = bs.N, bs.M
-    nx, nu = sd.nx, sd.nu
+    N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     ws = workspace(bs, nx, nu)
     Z = ws.Z
     np.copyto(ws.AtI[:, :, :nx], sd.As.transpose(0, 2, 1))
@@ -229,9 +237,9 @@ def compute_Hhat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     if counter is not None:  # the sweep's products, identity half included
         counter.mults += len(ws.sweep_steps) * 2 * nx * nx * M * nu
     BW = _mm(counter, sd.Bs.transpose(0, 2, 1), Z[:, :nx])  # B_k' W_{k+1}
-    H4 = block_sums(BW.reshape(N, nu, M, nu).swapaxes(1, 2), bs.sum_rows)
-    H4[np.diag_indices(M)] += block_sums(sd.Rs, bs.sum_rows)
-    H4[bs.upper] = np.swapaxes(H4, 0, 1)[bs.upper].swapaxes(1, 2)
+    H4 = block_sums(BW.reshape(N, nu, M, nu).swapaxes(1, 2), bs)
+    H4[np.diag_indices(M)] += block_sums(sd.Rs, bs)
+    H4[ws.upper] = np.swapaxes(H4, 0, 1)[ws.upper].swapaxes(1, 2)
     return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)
 
 
@@ -239,9 +247,8 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
                  L: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
     """Reduced gradient at the zero input step, one stacked product with Ghat.
 
-    With v_k = q_k + Q_k L[k-1] the state gradient at node k (qN, QN at
-    k = N), block j collects its columns of sum_k Ghat[k-1]' v_k plus the r_k
-    of its own stages, summed from the last stage of the block down to the first.
+    With v_k = q_k + Q_k L[k-1] the state gradient at node k (qN, QN at k = N),
+    block j collects its columns of sum_k Ghat[k-1]' v_k plus its stages' r_k.
     """
     N, M, nx, nu = bs.N, bs.M, sd.nx, sd.nu
     if Ghat.shape != (N, nx, M * nu):
@@ -249,7 +256,7 @@ def compute_ghat(sd: StageData, bs: BlockStructure, Ghat: np.ndarray,
     vs = np.empty((N, nx))  # v_1, ..., v_N
     vs[:-1] = sd.qs[1:] + _mm(counter, sd.Qs[1:], L[:-1, :, None])[:, :, 0]
     vs[-1] = sd.qN + _mm(counter, sd.QN, L[N - 1])
-    own = block_sums(sd.rs, bs.sum_rows_descending).reshape(M * nu)
+    own = block_sums(sd.rs, bs).reshape(M * nu)
     Gm = Ghat.reshape(N * nx, M * nu)  # rows (k, x), columns (j, u)
     return own + _mm(counter, vs.reshape(N * nx), Gm)
 

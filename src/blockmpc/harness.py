@@ -33,7 +33,6 @@ from .model import (
     QuadraticCost,
     StageBounds,
     make_pendulum_problem,
-    pendulum_state_step,
 )
 from .rti import KktReport, RtiController
 from .shooting import StageData
@@ -260,7 +259,7 @@ def run_closed_loop(cfg: SchemeConfig) -> SimLog:
     """
     cfg.validate()
     controller = build_controller(cfg)
-    plant = pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
+    plant = controller.problem.state_step  # the nominal plant is the model's own kernel
 
     n_samples = int(np.floor(cfg.sim_time / cfg.Ts + 1e-9))
     log = SimLog(config=config_echo(cfg))

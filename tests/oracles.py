@@ -492,8 +492,8 @@ def column_Hhat(sd, bs, Ghat):
             W[k - s - 1] += AT[k].dot(W[k - s])
         Htmp[s:, i] = BT[s:] @ Ws
 
-    H4 = block_sums(Htmp, bs.sum_rows)
-    H4[np.diag_indices(M)] += block_sums(sd.Rs, bs.sum_rows)
+    H4 = block_sums(Htmp, bs)
+    H4[np.diag_indices(M)] += block_sums(sd.Rs, bs)
     upper = np.triu(np.ones((M, M), dtype=bool), 1)
     H4[upper] = np.swapaxes(H4, 0, 1)[upper].swapaxes(1, 2)
     return H4.transpose(0, 2, 1, 3).reshape(M * nu, M * nu)

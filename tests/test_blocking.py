@@ -140,15 +140,8 @@ def structure_constants_by_definition(bs):
     N, M, I = bs.N, bs.M, bs.I
     width = max(bs.lengths)
     blk = [find_block(I, k) for k in range(N)]
-    asc = [list(range(I[j], I[j + 1])) + [N] * (width - bs.lengths[j]) for j in range(M)]
-    desc = [[N] * (width - bs.lengths[j]) + list(range(I[j + 1] - 1, I[j] - 1, -1))
-            for j in range(M)]
-    return {
-        "blocks": np.array(blk),
-        "sum_rows": np.array(asc),
-        "sum_rows_descending": np.array(desc),
-        "upper": np.array([[i < j for j in range(M)] for i in range(M)]),
-    }
+    rows = [list(range(I[j], I[j + 1])) + [N] * (width - bs.lengths[j]) for j in range(M)]
+    return {"blocks": np.array(blk), "sum_rows": np.array(rows)}
 
 
 def test_structure_constants_match_definition_and_are_read_only():
@@ -163,11 +156,10 @@ def test_structure_constants_match_definition_and_are_read_only():
             assert got.shape == ref.shape and np.array_equal(got, ref), name
             with pytest.raises(ValueError):
                 got[(0,) * got.ndim] = got[(0,) * got.ndim]
-        # block_sums adds each block's rows in the gather order, like a loop from zero
+        # block_sums adds each block's rows first to last, like a loop from zero
         x = rng.standard_normal((bs.N, 2))
-        for rows, order in ((bs.sum_rows, 1), (bs.sum_rows_descending, -1)):
-            ref = np.zeros((bs.M, 2))
-            for j in range(bs.M):
-                for k in range(bs.I[j], bs.I[j + 1])[::order]:
-                    ref[j] += x[k]
-            assert np.array_equal(block_sums(x, rows), ref)
+        ref = np.zeros((bs.M, 2))
+        for j in range(bs.M):
+            for k in range(bs.I[j], bs.I[j + 1]):
+                ref[j] += x[k]
+        assert np.array_equal(block_sums(x, bs), ref)

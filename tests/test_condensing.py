@@ -15,7 +15,7 @@ from blockmpc.condensing import (
     naive_condense,
     workspace,
 )
-from blockmpc.harness import synthetic_stage_data
+from blockmpc.harness import SchemeConfig, _plant_step, build_controller, synthetic_stage_data
 from blockmpc.model import ProblemDims
 from blockmpc.shooting import StageData
 from oracles import (
@@ -182,6 +182,42 @@ def test_forward_chain_matches_loops_across_restarts(lengths, nu):
     check_forward_chain(sd, bs)
 
 
+# --- the workspace's node sets -------------------------------------------------
+
+def workspace_nodes_by_definition(bs):
+    """Chain restarts, unit nodes, Psi nodes and the mirror mask, entry by entry."""
+    N, M, I, n = bs.N, bs.M, bs.I, bs.lengths
+    return {
+        "restarts": [I[b] for b in range(1, M) if n[b] > 1],
+        "units": [k for b in range(M) if n[b] == 1 for k in range(I[b], I[b + 1])],
+        "psi": [k for b in range(2, M) if n[b] > 1 for k in range(I[b], I[b + 1])],
+        "upper": np.array([[i < j for j in range(M)] for i in range(M)]),
+    }
+
+
+def test_workspace_node_sets_match_definition():
+    rng = np.random.default_rng(11)
+    cases = [[1], [9], [1] * 6] + [random_block_structure(rng, int(rng.integers(2, 20)))
+                                   for _ in range(10)]
+    for lengths in cases:  # N = 1, M = 1, unit blocks, then random partitions
+        bs = from_block_lengths(lengths)
+        ws = workspace(bs, 3, 2)
+        ref = workspace_nodes_by_definition(bs)
+        restarts, k = [], 0  # a restart is a copy step before the node's product
+        for f, *_ in ws.chain_steps:
+            if f is np.copyto:
+                restarts.append(k)
+            else:
+                k += 1
+        assert k == bs.N and restarts == ref["restarts"], lengths
+        assert ws.units.tolist() == ref["units"], lengths
+        runs = ws.psi_runs
+        assert [k for r in runs for k in range(r.start, r.stop)] == ref["psi"], lengths
+        assert all(a.stop < b.start for a, b in zip(runs, runs[1:])), lengths  # maximal runs
+        assert ws.upper.shape == ref["upper"].shape
+        assert np.array_equal(ws.upper, ref["upper"]), lengths
+
+
 # --- block transitions and the block-by-block Ghat step -----------------------
 
 def psi_nodes(bs):
@@ -317,6 +353,22 @@ def test_ghat_gradient_zero_without_gradients_or_residuals():
     L = compute_L(sd, bs).L
     g = compute_ghat(sd, bs, Gh, L)
     assert not g.any()
+
+
+def test_scheme_C_stage_gradients_are_equal_within_each_block():
+    # compute_ghat sums each block's r_k in one order; any order rounds alike because
+    # r_k = R (u_k - u_ref) is formed from the block's one input with unit weights
+    cfg = SchemeConfig(scheme="C", sim_time=1.0).validate()
+    ctrl = build_controller(cfg)
+    x = np.array(cfg.x0)
+    state = ctrl.initial_state(x)
+    for _ in range(40):
+        prep = ctrl.prepare(state, x)
+        rs = prep.sd.rs
+        for a, b in zip(ctrl.bs.I, ctrl.bs.I[1:]):
+            assert rs[a:b].tobytes() == rs[a].tobytes() * (b - a)
+        u, state = ctrl.feedback(state, prep, x)
+        x = _plant_step(ctrl.problem.state_step, x, u, cfg.Ts, cfg.plant_substeps)
 
 
 def test_gradient_unit_blocks_matches_dense():

@@ -434,6 +434,31 @@ def test_plant_step_matches_numpy_loop_bit_for_bit():
             "math.sin/math.cos (libm) and np.sin/np.cos round differently on this machine"
 
 
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_closed_loop_plant_steps_the_problems_kernel(monkeypatch, scheme):
+    """The plant is the controller problem's own float kernel, stepped plant_substeps
+    times per sample; the controller calls it only to simulate its initial nodes."""
+    cfg = short_cfg(scheme, sim_time=0.25)
+    build, hs = harness.build_controller, []
+
+    def counted_build(cfg):
+        ctrl = build(cfg)
+        kernel = ctrl.problem.state_step
+
+        def step(x, u, h):
+            hs.append(h)
+            return kernel(x, u, h)
+
+        ctrl.problem.state_step = step
+        return ctrl
+
+    monkeypatch.setattr(harness, "build_controller", counted_build)
+    log = run_closed_loop(cfg)
+    assert len(log) == 10 and log.aborted is None
+    nodes = len(build(cfg).problem.intervals)
+    assert hs[nodes:] == [cfg.Ts / cfg.plant_substeps] * (len(log) * cfg.plant_substeps)
+
+
 def test_plant_divergence_raises_integration_error():
     # theta_dot = 1e160 overflows to inf, and math.sin(inf) raises ValueError
     x = np.array([0.0, np.pi, 0.0, 1e160])

@@ -10,9 +10,9 @@ change of machine speed between the runs moves them.  Here each closed loop
 drives an A and a C controller side by side, both with the default
 configuration from the default start: sample by sample, one controller
 steps and then the other (the order alternates), each against its own
-plant, stepped as ``run_closed_loop`` steps it (``harness._plant_step``,
-which raises on a diverged plant state), so both schemes see the same
-machine state.  Per loop and over all
+plant, stepped as ``run_closed_loop`` steps it (``harness._plant_step`` over
+the problem's own ``state_step`` kernel, raising on a diverged plant
+state), so both schemes see the same machine state.  Per loop and over all
 loops it prints each scheme's median ``total``, ``condensing`` and
 ``shooting`` times (ms, from ``RtiState.timings``) and the C/A ratios of
 the ``total`` and ``condensing`` medians; shooting is work both schemes
@@ -49,14 +49,11 @@ PHASES = ("total", "condensing", "shooting")
 COUNTED_SAMPLE = 30
 
 
-def default_loop():
-    """({scheme: config} of SCHEMES, the plant kernel they share)."""
+def default_configs():
+    """{scheme: default config} of SCHEMES; the schemes share every other key."""
     from blockmpc.harness import SchemeConfig
-    from blockmpc.model import PendulumParams, pendulum_state_step
 
-    cfgs = {s: SchemeConfig(scheme=s).validate() for s in SCHEMES}
-    cfg = cfgs["C"]  # the schemes share every other key
-    return cfgs, pendulum_state_step(PendulumParams(m1=cfg.m1, m2=cfg.m2, l=cfg.l, g=cfg.g))
+    return {s: SchemeConfig(scheme=s).validate() for s in SCHEMES}
 
 
 def closed_loops(loops: int) -> list[dict]:
@@ -65,7 +62,7 @@ def closed_loops(loops: int) -> list[dict]:
 
     from blockmpc.harness import _plant_step, build_controller
 
-    cfgs, plant = default_loop()
+    cfgs = default_configs()
     cfg = cfgs["C"]
     out = []
     for _ in range(loops):
@@ -78,7 +75,8 @@ def closed_loops(loops: int) -> list[dict]:
                 u, states[s] = ctrls[s].step(states[s], xs[s])
                 for phase, seconds in times[s].items():
                     seconds.append(states[s].timings[phase])
-                xs[s] = _plant_step(plant, xs[s], u, cfg.Ts, cfg.plant_substeps)
+                xs[s] = _plant_step(ctrls[s].problem.state_step, xs[s], u, cfg.Ts,
+                                    cfg.plant_substeps)
         out.append(times)
     return out
 
@@ -89,14 +87,13 @@ def step_calls() -> dict:
 
     from blockmpc.harness import _plant_step, build_controller
 
-    cfgs, plant = default_loop()
     out = {}
-    for s, cfg in cfgs.items():
+    for s, cfg in default_configs().items():
         ctrl, x = build_controller(cfg), np.array(cfg.x0, dtype=float)
         state = ctrl.initial_state(x)
         for _ in range(COUNTED_SAMPLE):
             u, state = ctrl.step(state, x)
-            x = _plant_step(plant, x, u, cfg.Ts, cfg.plant_substeps)
+            x = _plant_step(ctrl.problem.state_step, x, u, cfg.Ts, cfg.plant_substeps)
         n = [0, 0, 0]
 
         def hook(frame, event, arg):

@@ -14,8 +14,11 @@ Per scheme it prints whether ``traj.csv`` and ``kkt.csv`` are byte-identical
 iteration sums of ``timing.csv``; it also prints both exit codes.  Each side
 then runs ``bench-condense`` (BENCH_ARGS) and it prints whether the multiply
 counts of ``bench.csv`` (MULT_COLUMNS) are equal, so a change that should
-leave the counted work alone can show that it does.  It exits 1 on any
-difference, 0 otherwise.
+leave the counted work alone can show that it does.  Last, each side runs
+``simulate`` on the FAILURES configs, written into a temporary directory, and
+it prints each config's exit code and last stderr line on both sides: a bad
+config (exit 2), an initial trajectory that overflows (exit 3) and a state
+box the loop cannot keep (exit 1).  It exits 1 on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,15 +38,23 @@ SCHEMES = ("A", "B", "C")
 FILES = ("traj.csv", "kkt.csv")
 BENCH_ARGS = ("--nx", "4", "--nu", "1", "--M", "10", "--N", "20,40,80,160", "--reps", "1")
 MULT_COLUMNS = ("tailored_mults", "naive_mults", "hhat_mults")
+FAILURES = {  # name -> config lines over the defaults
+    "bad-N": ["N = -1"],
+    "overflow": ["x0 = 0, 3.14, 0, 1e160"],
+    "state-box": ["x0 = 0.2, 3.14159265358979312, 0, 0",
+                  "x_lo = -0.05, -inf, -inf, -inf", "x_hi = 0.05, inf, inf, inf"],
+}
 
 
-def run_cli(tree: str, *args: str) -> int:
-    """Exit code of ``python -m blockmpc.cli ARGS`` run from ``tree``'s sources."""
+def run_cli(tree: str, *args: str) -> tuple[int, str]:
+    """(exit code, last stderr line) of ``python -m blockmpc.cli ARGS`` run from ``tree``'s
+    sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(tree, "src"),
                                                     env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "blockmpc.cli", *args]
-    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]
 
 
 def mult_counts(out: str) -> list[tuple] | None:
@@ -96,7 +107,7 @@ def main(argv=None) -> int:
         extract(args.parent, trees["parent"])
         outs = {side: os.path.join(tmp, f"out_{side}") for side in trees}
         codes = {side: run_cli(trees[side], "compare", "--config",
-                               os.path.join(trees[side], args.config), "--out", outs[side])
+                               os.path.join(trees[side], args.config), "--out", outs[side])[0]
                  for side in trees}
 
         same = codes["parent"] == codes["change"]
@@ -115,7 +126,7 @@ def main(argv=None) -> int:
             print(f"scheme {scheme}: {', '.join(cells)}, qp iterations {iters[0]} -> {iters[1]}")
 
         bench = {side: os.path.join(tmp, f"bench_{side}") for side in trees}
-        bench_codes = [run_cli(trees[side], "bench-condense", *BENCH_ARGS, "--out", bench[side])
+        bench_codes = [run_cli(trees[side], "bench-condense", *BENCH_ARGS, "--out", bench[side])[0]
                        for side in trees]
         counts = [mult_counts(bench[side]) for side in trees]
         mults_same = counts[0] is not None and counts[0] == counts[1]
@@ -125,6 +136,18 @@ def main(argv=None) -> int:
                    if mults_same else f"DIFFER: {counts[0]} -> {counts[1]}")
         print(f"bench-condense {' '.join(BENCH_ARGS)}: exit {bench_codes[0]} -> "
               f"{bench_codes[1]}, multiply counts {verdict}")
+
+        for name, lines in FAILURES.items():
+            cfg = os.path.join(tmp, f"{name}.cfg")
+            with open(cfg, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            ends = [run_cli(trees[side], "simulate", "--config", cfg, "--out",
+                            os.path.join(tmp, f"{name}_{side}")) for side in trees]
+            same &= ends[0] == ends[1]
+            shown = (f"exit {ends[0][0]}, {ends[0][1]!r}" if ends[0] == ends[1]
+                     else f"DIFFER: exit {ends[0][0]}, {ends[0][1]!r} -> exit {ends[1][0]}, "
+                          f"{ends[1][1]!r}")
+            print(f"simulate {name} ({'; '.join(lines)}): {shown}")
     print("same outputs" if same else "OUTPUTS DIFFER")
     return 0 if same else 1
 

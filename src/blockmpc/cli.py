@@ -6,7 +6,6 @@ import argparse
 import sys
 
 from .harness import (
-    ConfigError,
     SchemeConfig,
     bench_condensing,
     compare_schemes,
@@ -88,12 +87,9 @@ def main(argv=None) -> int:
                 if log.aborted:
                     print(f"error: scheme {scheme} run aborted: {log.aborted}", file=sys.stderr)
             return 1 if any(log.aborted for log in logs.values()) else 0
-    except (ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError, IntegrationDivergedError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except IntegrationDivergedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(err, IntegrationDivergedError) else 2
     return 0
 
 

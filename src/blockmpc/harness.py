@@ -90,12 +90,10 @@ class SchemeConfig:
                 raise ConfigError(f"{at(key)}{key} must be positive, got {value}")
             if key in _NONNEGATIVE_KEYS and not all(v >= 0 for v in values):
                 raise ConfigError(f"{at(key)}{key} must be nonnegative, got {value}")
-        if self.scheme == "C" and sum(self.block_lengths) != self.N:
-            raise ConfigError(
-                f"block_lengths sum to {sum(self.block_lengths)}, expected N = {self.N}")
-        if self.scheme == "B" and sum(self.grid_lengths) != self.N:
-            raise ConfigError(
-                f"grid_lengths sum to {sum(self.grid_lengths)}, expected N = {self.N}")
+        partition = {"B": "grid_lengths", "C": "block_lengths"}.get(self.scheme)
+        if partition and sum(getattr(self, partition)) != self.N:
+            raise ConfigError(f"{partition} sum to {sum(getattr(self, partition))}, "
+                              f"expected N = {self.N}")
         for key, dim in _MODEL_DIM.items():
             n, got = getattr(PENDULUM_DIMS, dim), len(getattr(self, key))
             if got != n:
@@ -204,16 +202,9 @@ def build_controller(cfg: SchemeConfig) -> RtiController:
                          u_lo=np.array(cfg.u_lo), u_hi=np.array(cfg.u_hi))
     qp_max_iter = cfg.qp_max_iter if cfg.qp_max_iter > 0 else None
 
-    if cfg.scheme == "B":
-        problem = make_pendulum_problem(params, cost, bounds, cfg.Ts, cfg.N,
-                                        interval_lengths=cfg.grid_lengths)
-        bs = unit_blocks(len(cfg.grid_lengths))
-    else:
-        problem = make_pendulum_problem(params, cost, bounds, cfg.Ts, cfg.N)
-        if cfg.scheme == "A":
-            bs = unit_blocks(cfg.N)
-        else:
-            bs = from_block_lengths(cfg.block_lengths)
+    problem = make_pendulum_problem(params, cost, bounds, cfg.Ts, cfg.N,
+                                    cfg.grid_lengths if cfg.scheme == "B" else None)
+    bs = from_block_lengths(cfg.block_lengths) if cfg.scheme == "C" else unit_blocks(problem.N)
     return RtiController(problem, bs, qp_tol=cfg.qp_tol, qp_max_iter=qp_max_iter)
 
 
@@ -321,26 +312,19 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def timing_summary(log: SimLog) -> dict:
-    """Column sums, medians and maxima of the per-phase timings in milliseconds."""
-    out = {}
-    for phase in ("shooting", "condensing", "qp", "total"):
-        vals = [tm[phase] * 1e3 for tm in log.timings]
-        out[phase] = {
-            "sum": sum(vals) if vals else 0.0,
-            "median": statistics.median(vals) if vals else 0.0,
-            "max": max(vals) if vals else 0.0,
-        }
-    out["qp_iters"] = {"sum": float(sum(log.qp_iters)),
-                       "median": float(statistics.median(log.qp_iters)) if log.qp_iters else 0.0,
-                       "max": float(max(log.qp_iters, default=0))}
-    return out
+    """Float sums, medians and maxima (0.0 if empty) of phase timings in ms and QP iterations."""
+    columns = {phase: [tm[phase] * 1e3 for tm in log.timings]
+               for phase in ("shooting", "condensing", "qp", "total")}
+    columns["qp_iters"] = log.qp_iters
+    return {name: {"sum": float(sum(vals)),
+                   "median": float(statistics.median(vals)) if vals else 0.0,
+                   "max": float(max(vals, default=0))}
+            for name, vals in columns.items()}
 
 
 def summary_text(log: SimLog) -> list[str]:
     lines = []
-    summ = timing_summary(log)
-    for phase in ("shooting", "condensing", "qp", "total", "qp_iters"):
-        s = summ[phase]
+    for phase, s in timing_summary(log).items():
         lines.append(f"{phase}: sum={_fmt(s['sum'])} median={_fmt(s['median'])} "
                      f"max={_fmt(s['max'])}")
     if log.kkt:

@@ -310,27 +310,24 @@ def make_pendulum_problem(
     N: int,
     interval_lengths: Sequence[int] | None = None,
 ) -> OcpProblem:
-    """Cart-pole OCP on a grid of N intervals.
+    """Cart-pole OCP on a grid of intervals that together span N * Ts seconds.
 
-    With ``interval_lengths`` given (nonuniform grid), interval j spans
-    interval_lengths[j] * Ts seconds and is integrated with a single RK4
+    Interval j spans interval_lengths[j] * Ts seconds (the uniform grid,
+    the default, is N lengths of 1) and is integrated with a single RK4
     step, the fixed per-interval effort of a standard shooting
     discretization; stage weights are scaled by the interval length.
-    Coarser intervals therefore carry a coarser discretization, which is
-    the accuracy trade nonuniform grids make.
+    Coarser intervals of a nonuniform grid therefore carry a coarser
+    discretization, which is the accuracy trade nonuniform grids make.
     """
     # closures look pendulum_rhs up at call time, so counting it in the module counts these
     rhs = lambda x, u: pendulum_rhs(x, u, params)
     jac = lambda x, u: pendulum_jacobians(x, u, params)
     tangent = lambda x, u, S: pendulum_rhs(x, u, params, S)
-    if interval_lengths is None:
-        intervals = [IntegratorConfig(h=Ts)] * N  # frozen, so one config serves every interval
-        scales = np.ones(N)
-    else:
-        if sum(interval_lengths) != N:
-            raise ValueError("interval lengths must sum to the uniform-grid interval count")
-        intervals = [IntegratorConfig(h=float(n) * Ts) for n in interval_lengths]
-        scales = np.asarray(interval_lengths, dtype=float)
+    lengths = (1,) * N if interval_lengths is None else interval_lengths
+    if sum(lengths) != N:
+        raise ValueError("interval lengths must sum to the uniform-grid interval count")
+    configs = {n: IntegratorConfig(h=float(n) * Ts) for n in set(lengths)}  # frozen, so shared
     return OcpProblem(dims=PENDULUM_DIMS, rhs=rhs, jac=jac, cost=cost, bounds=bounds,
-                      intervals=intervals, weight_scales=scales,
+                      intervals=[configs[n] for n in lengths],
+                      weight_scales=np.asarray(lengths, dtype=float),
                       state_step=pendulum_state_step(params), tangent=tangent)

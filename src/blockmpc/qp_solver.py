@@ -4,16 +4,17 @@
 
 Constraints are identified by integer ids: 0..m-1 are the general rows,
 m..m+n-1 the upper bounds, m+n..m+2n-1 the lower bounds.  The working set
-holds the ids currently treated as equalities; carrying it into the next
-solve is the warm start.
+is the tuple of ids currently treated as equalities; carrying it into the
+next solve is the warm start.
 
 The iteration is Goldfarb and Idnani's (Math. Prog. 27, 1983): it starts
-from a dual-feasible point, the unconstrained minimizer or the equality
-solve of the warm working set with its negative multipliers dropped, and
-adds the most violated row, dropping rows whose multiplier would turn
-negative on the way.  Every iterate keeps a consistent primal-dual pair, so
-no feasible start is needed, and a violated row that admits neither a
-primal nor a dual step certifies that the QP is infeasible.
+from a dual-feasible point, the equality solve of the warm working set with
+its negative multipliers dropped (the unconstrained minimizer for a cold
+start, whose set is empty), and adds the most violated row, dropping rows
+whose multiplier would turn negative on the way.  Every iterate keeps a
+consistent primal-dual pair, so no feasible start is needed, and a violated
+row that admits neither a primal nor a dual step certifies that the QP is
+infeasible.
 
 H is factored as H = L L' and L^-1 formed once per solve, and only once a
 row enters the working set or a warm set is given; the unconstrained
@@ -40,13 +41,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class WorkingSet:
-    """Ordered ids of the constraints treated as equalities."""
-
-    active: tuple[int, ...] = ()
 
 
 @dataclass
@@ -106,10 +100,10 @@ class QpSolution:
     lam_rows: np.ndarray
     lam_lb: np.ndarray
     lam_ub: np.ndarray
-    ws: WorkingSet
+    ws: tuple[int, ...]  # the final working set: ordered ids of the rows held as equalities
     iterations: int
     status: str  # "solved" | "max-iterations" | "infeasible-detected"
-    start: str   # "warm" | "cold": whether the warm working set was used
+    start: str   # "warm": the warm set was used; "cold": none, empty or with dependent rows
 
 
 def _inv_lower(L):
@@ -123,17 +117,18 @@ def _inv_lower(L):
     return X
 
 
-def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
+def solve_qp(qp: DenseQp, warm: tuple[int, ...] = (), tol: float = 1e-8,
              max_iter: int | None = None) -> QpSolution:
     """Goldfarb-Idnani dual active-set iteration with deterministic tie-breaking.
 
     Added row: most violated by more than max(tol, 1e-9), ties by lowest id.
     Dropped row: first to reach a zero multiplier, ties by the earliest
-    working-set entry.  A warm set with dependent rows is discarded (cold
-    start).  A solved QP is re-solved on its final working set, so warm and
-    cold answers agree to rounding.  On any other exit z and the multipliers
-    are the last dual iterate, including the partial multiplier of the row
-    being added: H z + g + A'lam = 0 and lam >= 0.
+    working-set entry.  ``warm`` is a previous ``ws``; ids of no finite row
+    are ignored.  No warm set, an empty one and one with dependent rows
+    (discarded) all start cold, from the empty set.  A solved QP is re-solved
+    on its final working set, so warm and cold answers agree to rounding.  On
+    any other exit z and the multipliers are the last dual iterate, including
+    the partial multiplier of the row being added: H z + g + A'lam = 0, lam >= 0.
     """
     n, m = qp.n, qp.m
     if max_iter is None:
@@ -188,24 +183,18 @@ def solve_qp(qp: DenseQp, warm: WorkingSet | None = None, tol: float = 1e-8,
         if p >= 0:
             lam_all[p] = u
         return QpSolution(z=z, lam_rows=lam_all[:m], lam_lb=lam_all[m + n:],
-                          lam_ub=lam_all[m:m + n], ws=WorkingSet(tuple(W)), iterations=it,
+                          lam_ub=lam_all[m:m + n], ws=tuple(W), iterations=it,
                           status=status, start=start)
 
-    start = "cold"
-    W = [] if warm is None else [i for i in warm.active
-                                 if 0 <= i < len(b) and (i < m or np.isfinite(b[i]))]
-    if W:
-        if refactor():
-            start = "warm"
-            z, lam = eqp()
-            while np.any(lam < 0.0):
-                W = [i for i, lam_i in zip(W, lam) if lam_i >= 0.0]
-                refactor()
-                z, lam = eqp()
-        else:
-            W = []
+    W = [i for i in warm if 0 <= i < len(b) and (i < m or np.isfinite(b[i]))]
+    start = "warm" if W and refactor() else "cold"
     if start == "cold":
-        z, lam = z_free(), np.zeros(0)
+        W = []
+    z, lam = eqp()
+    while W and np.any(lam < 0.0):
+        W = [i for i, lam_i in zip(W, lam) if lam_i >= 0.0]
+        refactor()
+        z, lam = eqp()
 
     p, u = -1, 0.0  # row being added and its multiplier
     for it in range(1, max_iter + 1):

@@ -90,12 +90,10 @@ class RtiController:
         self.qp_tol = qp_tol
         self.qp_max_iter = qp_max_iter
 
-    def initial_state(self, x0: np.ndarray, us0: np.ndarray | None = None) -> RtiState:
-        """Feasible starting point: simulate the nodes forward under us0 (default zero)."""
-        nu = self.problem.dims.nu
-        us = np.zeros((self.bs.M, nu)) if us0 is None else np.asarray(us0, dtype=float)
-        traj = forward_simulate(self.problem, self.bs, np.asarray(x0, dtype=float), us)
-        return RtiState(traj=traj)
+    def initial_state(self, x0: np.ndarray) -> RtiState:
+        """Feasible starting point: simulate the nodes forward under zero inputs."""
+        us = np.zeros((self.bs.M, self.problem.dims.nu))
+        return RtiState(traj=forward_simulate(self.problem, self.bs, x0, us))
 
     def prepare(self, state: RtiState, x0_measured: np.ndarray) -> PrepareOutput:
         """Shooting linearization and tailored condensing, with phase timings.
@@ -127,7 +125,7 @@ class RtiController:
         was prepared from.
         """
         t0 = time.perf_counter()
-        warm = state.sol.ws if state.sol is not None else None
+        warm = state.sol.ws if state.sol is not None else ()
         sol = solve_qp(prep.qp, warm=warm, tol=self.qp_tol, max_iter=self.qp_max_iter)
         t_qp = time.perf_counter() - t0
         du = sol.z

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from blockmpc import condensing, harness, qp_solver, rti
+from blockmpc.blocking import from_block_lengths, unit_blocks
 from blockmpc.cli import main as cli_main
 from blockmpc.harness import (
     ConfigError,
     SchemeConfig,
     bench_condensing,
+    build_controller,
     compare_schemes,
     config_echo,
     load_config,
@@ -21,6 +23,7 @@ from blockmpc.harness import (
 from blockmpc.integrator import IntegrationDivergedError
 from blockmpc.model import PendulumParams, pendulum_rhs, pendulum_state_step
 from oracles import numpy_plant_step, seeded_pendulum_states
+from test_qp_solver import assert_empty_warm_set_is_cold
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(ROOT, "configs", "pendulum.cfg")
@@ -148,6 +151,20 @@ def test_config_echo_loads_back(tmp_path, cfg):
     assert load_config(str(p)) == cfg
 
 
+@pytest.mark.parametrize("scheme", ["A", "B", "C"])
+def test_build_controller_grid_weights_and_blocks(scheme):
+    # A and C: the uniform grid of N intervals of Ts; B: one interval per grid length
+    cfg = short_cfg(scheme)
+    ctrl = build_controller(cfg)
+    lengths = cfg.grid_lengths if scheme == "B" else [1] * cfg.N
+    hs = np.array([n * cfg.Ts for n in lengths])
+    assert (ctrl.problem.hs.shape, ctrl.problem.hs.tobytes()) == (hs.shape, hs.tobytes())
+    scales = np.array(lengths, dtype=float)
+    assert ctrl.problem.weight_scales.tobytes() == scales.tobytes()
+    bs = from_block_lengths(cfg.block_lengths) if scheme == "C" else unit_blocks(len(lengths))
+    assert ctrl.bs == bs and ctrl.bs.I == bs.I
+
+
 def test_scheme_validation():
     with pytest.raises(ConfigError):
         SchemeConfig(scheme="D").validate()
@@ -168,6 +185,9 @@ def test_empty_run_metadata_only(tmp_path):
         lines = (tmp_path / name).read_text().strip().splitlines()
         assert len(lines) == 1  # header only
     assert (tmp_path / "meta.txt").exists()
+    summ = timing_summary(log)
+    assert list(summ) == ["shooting", "condensing", "qp", "total", "qp_iters"]
+    assert all(repr(v) == "0.0" for s in summ.values() for v in s.values())
 
 
 def test_row_count_matches_sim_time():
@@ -249,6 +269,11 @@ def test_timing_csv_sums_match_summary(tmp_path):
     for phase, col in (("shooting", "shooting_ms"), ("condensing", "condensing_ms"),
                        ("qp", "qp_ms"), ("total", "total_ms")):
         assert col_sum[col] == pytest.approx(summ[phase]["sum"], rel=1e-9)
+    iters = log.qp_iters  # integers, summarized as floats
+    assert len(set(iters)) > 1 and all(type(i) is int for i in iters)
+    assert summ["qp_iters"] == {"sum": float(sum(iters)), "median": float(np.median(iters)),
+                                "max": float(max(iters))}
+    assert all(type(v) is float for v in summ["qp_iters"].values())
     text = "\n".join(summary_text(log))
     assert f"samples = {len(log)}" in text
 
@@ -299,6 +324,7 @@ def test_scheme_A_swingup_solves_meet_kkt_and_restart_warm(monkeypatch):
         re = qp_solver.solve_qp(qp, warm=sol.ws, tol=kw["tol"])
         assert re.start == "warm" and re.iterations <= 1
         assert np.abs(re.z - sol.z).max() < 1e-12
+        assert_empty_warm_set_is_cold(qp, tol=kw["tol"])
 
 
 # --- bench ---------------------------------------------------------------------

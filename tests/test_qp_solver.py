@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmpc import qp_solver
-from blockmpc.qp_solver import DenseQp, WorkingSet, _inv_lower, solve_qp
+from blockmpc.qp_solver import DenseQp, _inv_lower, solve_qp
 from oracles import enumerate_qp
 
 
@@ -33,11 +33,28 @@ def objective(qp, z):
     return 0.5 * z @ qp.H @ z + qp.g @ z
 
 
+def assert_same_solution(a, b):
+    """Every field of two QpSolutions equal, the arrays in shape and byte for byte."""
+    for name, x in vars(a).items():
+        y = getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert (x.shape, x.tobytes()) == (y.shape, y.tobytes()), name
+        else:
+            assert x == y, name
+
+
+def assert_empty_warm_set_is_cold(qp, **kw):
+    """An empty warm set takes the cold start: the same solution as no warm set."""
+    cold = solve_qp(qp, **kw)
+    assert cold.start == "cold"
+    assert_same_solution(solve_qp(qp, warm=(), **kw), cold)
+
+
 def test_unconstrained_solution():
     sol = solve_qp(DenseQp(H=np.eye(2), g=np.array([-1.0, -1.0])))
     assert sol.status == "solved"
     assert np.allclose(sol.z, [1.0, 1.0])
-    assert len(sol.ws.active) == 0
+    assert len(sol.ws) == 0
 
 
 def test_active_upper_bounds_with_multipliers():
@@ -88,6 +105,7 @@ def test_warm_start_idempotence():
         re = solve_qp(qp, warm=sol.ws)
         assert re.iterations <= 1
         assert np.abs(re.z - sol.z).max() < 1e-12
+        assert_empty_warm_set_is_cold(qp)
 
 
 def test_monotone_objective_decrease():
@@ -153,8 +171,8 @@ def test_working_set_ids_stable_across_resolves():
     qp = DenseQp(H=np.eye(2), g=np.array([-1.0, -1.0]), ub=np.array([0.5, 0.5]))
     sol = solve_qp(qp)
     ws = sol.ws
-    sol2 = solve_qp(qp, warm=WorkingSet(tuple(ws.active)))
-    assert sol2.ws.active == ws.active
+    sol2 = solve_qp(qp, warm=ws)
+    assert sol2.ws == ws
 
 
 def test_blocked_triangular_inverse_matches_general_inverse():
@@ -182,7 +200,7 @@ def test_feasible_unconstrained_minimizer_needs_no_factor(monkeypatch):
         qp = DenseQp(H=H, g=g, Crows=C, cvec=-(C @ z_free) - 0.5,
                      lb=z_free - 1.0, ub=z_free + 1.0)
         sol = solve_qp(qp)
-        assert (sol.status, sol.iterations, sol.start, sol.ws.active) == ("solved", 1, "cold", ())
+        assert (sol.status, sol.iterations, sol.start, sol.ws) == ("solved", 1, "cold", ())
         assert np.abs(sol.z - enumerate_qp(qp)).max() < 1e-12
     # a violated row does form the factor
     with pytest.raises(AssertionError, match="_inv_lower"):
@@ -202,16 +220,16 @@ def test_start_path_recorded():
     assert cold.start == "cold"
     assert solve_qp(box, warm=cold.ws).start == "warm"
     # id 3 is the infinite lower bound of z2: nothing of the warm set is usable
-    assert solve_qp(box, warm=WorkingSet((3,))).start == "cold"
+    assert solve_qp(box, warm=(3,)).start == "cold"
     # the warm equality point (1, 1) violates both bounds; the dual start needs no feasibility
-    assert solve_qp(box, warm=WorkingSet((0,))).start == "warm"
+    assert solve_qp(box, warm=(0,)).start == "warm"
     # three usable rows on two variables are dependent
     boxed = DenseQp(H=np.eye(2), g=np.array([-1.0, -1.0]), lb=-np.ones(2), ub=np.full(2, 0.5))
-    assert solve_qp(boxed, warm=WorkingSet((0, 1, 2))).start == "cold"
+    assert solve_qp(boxed, warm=(0, 1, 2)).start == "cold"
     twice = DenseQp(H=np.eye(2), g=np.zeros(2), Crows=np.array([[1.0, 1.0], [2.0, 2.0]]),
                     cvec=np.array([4.0, 8.0]))
     ref = solve_qp(twice)
-    dependent = solve_qp(twice, warm=WorkingSet((0, 1)))
+    dependent = solve_qp(twice, warm=(0, 1))
     assert dependent.start == "cold" and dependent.status == "solved"
     assert np.array_equal(dependent.z, ref.z) and np.allclose(ref.z, [-2.0, -2.0])
 
@@ -314,11 +332,12 @@ def test_controller_size_solves_meet_kkt_and_restart_warm():
         qp = controller_size_qp(rng)
         sol = solve_qp(qp)
         assert_kkt_certificate(qp, sol)
-        assert 20 <= sum(i >= qp.m for i in sol.ws.active) <= 40
-        drops += (sol.iterations - 1 - len(sol.ws.active)) // 2  # cold: adds + drops + 1
+        assert 20 <= sum(i >= qp.m for i in sol.ws) <= 40
+        drops += (sol.iterations - 1 - len(sol.ws)) // 2  # cold: adds + drops + 1
         re = solve_qp(qp, warm=sol.ws)
-        assert (re.start, re.iterations, re.ws.active) == ("warm", 1, sol.ws.active)
+        assert (re.start, re.iterations, re.ws) == ("warm", 1, sol.ws)
         assert np.abs(re.z - sol.z).max() <= 1e-10 * max(1.0, np.abs(sol.z).max())
+        assert_empty_warm_set_is_cold(qp)
     assert drops > 0
 
 
@@ -341,7 +360,7 @@ def test_entering_rows_update_the_factor_in_place(monkeypatch):
         qp = controller_size_qp(rng)
         calls.update(qr=0, solve=0)
         sol = solve_qp(qp)
-        drops = (sol.iterations - 1 - len(sol.ws.active)) // 2
+        drops = (sol.iterations - 1 - len(sol.ws)) // 2
         assert sol.iterations > 30 and calls == {"qr": drops, "solve": 1}
         calls.update(qr=0, solve=0)
         solve_qp(qp, warm=sol.ws)
@@ -353,14 +372,14 @@ def test_controller_size_warm_chain_over_drifting_gradient():
     rng = np.random.default_rng(45)
     qp = controller_size_qp(rng)
     drift = 0.1 * rng.standard_normal(qp.n)
-    ws, changed = WorkingSet(), 0
+    ws, changed = (), 0
     for k in range(12):
         step = DenseQp(H=qp.H, g=qp.g + k * drift, Crows=qp.Crows, cvec=qp.cvec, lb=qp.lb,
                        ub=qp.ub)
         sol = solve_qp(step, warm=ws)
         assert_kkt_certificate(step, sol)
         assert sol.start == ("cold" if k == 0 else "warm")
-        changed += sol.ws.active != ws.active
+        changed += sol.ws != ws
         cold = solve_qp(step)
         assert np.abs(sol.z - cold.z).max() <= 1e-10 * max(1.0, np.abs(cold.z).max())
         re = solve_qp(step, warm=sol.ws)

@@ -18,7 +18,7 @@ from blockmpc.model import (
     make_pendulum_problem,
     pendulum_state_step,
 )
-from blockmpc.qp_solver import DenseQp, QpSolution, WorkingSet, solve_qp
+from blockmpc.qp_solver import DenseQp, QpSolution, solve_qp
 from blockmpc.rti import PrepareOutput, RtiController, RtiState, kkt_residual
 from blockmpc.shooting import Trajectory, evaluate
 from oracles import (
@@ -187,7 +187,7 @@ def qp_point(qp, z, rng=None):
     """A QpSolution of ``qp`` at z: zero multipliers, or uniform ones drawn from rng."""
     draw = (lambda k: np.zeros(k)) if rng is None else (lambda k: rng.uniform(0, 1, k))
     return QpSolution(z=np.asarray(z, dtype=float), lam_rows=draw(qp.m), lam_lb=draw(qp.n),
-                      lam_ub=draw(qp.n), ws=WorkingSet(), iterations=1, status="solved",
+                      lam_ub=draw(qp.n), ws=(), iterations=1, status="solved",
                       start="cold")
 
 

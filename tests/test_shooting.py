@@ -13,7 +13,6 @@ from blockmpc.model import (
     make_pendulum_problem,
     state_box_rows,
 )
-from blockmpc.rti import RtiController
 from blockmpc.shooting import Trajectory, evaluate, forward_simulate
 from oracles import loop_evaluate, numpy_forward_simulate, seeded_pendulum_states
 
@@ -176,8 +175,8 @@ def test_initial_trajectory_has_exactly_zero_shooting_gaps(scheme):
     ctrl = build_controller(SchemeConfig(scheme=scheme).validate())
     rng = np.random.default_rng(13)
     for i, x0 in enumerate(seeded_pendulum_states(14, 8)):
-        us0 = None if i % 2 else rng.uniform(-5.0, 5.0, size=(ctrl.bs.M, 1))
-        traj = ctrl.initial_state(x0, us0).traj
+        traj = (ctrl.initial_state(x0).traj if i % 2 else forward_simulate(
+            ctrl.problem, ctrl.bs, x0, rng.uniform(-5.0, 5.0, size=(ctrl.bs.M, 1))))
         ds = evaluate(ctrl.problem, ctrl.bs, traj, x0).ds
         assert np.all(ds == 0.0), f"max |ds| {np.abs(ds).max():.3g}: {SIN_COS}"
 
@@ -200,7 +199,7 @@ def test_generic_state_step_hands_rhs_arrays(name):
                       intervals=[IntegratorConfig(h=0.05 * (1 + k % 3)) for k in range(8)])
     bs = from_block_lengths([3, 5])
     x0, us = np.array([0.5, 1.0]), np.array([[0.3], [-0.2]])
-    traj = RtiController(prob, bs).initial_state(x0, us).traj
+    traj = forward_simulate(prob, bs, x0, us)
     assert np.array_equal(traj.xs, numpy_forward_simulate(prob, bs, x0, us))
     ds = evaluate(prob, bs, traj, x0).ds
     assert np.all(ds == 0.0), f"max |ds| {np.abs(ds).max():.3g}"

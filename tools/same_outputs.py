@@ -10,8 +10,11 @@ archive``); the change side is the working tree as it stands.  Each side runs
 relative CONFIG (default ``configs/pendulum.cfg``) read from its own tree.
 
 Per scheme it prints whether ``traj.csv`` and ``kkt.csv`` are byte-identical
-(or else the largest absolute difference of their entries) and the QP
-iteration sums of ``timing.csv``; it also prints both exit codes.  Each side
+(or else the largest absolute difference of their entries), the QP
+iteration sums of ``timing.csv``, and whether the non-timing columns of the
+scheme's ``summary.csv`` row (SUMMARY_COLUMNS) and ``meta.txt`` outside its
+phase-timing lines (TIMING_LINES: config echo, QP iterations, KKT median,
+sample and flag counts) are equal; it also prints both exit codes.  Each side
 then runs ``bench-condense`` (BENCH_ARGS) and it prints whether the multiply
 counts of ``bench.csv`` (MULT_COLUMNS) are equal, so a change that should
 leave the counted work alone can show that it does.  Last, each side runs
@@ -38,6 +41,8 @@ SCHEMES = ("A", "B", "C")
 FILES = ("traj.csv", "kkt.csv")
 BENCH_ARGS = ("--nx", "4", "--nu", "1", "--M", "10", "--N", "20,40,80,160", "--reps", "1")
 MULT_COLUMNS = ("tailored_mults", "naive_mults", "hhat_mults")
+SUMMARY_COLUMNS = ("median_kkt_total", "swingup", "flagged_samples")
+TIMING_LINES = ("shooting:", "condensing:", "qp:", "total:")  # meta.txt's wall-clock lines
 FAILURES = {  # name -> config lines over the defaults
     "bad-N": ["N = -1"],
     "overflow": ["x0 = 0, 3.14, 0, 1e160"],
@@ -64,6 +69,23 @@ def mult_counts(out: str) -> list[tuple] | None:
             return [(row["N"],) + tuple(row[c] for c in MULT_COLUMNS) for row in csv.DictReader(fh)]
     except FileNotFoundError:
         return None
+
+
+def summary_rows(out: str) -> dict | None:
+    """{scheme: (SUMMARY_COLUMNS...)} of ``summary.csv`` in ``out``, exactly as written."""
+    try:
+        with open(os.path.join(out, "summary.csv"), newline="") as fh:
+            return {row["scheme"]: tuple(row[c] for c in SUMMARY_COLUMNS)
+                    for row in csv.DictReader(fh)}
+    except FileNotFoundError:
+        return None
+
+
+def meta_lines(run_dir: str) -> list[str] | None:
+    """The lines of ``meta.txt`` in ``run_dir`` other than TIMING_LINES."""
+    text = read(os.path.join(run_dir, "meta.txt"))
+    return None if text is None else [line for line in text.decode().splitlines()
+                                      if not line.startswith(TIMING_LINES)]
 
 
 def read(path: str) -> bytes | None:
@@ -111,6 +133,7 @@ def main(argv=None) -> int:
                  for side in trees}
 
         same = codes["parent"] == codes["change"]
+        summaries = [summary_rows(outs[side]) or {} for side in trees]
         print(f"parent {args.parent} ({git('rev-parse', '--short', args.parent)}): "
               f"exit {codes['parent']}")
         print(f"change working tree: exit {codes['change']}")
@@ -122,8 +145,15 @@ def main(argv=None) -> int:
                 same &= ok
                 cells.append(f"{name} {text}")
             iters = [qp_iterations(dirs[side]) for side in trees]
-            same &= iters[0] == iters[1]
-            print(f"scheme {scheme}: {', '.join(cells)}, qp iterations {iters[0]} -> {iters[1]}")
+            rows = [summary.get(scheme) for summary in summaries]
+            metas = [meta_lines(dirs[side]) for side in trees]
+            ok_rows, ok_meta = rows[0] is not None and rows[0] == rows[1], metas[0] == metas[1]
+            same &= iters[0] == iters[1] and ok_rows and ok_meta and metas[0] is not None
+            shown = (f"equal {dict(zip(SUMMARY_COLUMNS, rows[0]))}" if ok_rows
+                     else f"DIFFER: {rows[0]} -> {rows[1]}")
+            print(f"scheme {scheme}: {', '.join(cells)}, qp iterations {iters[0]} -> {iters[1]}, "
+                  f"summary.csv {shown}, meta.txt outside timings "
+                  f"{'identical' if ok_meta and metas[0] is not None else 'DIFFERS'}")
 
         bench = {side: os.path.join(tmp, f"bench_{side}") for side in trees}
         bench_codes = [run_cli(trees[side], "bench-condense", *BENCH_ARGS, "--out", bench[side])[0]

@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .blocking import BlockStructure, block_sums, build_T
-from .model import ProblemDims
 from .qp_solver import DenseQp
 from .shooting import StageData
 
@@ -310,17 +309,6 @@ def expand(Ghat: np.ndarray, L: np.ndarray, dx0: np.ndarray,
     dxs[0] = dx0
     dxs[1:] = Ghat.dot(np.asarray(du, dtype=float).reshape(-1)) + L
     return dxs
-
-
-def flop_count(dims: ProblemDims, bs: BlockStructure) -> int:
-    """Leading-order multiply count of the reduced-Hessian recursion.
-
-    Returns N*M*(nx^2*nu + nx*nu^2), the Q and B products over all columns;
-    the sweep adds 2*(N-1)*M*nx^2*nu more (its products [A_k' | I] Z[k] are
-    counted in full, identity half included), so instrumented counts land
-    within a small constant factor of the prediction.
-    """
-    return bs.N * bs.M * (dims.nx ** 2 * dims.nu + dims.nx * dims.nu ** 2)
 
 
 # --- naive explicit-T pipeline (oracle / baseline) -------------------------

@@ -284,6 +284,17 @@ def dense_condense(sd):
     return {"G": G, "L": L, "Hc": Hc, "gc": gc, "Cc": Cc, "cc": cc}
 
 
+def flop_count(dims, bs):
+    """Leading-order multiply count of the reduced-Hessian recursion.
+
+    Returns N*M*(nx^2*nu + nx*nu^2), the Q and B products over all columns;
+    the sweep adds 2*(N-1)*M*nx^2*nu more (its products [A_k' | I] Z[k] are
+    counted in full, identity half included), so instrumented counts land
+    within a small constant factor of the prediction.
+    """
+    return bs.N * bs.M * (dims.nx ** 2 * dims.nu + dims.nx * dims.nu ** 2)
+
+
 def enumerate_qp(qp, tol=1e-9):
     """Brute-force QP solve: try every active-set combination.
 

@@ -11,7 +11,6 @@ from blockmpc.condensing import (
     condense,
     condense_constraints,
     expand,
-    flop_count,
     naive_condense,
     workspace,
 )
@@ -21,6 +20,7 @@ from blockmpc.shooting import StageData
 from oracles import (
     column_Hhat,
     dense_condense,
+    flop_count,
     ghat_blocks,
     kron_T,
     loop_block_transitions,

@@ -20,14 +20,18 @@ counts of ``bench.csv`` (MULT_COLUMNS) are equal, so a change that should
 leave the counted work alone can show that it does.  Last, each side runs
 ``simulate`` on the FAILURES configs, written into a temporary directory, and
 it prints each config's exit code and last stderr line on both sides: a bad
-config (exit 2), an initial trajectory that overflows (exit 3) and a state
-box the loop cannot keep (exit 1).  It exits 1 on any difference, 0 otherwise.
+config (exit 2), an initial trajectory that overflows (exit 3), a state box
+the loop cannot keep (exit 1) and a horizon whose condensed Hessian fails to
+factor (exit 1).  Last of all it prints each side's ``src/`` line count, all
+lines of ``src/**/*.py`` as ``perfbench/run.py`` counts them.  It exits 1 on
+any difference, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import glob
 import os
 import subprocess
 import sys
@@ -48,6 +52,8 @@ FAILURES = {  # name -> config lines over the defaults
     "overflow": ["x0 = 0, 3.14, 0, 1e160"],
     "state-box": ["x0 = 0.2, 3.14159265358979312, 0, 0",
                   "x_lo = -0.05, -inf, -inf, -inf", "x_hi = 0.05, inf, inf, inf"],
+    "long-horizon": ["N = 240", "block_lengths = 1,2,3,4,5,5,15,15,15,15" + ",8" * 20,
+                     "sim_time = 2"],
 }
 
 
@@ -86,6 +92,15 @@ def meta_lines(run_dir: str) -> list[str] | None:
     text = read(os.path.join(run_dir, "meta.txt"))
     return None if text is None else [line for line in text.decode().splitlines()
                                       if not line.startswith(TIMING_LINES)]
+
+
+def src_lines(tree: str) -> int:
+    """All lines of ``tree``'s ``src/**/*.py``, as ``perfbench/run.py`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "**", "*.py"), recursive=True):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def read(path: str) -> bytes | None:
@@ -178,6 +193,7 @@ def main(argv=None) -> int:
                      else f"DIFFER: exit {ends[0][0]}, {ends[0][1]!r} -> exit {ends[1][0]}, "
                           f"{ends[1][1]!r}")
             print(f"simulate {name} ({'; '.join(lines)}): {shown}")
+        print(f"src lines: {src_lines(trees['parent'])} -> {src_lines(trees['change'])}")
     print("same outputs" if same else "OUTPUTS DIFFER")
     return 0 if same else 1
 
